@@ -11,11 +11,14 @@
 //!   open window, optional `max_window` memory valve);
 //! * [`OnePassStream`] — the incremental one-pass SED family
 //!   ([`crate::OnePassFit`] / [`crate::OnePassCone`]): O(1) state, no
-//!   window buffer at all.
+//!   window buffer at all;
+//! * [`PassThrough`] — the lossless identity stream: validates like the
+//!   others and keeps every fix.
 //!
 //! Feeding a whole trajectory through a stream produces *exactly* the
 //! same kept points as the corresponding batch compressor — pinned by
-//! equivalence tests and proptests.
+//! equivalence tests and proptests, boxed (`Box<dyn
+//! StreamingCompressor>`) or not.
 
 use crate::criterion::SegmentCriterion;
 use crate::obs::AlgoRun;
@@ -60,12 +63,14 @@ impl StreamCore {
 /// [`push`]: StreamingCompressor::push
 /// [`finish`]: StreamingCompressor::finish
 ///
+/// The trait is object-safe: one function can feed every stream kind
+/// behind a `Box<dyn StreamingCompressor>`.
+///
 /// ```
-/// use traj_compress::streaming::{OnePassStream, OwStream, StreamingCompressor};
+/// use traj_compress::streaming::{OnePassStream, OwStream, PassThrough, StreamingCompressor};
 /// use traj_model::Fix;
 ///
-/// // One driver works for every stream kind.
-/// fn drive<S: StreamingCompressor>(mut s: S) -> Vec<Fix> {
+/// fn drive(mut s: Box<dyn StreamingCompressor>) -> Vec<Fix> {
 ///     let mut kept = Vec::new();
 ///     for i in 0..100 {
 ///         let fix = Fix::from_parts(f64::from(i) * 10.0, f64::from(i) * 120.0, 0.0);
@@ -77,9 +82,10 @@ impl StreamCore {
 ///
 /// // A straight, constant-speed run compresses to its endpoints under
 /// // both the opening-window and the one-pass family.
-/// assert_eq!(drive(OwStream::opw_tr(30.0)).len(), 2);
-/// assert_eq!(drive(OnePassStream::fit(30.0)).len(), 2);
-/// assert_eq!(drive(OnePassStream::cone(30.0)).len(), 2);
+/// assert_eq!(drive(Box::new(OwStream::opw_tr(30.0))).len(), 2);
+/// assert_eq!(drive(Box::new(OnePassStream::fit(30.0))).len(), 2);
+/// assert_eq!(drive(Box::new(OnePassStream::cone(30.0))).len(), 2);
+/// assert_eq!(drive(Box::new(PassThrough::default())).len(), 100);
 /// ```
 pub trait StreamingCompressor {
     /// Static algorithm-family label used when flushing stream metrics;
@@ -132,18 +138,15 @@ pub trait StreamingCompressor {
         Ok(out)
     }
 
-    /// Flushes the stream: drains the final committed fixes and
-    /// publishes the stream's accumulated metrics to the `traj-obs`
-    /// registry. A stream dropped without `finish` reports nothing.
-    fn finish(mut self) -> Vec<Fix>
-    where
-        Self: Sized,
-    {
+    /// Ends the stream: drains the final committed fixes and publishes
+    /// the stream's accumulated metrics to the `traj-obs` registry. The
+    /// stream is then empty again — a later push starts a new stream.
+    /// A stream dropped without `finish` reports nothing.
+    fn finish(&mut self) -> Vec<Fix> {
         let mut out = Vec::new();
         self.drain(&mut out);
-        self.core_mut().emitted += out.len();
-        let core = self.core();
-        core.run.flush(self.family(), core.pushed, core.emitted);
+        let core = std::mem::take(self.core_mut());
+        core.run.flush(self.family(), core.pushed, core.emitted + out.len());
         out
     }
 
@@ -325,15 +328,15 @@ impl StreamingCompressor for OwStream {
     }
 
     fn step(&mut self, fix: Fix, out: &mut Vec<Fix>) {
-        if self.window.is_empty() {
+        let first = self.window.is_empty();
+        self.window.push(fix);
+        if first {
             // The very first fix is the initial anchor and is always kept.
-            self.window.push(fix);
             self.checked = 2;
             self.core.run.window_opened();
             out.push(fix);
             return;
         }
-        self.window.push(fix);
         self.advance(out);
         if let Some(max) = self.max_window {
             if self.window.len() >= max {
@@ -365,6 +368,39 @@ impl StreamingCompressor for OwStream {
         }
         self.window.clear();
     }
+}
+
+/// The identity stream: keeps every fix it accepts.
+///
+/// Validation and accounting are the shared
+/// [`StreamingCompressor::push`]'s, so a pass-through rejects exactly
+/// what every compressor rejects (non-finite fixes, non-increasing
+/// timestamps) — the lossless baseline an ingest path can put where a
+/// compressor would go.
+#[derive(Debug, Clone, Default)]
+pub struct PassThrough {
+    core: StreamCore,
+}
+
+impl StreamingCompressor for PassThrough {
+    fn family(&self) -> &'static str {
+        "stream-raw"
+    }
+
+    fn core(&self) -> &StreamCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut StreamCore {
+        &mut self.core
+    }
+
+    fn step(&mut self, fix: Fix, out: &mut Vec<Fix>) {
+        out.push(fix);
+    }
+
+    /// Nothing is ever held back.
+    fn drain(&mut self, _out: &mut Vec<Fix>) {}
 }
 
 /// The one-pass region state: a rectangle for the fit variant, the
@@ -678,6 +714,41 @@ mod tests {
         let mut s = OnePassStream::fit(10.0);
         assert_eq!(s.push(Fix::from_parts(0.0, 0.0, 0.0)).unwrap().len(), 1);
         assert!(s.finish().is_empty(), "anchor already emitted");
+    }
+
+    #[test]
+    fn finish_resets_the_stream() {
+        let f = |t: f64| Fix::from_parts(t, t, 0.0);
+        let streams: [Box<dyn StreamingCompressor>; 3] = [
+            Box::new(OwStream::opw_tr(10.0)),
+            Box::new(OnePassStream::cone(10.0)),
+            Box::new(PassThrough::default()),
+        ];
+        for mut s in streams {
+            s.push(f(10.0)).unwrap();
+            s.push(f(20.0)).unwrap();
+            s.finish();
+            assert_eq!(s.pushed(), 0, "{}", s.family());
+            // An earlier instant is accepted as a new stream's anchor.
+            assert_eq!(s.push(f(5.0)).unwrap(), vec![f(5.0)], "{}", s.family());
+        }
+    }
+
+    #[test]
+    fn pass_through_keeps_every_valid_fix() {
+        let t = car_like();
+        assert_eq!(run_stream(PassThrough::default(), &t), t.fixes());
+        let mut s = PassThrough::default();
+        s.push(Fix::from_parts(10.0, 0.0, 0.0)).unwrap();
+        assert!(matches!(
+            s.push(Fix::from_parts(10.0, 1.0, 0.0)),
+            Err(ModelError::NonMonotonicTime { index: 1 })
+        ));
+        assert!(matches!(
+            s.push(Fix::from_parts(11.0, f64::NAN, 0.0)),
+            Err(ModelError::NonFinite { .. })
+        ));
+        assert!(s.finish().is_empty(), "nothing is held back");
     }
 
     #[test]

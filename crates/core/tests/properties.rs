@@ -37,6 +37,17 @@ fn trajectory() -> impl Strategy<Value = Trajectory> {
         })
 }
 
+/// Feeds every fix of `t` through a boxed stream — the dynamic
+/// dispatch an ingest session uses — and finishes it.
+fn run_boxed(mut stream: Box<dyn StreamingCompressor>, t: &Trajectory) -> Vec<Fix> {
+    let mut got = Vec::new();
+    for f in t.fixes() {
+        got.extend(stream.push(*f).unwrap());
+    }
+    got.extend(stream.finish());
+    got
+}
+
 fn all_compressors(eps: f64, veps: f64) -> Vec<Box<dyn Compressor>> {
     vec![
         Box::new(UniformSample::new(3)),
@@ -116,7 +127,8 @@ proptest! {
     }
 
     /// The streaming engine replays the batch engine exactly, for every
-    /// criterion/strategy pair.
+    /// criterion/strategy pair, called directly or through
+    /// `Box<dyn StreamingCompressor>`.
     #[test]
     fn streaming_equals_batch(t in trajectory(), eps in 1.0..150.0f64, veps in 0.5..30.0f64) {
         let cases = [
@@ -135,6 +147,8 @@ proptest! {
             }
             got.extend(stream.finish());
             prop_assert_eq!(&got, &expected, "criterion {:?}", criterion);
+            let boxed = Box::new(OwStream::new(criterion, strategy));
+            prop_assert_eq!(&run_boxed(boxed, &t), &expected, "boxed {:?}", criterion);
         }
     }
 
@@ -205,7 +219,8 @@ proptest! {
     }
 
     /// `OnePassStream` fed fix-by-fix is bit-identical to the batch
-    /// kernel, for both region variants.
+    /// kernel, for both region variants, called directly or through
+    /// `Box<dyn StreamingCompressor>`.
     #[test]
     fn one_pass_streaming_equals_batch(t in trajectory(), eps in 0.0..200.0f64, m in 4usize..64) {
         let cases: Vec<(OnePassStream, Box<dyn Compressor>)> = vec![
@@ -219,12 +234,14 @@ proptest! {
         for (mut stream, batch) in cases {
             let expected: Vec<Fix> =
                 batch.compress(&t).kept().iter().map(|&i| t.fixes()[i]).collect();
+            let boxed = Box::new(stream.clone());
             let mut got = Vec::new();
             for f in t.fixes() {
                 got.extend(stream.push(*f).unwrap());
             }
             got.extend(stream.finish());
             prop_assert_eq!(&got, &expected, "{}", batch.name());
+            prop_assert_eq!(&run_boxed(boxed, &t), &expected, "boxed {}", batch.name());
         }
     }
 

@@ -6,8 +6,10 @@
 //! outside `std`**:
 //!
 //! * [`Counter`] / [`Gauge`] — atomic scalar instruments;
-//! * [`Histogram`] — fixed-bucket log₂ histogram with exact count / sum /
-//!   min / max and estimated p50/p90/p99;
+//! * [`LogHistogram`] — the always-compiled, mergeable log₂ histogram
+//!   value: exact count / sum / min / max, estimated quantiles;
+//! * [`Histogram`] — the atomic registry instrument over the same
+//!   buckets, summarized through a [`LogHistogram`] snapshot;
 //! * [`Timer`] / [`ScopeTimer`] — monotonic wall-clock timing;
 //! * [`Registry`] — the global metric store, keyed by
 //!   `(subsystem, name)` plus an optional label set, so one logical
@@ -50,6 +52,7 @@
 //! println!("{}", traj_obs::sink::render_table(&samples));
 //! ```
 
+mod hist;
 pub mod json;
 pub mod sample;
 pub mod sink;
@@ -65,6 +68,7 @@ mod noop;
 #[cfg(not(feature = "enabled"))]
 pub use noop::{registry, Counter, Gauge, Histogram, Registry, ScopeTimer, Span, SpanGuard, Timer};
 
+pub use hist::LogHistogram;
 pub use sample::{HistogramSummary, MetricKind, MetricSample};
 
 /// Whether instrumentation is compiled in (`enabled` feature).

@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::hist::{bucket_index, LogHistogram, BUCKETS};
 use crate::sample::{HistogramSummary, MetricKind, MetricSample};
 
 /// A monotonically increasing count. Handles are cheap `Arc` clones of
@@ -83,10 +84,6 @@ impl Gauge {
     }
 }
 
-/// Number of log₂ buckets; bucket 0 holds the value 0, bucket `i > 0`
-/// holds values in `[2^(i-1), 2^i)`, and the last bucket is open-ended.
-const BUCKETS: usize = 64;
-
 #[derive(Debug)]
 struct HistogramInner {
     buckets: [AtomicU64; BUCKETS],
@@ -96,11 +93,12 @@ struct HistogramInner {
     max: AtomicU64,
 }
 
-/// A fixed-bucket log₂ histogram of `u64` observations.
+/// The atomic, registry-held form of a [`LogHistogram`]: same log₂
+/// bucket layout, recorded lock-free and wait-free from any thread.
 ///
-/// `count`/`sum`/`min`/`max` are exact; percentiles are estimated from
-/// the bucket a given rank falls in (geometric bucket midpoint, clamped
-/// to the observed range). Recording is lock-free and wait-free.
+/// [`Histogram::summary`] and [`Histogram::quantile`] read a
+/// [`LogHistogram`] snapshot of the cells, so `count`/`sum`/`min`/`max`
+/// are exact and the percentiles are [`LogHistogram`]'s estimates.
 #[derive(Clone, Debug)]
 pub struct Histogram(Arc<HistogramInner>);
 
@@ -115,22 +113,15 @@ impl Histogram {
         }))
     }
 
-    #[inline]
-    fn bucket_index(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            ((64 - v.leading_zeros()) as usize).min(BUCKETS - 1)
-        }
-    }
-
     /// Records one observation.
     pub fn record(&self, v: u64) {
         let inner = &*self.0;
         // Relaxed ordering on all five cells: the histogram is advisory
         // and a snapshot tolerates torn cross-field reads (count/sum/
         // buckets may disagree transiently); each cell alone is exact.
-        inner.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        if let Some(b) = inner.buckets.get(bucket_index(v)) {
+            b.fetch_add(1, Ordering::Relaxed); // ordering: relaxed, advisory (see above)
+        }
         inner.count.fetch_add(1, Ordering::Relaxed); // ordering: relaxed, advisory (see above)
         inner.sum.fetch_add(v, Ordering::Relaxed); // ordering: relaxed, advisory (see above)
         inner.min.fetch_min(v, Ordering::Relaxed); // ordering: relaxed, advisory (see above)
@@ -149,70 +140,35 @@ impl Histogram {
         self.0.count.load(Ordering::Relaxed)
     }
 
-    /// Snapshot summary statistics.
-    pub fn summary(&self) -> HistogramSummary {
+    /// A point-in-time copy of every cell. Fields read at slightly
+    /// different instants may disagree while other threads record;
+    /// that is acceptable by design (each cell alone is exact).
+    pub(crate) fn snapshot(&self) -> LogHistogram {
         let inner = &*self.0;
-        // Relaxed ordering: the summary is a best-effort snapshot; fields
-        // read at slightly different instants may disagree and that is
-        // acceptable by design (documented on the type).
-        let count = inner.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return HistogramSummary { count: 0, sum: 0, min: 0, max: 0, p50: 0, p90: 0, p99: 0 };
+        // Relaxed ordering: a best-effort snapshot, see the doc above.
+        let mut buckets = [0; BUCKETS];
+        for (dst, cell) in buckets.iter_mut().zip(&inner.buckets) {
+            *dst = cell.load(Ordering::Relaxed); // ordering: relaxed snapshot read
         }
-        let sum = inner.sum.load(Ordering::Relaxed); // ordering: relaxed snapshot read
-        let min = inner.min.load(Ordering::Relaxed); // ordering: relaxed snapshot read
-        let max = inner.max.load(Ordering::Relaxed); // ordering: relaxed snapshot read
-        let buckets: Vec<u64> = inner
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed)) // ordering: relaxed snapshot read
-            .collect();
-        let pct = |q: f64| -> u64 {
-            let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-            let mut seen = 0u64;
-            for (i, &n) in buckets.iter().enumerate() {
-                seen += n;
-                if seen >= rank {
-                    return Self::bucket_estimate(i).clamp(min, max);
-                }
-            }
-            max
-        };
-        HistogramSummary { count, sum, min, max, p50: pct(0.50), p90: pct(0.90), p99: pct(0.99) }
+        LogHistogram {
+            buckets,
+            count: inner.count.load(Ordering::Relaxed), // ordering: relaxed snapshot read
+            sum: inner.sum.load(Ordering::Relaxed), // ordering: relaxed snapshot read
+            min: inner.min.load(Ordering::Relaxed), // ordering: relaxed snapshot read
+            max: inner.max.load(Ordering::Relaxed), // ordering: relaxed snapshot read
+        }
+    }
+
+    /// Snapshot summary statistics ([`LogHistogram::summary`]).
+    pub fn summary(&self) -> HistogramSummary {
+        self.snapshot().summary()
     }
 
     /// Estimated value at quantile `q` (`0.0..=1.0`), e.g. `0.999` for
     /// p999 — the tail the standard [`Histogram::summary`] stops short
-    /// of. Same estimator as the summary percentiles: the geometric
-    /// midpoint of the log₂ bucket holding rank `⌈q·count⌉`, clamped to
-    /// the observed min/max. Returns 0 with no observations.
+    /// of ([`LogHistogram::quantile`]). Returns 0 with no observations.
     pub fn quantile(&self, q: f64) -> u64 {
-        let inner = &*self.0;
-        let count = inner.count.load(Ordering::Relaxed); // ordering: relaxed snapshot read
-        if count == 0 {
-            return 0;
-        }
-        let min = inner.min.load(Ordering::Relaxed); // ordering: relaxed snapshot read
-        let max = inner.max.load(Ordering::Relaxed); // ordering: relaxed snapshot read
-        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (i, b) in inner.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed); // ordering: relaxed snapshot read
-            if seen >= rank {
-                return Self::bucket_estimate(i).clamp(min, max);
-            }
-        }
-        max
-    }
-
-    /// Geometric midpoint of bucket `i` (`0` for the zero bucket).
-    fn bucket_estimate(i: usize) -> u64 {
-        if i == 0 {
-            return 0;
-        }
-        // Bucket i spans [2^(i-1), 2^i); midpoint ≈ 2^(i-1) · √2.
-        let lo = 1u64 << (i - 1);
-        (lo as f64 * std::f64::consts::SQRT_2).round() as u64
+        self.snapshot().quantile(q)
     }
 
     fn reset(&self) {
@@ -597,78 +553,23 @@ mod tests {
     }
 
     #[test]
-    fn histogram_exact_stats() {
+    fn atomic_histogram_snapshots_into_the_value_type() {
         let h = Histogram::new();
-        for v in [1u64, 2, 3, 100] {
+        let mut value = LogHistogram::new();
+        assert_eq!(h.snapshot(), value, "empty");
+        assert_eq!(h.summary(), value.summary());
+        let mut values = vec![100u64; 998];
+        values.extend([0, 1, 3, 90_000, 100_000, u64::MAX]);
+        for v in values {
             h.record(v);
+            value.record(v);
         }
-        let s = h.summary();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.sum, 106);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 100);
-    }
-
-    #[test]
-    fn histogram_percentiles_are_order_of_magnitude() {
-        let h = Histogram::new();
-        for _ in 0..90 {
-            h.record(10);
+        assert_eq!(h.snapshot(), value);
+        assert_eq!(h.summary(), value.summary());
+        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(h.quantile(q), value.quantile(q), "q = {q}");
         }
-        for _ in 0..10 {
-            h.record(1000);
-        }
-        let s = h.summary();
-        // p50 lands in the bucket holding 10 (bucket [8,16)).
-        assert!((8..=16).contains(&s.p50), "p50 = {}", s.p50);
-        // p99 lands in the bucket holding 1000, clamped to max.
-        assert!((512..=1000).contains(&s.p99), "p99 = {}", s.p99);
-    }
-
-    #[test]
-    fn histogram_quantile_reaches_the_tail() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.999), 0, "empty histogram");
-        for _ in 0..998 {
-            h.record(100);
-        }
-        h.record(100_000);
-        h.record(100_000);
-        // p50 sits in the bulk bucket, p999+ in the tail bucket.
-        assert!((64..=128).contains(&h.quantile(0.5)), "p50 = {}", h.quantile(0.5));
-        let p999 = h.quantile(0.999);
-        assert!((65_536..=100_000).contains(&p999), "p999 = {p999}");
-        // quantile(q) agrees with the summary's estimator at its points.
-        let s = h.summary();
-        assert_eq!(h.quantile(0.99), s.p99);
-        assert_eq!(h.quantile(0.50), s.p50);
-    }
-
-    #[test]
-    fn histogram_zero_and_huge_values() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(u64::MAX);
-        let s = h.summary();
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, u64::MAX);
-        assert_eq!(s.p50, 0);
-    }
-
-    #[test]
-    fn empty_histogram_summary_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.summary(), HistogramSummary { count: 0, sum: 0, min: 0, max: 0, p50: 0, p90: 0, p99: 0 });
-    }
-
-    #[test]
-    fn bucket_index_boundaries() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 63);
+        assert_eq!(h.quantile(1.0), u64::MAX, "the max is exact");
     }
 
     #[test]

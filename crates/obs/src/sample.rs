@@ -26,7 +26,8 @@ impl MetricKind {
     }
 }
 
-/// Summary statistics of one histogram at snapshot time.
+/// Summary statistics of one histogram at snapshot time
+/// ([`LogHistogram::summary`](crate::LogHistogram::summary)).
 ///
 /// `count`, `sum`, `min` and `max` are exact; the percentiles are
 /// estimated from the log₂ buckets (geometric bucket midpoint, clamped

@@ -24,8 +24,8 @@
 //! * [`loadgen`] — an open-loop fleet replay for throughput and tail
 //!   latency measurement (`trajc serve --load-gen`, results in
 //!   `BENCH_PR10.json`);
-//! * [`report`] — a dependency-free latency histogram and the
-//!   `--report-json` format.
+//! * [`report`] — the `--report-json` format, with ack latencies in a
+//!   [`traj_obs::LogHistogram`].
 //!
 //! The throughput story is the group commit: per-append fsync caps a
 //! shard at the disk's sync rate, while batching N appends behind one
@@ -43,7 +43,7 @@ pub mod worker;
 
 pub use loadgen::{LoadGenConfig, LoadGenOutcome};
 pub use queue::SubmitError;
-pub use report::{LatencyHist, ReportConfig, ServeReport};
+pub use report::{ReportConfig, ServeReport};
 pub use service::{ServeConfig, Service, ShutdownStats, SyncMode};
 pub use session::CodecSpec;
 pub use shard::shard_of;

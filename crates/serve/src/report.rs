@@ -1,123 +1,13 @@
-//! Run reports: a dependency-free latency histogram and the JSON
-//! summary `trajc serve --report-json` writes (the format
-//! `BENCH_PR10.json` aggregates).
+//! Run reports: the JSON summary `trajc serve --report-json` writes
+//! (the format `BENCH_PR10.json` aggregates).
 //!
-//! The histogram deliberately duplicates the shape of
-//! `traj_obs::Histogram` (log₂ buckets) *without* atomics or the `obs`
-//! feature: each shard worker owns one, records plain integers on its
-//! own thread, and the service merges them at shutdown — so the report
-//! carries real tail latencies even in a `--no-default-features` build
-//! where all instrumentation compiles out.
+//! Ack latencies are a [`LogHistogram`], the always-compiled value type
+//! of `traj-obs`: each shard worker records plain integers into its own
+//! on its own thread and the service merges them at shutdown, so the
+//! report carries real tail latencies even in a `--no-default-features`
+//! build where all instrumentation compiles out.
 
-use std::time::Duration;
-
-/// Log₂-bucketed latency histogram (nanoseconds). Bucket `i ≥ 1` holds
-/// values in `[2^(i-1), 2^i)`; bucket 0 holds zero.
-#[derive(Debug, Clone)]
-pub struct LatencyHist {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LatencyHist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHist {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        LatencyHist { buckets: [0; 64], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
-    fn bucket_index(v: u64) -> usize {
-        // 0 → bucket 0; otherwise one bucket per bit length, capped.
-        (64 - v.leading_zeros() as usize).min(63)
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, v: u64) {
-        if let Some(b) = self.buckets.get_mut(Self::bucket_index(v)) {
-            *b += 1;
-        }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Records a duration in nanoseconds (saturating).
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Folds `other` into `self` (shutdown-time shard merge).
-    pub fn merge(&mut self, other: &LatencyHist) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of recorded values.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the recorded values (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Estimates the `q`-quantile (`0.0..=1.0`) as the midpoint of the
-    /// bucket holding that rank, clamped into the observed `[min, max]`
-    /// range. Returns 0 when empty.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        if q >= 1.0 {
-            return self.max; // tracked exactly, no bucket estimate needed
-        }
-        let rank = {
-            let r = (q * self.count as f64).ceil();
-            if r < 1.0 {
-                1
-            } else if r >= self.count as f64 {
-                self.count
-            } else {
-                // In-range by the guards above.
-                r as u64
-            }
-        };
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                let est = if i == 0 {
-                    0
-                } else {
-                    let lo = 1u64 << (i - 1);
-                    let hi = if i >= 63 { u64::MAX } else { (1u64 << i) - 1 };
-                    lo / 2 + hi / 2 + 1
-                };
-                return est.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-}
+use traj_obs::LogHistogram;
 
 /// The configuration block echoed at the head of a serve report, so a
 /// result file is self-describing.
@@ -160,7 +50,7 @@ pub struct ServeReport {
     pub submitted: u64,
     /// Fixes shed with typed backpressure.
     pub rejected: u64,
-    /// Fixes a session codec rejected (non-finite / non-monotone).
+    /// Fixes rejected as invalid (non-finite or out of time order).
     pub invalid: u64,
     /// Fixes acknowledged after their covering fsync.
     pub acked: u64,
@@ -172,7 +62,7 @@ pub struct ServeReport {
     /// test backends).
     pub wal_bytes: Option<u64>,
     /// Submit→fsync ack latency, nanoseconds.
-    pub ack: LatencyHist,
+    pub ack: LogHistogram,
 }
 
 impl ServeReport {
@@ -239,7 +129,7 @@ impl ServeReport {
             self.ack.quantile(0.90),
             self.ack.quantile(0.99),
             self.ack.quantile(0.999),
-            if self.ack.count() == 0 { 0 } else { self.ack.quantile(1.0) },
+            self.ack.quantile(1.0),
         )
     }
 }
@@ -249,39 +139,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_reach_the_tail() {
-        let mut h = LatencyHist::new();
-        for _ in 0..998 {
-            h.record(100);
-        }
-        h.record(90_000);
-        h.record(100_000);
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile(0.5);
-        assert!((64..=128).contains(&p50), "p50 {p50}");
-        let p999 = h.quantile(0.999);
-        assert!((65_536..=100_000).contains(&p999), "p999 {p999}");
-        assert_eq!(h.quantile(1.0), 100_000, "max is exact");
-        assert!(h.mean() > 100 && h.mean() < 1_000);
-    }
-
-    #[test]
-    fn merge_combines_shards() {
-        let mut a = LatencyHist::new();
-        let mut b = LatencyHist::new();
-        a.record(10);
-        b.record(1_000_000);
-        b.record_duration(Duration::from_nanos(20));
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        let p99 = a.quantile(0.99);
-        assert!(p99 > 100_000, "tail from the merged shard: {p99}");
-        assert_eq!(LatencyHist::new().quantile(0.99), 0, "empty histogram");
-    }
-
-    #[test]
     fn report_json_is_parseable_and_complete() {
-        let mut ack = LatencyHist::new();
+        let mut ack = LogHistogram::new();
         for i in 1..=100u64 {
             ack.record(i * 1_000);
         }

@@ -16,11 +16,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use traj_model::Fix;
+use traj_obs::LogHistogram;
 use traj_store::storage::{FsStorage, Storage};
 use traj_store::{DurableOptions, GroupCommitOptions, GroupCommitStore, IngestMode};
 
 use crate::queue::{self, Item, Sender, SubmitError};
-use crate::report::LatencyHist;
 use crate::session::CodecSpec;
 use crate::shard::shard_of;
 use crate::worker::{self, ShardStats, WorkerConfig};
@@ -101,7 +101,7 @@ impl Default for ServeConfig {
 pub struct ShutdownStats {
     /// Fixes acknowledged across all shards.
     pub acked: u64,
-    /// Fixes rejected by session codecs.
+    /// Fixes rejected as invalid (see [`ShardStats::invalid`]).
     pub invalid: u64,
     /// Compressed points written across all shard WALs.
     pub emitted: u64,
@@ -110,7 +110,7 @@ pub struct ShutdownStats {
     /// Distinct mover sessions across all shards.
     pub sessions: usize,
     /// Merged submit→fsync ack latency.
-    pub ack: LatencyHist,
+    pub ack: LogHistogram,
     /// Per-shard breakdowns, indexed by shard.
     pub shards: Vec<ShardStats>,
     /// Storage errors that stopped workers early (empty on a healthy
@@ -269,7 +269,7 @@ impl Service {
             emitted: 0,
             commits: 0,
             sessions: 0,
-            ack: LatencyHist::new(),
+            ack: LogHistogram::new(),
             shards: Vec::with_capacity(self.workers.len()),
             errors: Vec::new(),
         };

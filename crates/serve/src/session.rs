@@ -1,23 +1,27 @@
 //! Per-mover ingest sessions: the online codec between a mover's raw
 //! report stream and its shard's WAL.
 //!
-//! Every mover gets its own session codec; fixes the codec *emits* are
-//! what the shard buffers into the durable store, so compression
-//! happens before the log — it shrinks WAL volume and fsync payloads,
-//! not just the in-memory representation. The default is the one-pass
-//! cone (`op-cone`): O(1) state per session, no buffered window to
-//! replay, and the strongest point reduction of the one-pass family
-//! (see `ALGORITHMS.md`).
+//! Every mover gets its own session codec, one boxed
+//! [`StreamingCompressor`] built by [`CodecSpec::build`]; fixes the
+//! codec *emits* are what the shard buffers into the durable store, so
+//! compression happens before the log — it shrinks WAL volume and fsync
+//! payloads, not just the in-memory representation. The default is the
+//! one-pass cone (`op-cone`): O(1) state per session, no buffered window
+//! to replay, and the strongest point reduction of the one-pass family
+//! (see `ALGORITHMS.md`). `raw` is the [`PassThrough`] stream: it logs
+//! every fix, after the same validation every codec runs.
 //!
-//! The durability consequence is documented rather than hidden: with a
-//! lossy codec, a crash loses at most the codec's *open tail* (the
-//! fixes since its last emitted point) per mover; `raw` sessions keep
-//! the exact per-fix durability of the store layer. A clean shutdown
-//! always [`SessionCodec::finish`]es every session, so nothing is lost
-//! in the graceful case either way.
+//! The durability consequence of a lossy codec: a fix the codec absorbs
+//! into its open window is acknowledged with *no* WAL record. A crash
+//! therefore loses every mover's fixes since its last emitted point,
+//! and recovery ends the mover's trajectory at that point — the lost
+//! fixes have no recovered position to be within ε of, so no error
+//! bound covers them. `raw` sessions keep the exact per-fix durability
+//! of the store layer. A clean shutdown finishes every session, so
+//! nothing is lost in the graceful case either way. Making an ack mean
+//! "within ε of the recovered trajectory" is ROADMAP item 2.
 
-use traj_compress::streaming::{OnePassStream, OwStream, StreamingCompressor};
-use traj_model::{Fix, ModelError};
+use traj_compress::streaming::{OnePassStream, OwStream, PassThrough, StreamingCompressor};
 
 /// Which online codec a session runs, with its thresholds. Parsed from
 /// the CLI `--algo` name by [`CodecSpec::parse`].
@@ -99,66 +103,17 @@ impl CodecSpec {
 
     /// Builds a fresh session codec for one mover.
     #[must_use]
-    pub fn build(&self) -> SessionCodec {
+    pub fn build(&self) -> Box<dyn StreamingCompressor> {
         match *self {
-            CodecSpec::Raw => SessionCodec::Raw,
-            CodecSpec::OpCone { eps } => SessionCodec::OnePass(OnePassStream::cone(eps)),
-            CodecSpec::OpFit { eps } => SessionCodec::OnePass(OnePassStream::fit(eps)),
-            CodecSpec::OpwTr { eps } => SessionCodec::Ow(
-                OwStream::opw_tr(eps).with_max_window(OPW_SESSION_MAX_WINDOW),
-            ),
-            CodecSpec::OpwSp { eps, speed_eps } => SessionCodec::Ow(
-                OwStream::opw_sp(eps, speed_eps).with_max_window(OPW_SESSION_MAX_WINDOW),
-            ),
-        }
-    }
-}
-
-/// One mover's live codec state. An enum rather than a boxed trait
-/// object because [`StreamingCompressor::finish`] consumes `self`.
-#[derive(Debug)]
-pub enum SessionCodec {
-    /// Pass-through.
-    Raw,
-    /// An opening-window stream.
-    Ow(OwStream),
-    /// A one-pass (fit or cone) stream.
-    OnePass(OnePassStream),
-}
-
-impl SessionCodec {
-    /// Feeds one fix, appending whatever the codec emits (possibly
-    /// nothing, possibly several buffered points on a window break)
-    /// onto `out`.
-    ///
-    /// # Errors
-    /// Rejects non-finite fixes and non-monotone timestamps, leaving
-    /// the session state unchanged.
-    pub fn push_into(&mut self, fix: Fix, out: &mut Vec<Fix>) -> Result<(), ModelError> {
-        match self {
-            SessionCodec::Raw => {
-                out.push(fix);
-                Ok(())
+            CodecSpec::Raw => Box::new(PassThrough::default()),
+            CodecSpec::OpCone { eps } => Box::new(OnePassStream::cone(eps)),
+            CodecSpec::OpFit { eps } => Box::new(OnePassStream::fit(eps)),
+            CodecSpec::OpwTr { eps } => {
+                Box::new(OwStream::opw_tr(eps).with_max_window(OPW_SESSION_MAX_WINDOW))
             }
-            SessionCodec::Ow(s) => {
-                out.extend(s.push(fix)?);
-                Ok(())
+            CodecSpec::OpwSp { eps, speed_eps } => {
+                Box::new(OwStream::opw_sp(eps, speed_eps).with_max_window(OPW_SESSION_MAX_WINDOW))
             }
-            SessionCodec::OnePass(s) => {
-                out.extend(s.push(fix)?);
-                Ok(())
-            }
-        }
-    }
-
-    /// Flushes the session's open tail (clean-shutdown path). `Raw`
-    /// sessions have nothing buffered.
-    #[must_use]
-    pub fn finish(self) -> Vec<Fix> {
-        match self {
-            SessionCodec::Raw => Vec::new(),
-            SessionCodec::Ow(s) => s.finish(),
-            SessionCodec::OnePass(s) => s.finish(),
         }
     }
 }
@@ -166,6 +121,7 @@ impl SessionCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use traj_model::Fix;
 
     fn fix(t: f64, x: f64) -> Fix {
         Fix::from_parts(t, x, 0.0)
@@ -193,9 +149,12 @@ mod tests {
         let mut codec = CodecSpec::Raw.build();
         let mut out = Vec::new();
         for i in 0..5 {
-            codec.push_into(fix(i as f64, i as f64), &mut out).unwrap();
+            out.extend(codec.push(fix(i as f64, i as f64)).unwrap());
         }
         assert_eq!(out.len(), 5);
+        // The pass-through validates like every codec.
+        assert!(codec.push(fix(4.0, 9.0)).is_err(), "stale");
+        assert!(codec.push(fix(f64::NAN, 9.0)).is_err(), "NaN");
         assert!(codec.finish().is_empty());
     }
 
@@ -210,7 +169,7 @@ mod tests {
             let mut codec = spec.build();
             let mut out = Vec::new();
             for i in 0..100 {
-                codec.push_into(fix(i as f64 * 10.0, i as f64 * 100.0), &mut out).unwrap();
+                out.extend(codec.push(fix(i as f64 * 10.0, i as f64 * 100.0)).unwrap());
             }
             out.extend(codec.finish());
             assert!(
@@ -229,11 +188,10 @@ mod tests {
     #[test]
     fn sessions_reject_non_monotone_time_without_breaking() {
         let mut codec = CodecSpec::default_with(10.0).build();
-        let mut out = Vec::new();
-        codec.push_into(fix(10.0, 0.0), &mut out).unwrap();
-        assert!(codec.push_into(fix(5.0, 1.0), &mut out).is_err());
+        let mut out = codec.push(fix(10.0, 0.0)).unwrap();
+        assert!(codec.push(fix(5.0, 1.0)).is_err());
         // The session keeps working after a rejected fix.
-        codec.push_into(fix(20.0, 2.0), &mut out).unwrap();
+        out.extend(codec.push(fix(20.0, 2.0)).unwrap());
         out.extend(codec.finish());
         assert!(!out.is_empty());
     }

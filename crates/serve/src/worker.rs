@@ -10,12 +10,13 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use traj_compress::streaming::StreamingCompressor;
+use traj_obs::LogHistogram;
 use traj_store::GroupCommitStore;
 
 use crate::queue::Receiver;
-use crate::report::LatencyHist;
 use crate::service::SyncMode;
-use crate::session::{CodecSpec, SessionCodec};
+use crate::session::CodecSpec;
 
 /// What one shard worker did over its lifetime.
 #[derive(Debug)]
@@ -24,7 +25,8 @@ pub struct ShardStats {
     pub shard: usize,
     /// Fixes acknowledged (processed and covered by their fsync).
     pub acked: u64,
-    /// Fixes a session codec rejected (non-finite / non-monotone).
+    /// Fixes rejected as invalid: non-finite, or not later than the
+    /// mover's previous fix (in this session or in recovered history).
     pub invalid: u64,
     /// Compressed points written to this shard's WAL.
     pub emitted: u64,
@@ -33,7 +35,7 @@ pub struct ShardStats {
     /// Distinct mover sessions this shard hosted.
     pub sessions: usize,
     /// Submit→fsync ack latency of this shard's fixes.
-    pub ack: LatencyHist,
+    pub ack: LogHistogram,
     /// A storage failure that stopped the worker early, if any.
     pub error: Option<String>,
 }
@@ -47,7 +49,7 @@ impl ShardStats {
             emitted: 0,
             commits: 0,
             sessions: 0,
-            ack: LatencyHist::new(),
+            ack: LogHistogram::new(),
             error: None,
         }
     }
@@ -95,9 +97,8 @@ pub(crate) fn run(cfg: WorkerConfig, rx: &Receiver) -> ShardStats {
     let ack_hist = traj_obs::histogram!("serve", "ack_latency_ns");
     let batch_hist = traj_obs::histogram!("serve", "batch_fixes");
 
-    let mut sessions: BTreeMap<u64, SessionCodec> = BTreeMap::new();
+    let mut sessions: BTreeMap<u64, Box<dyn StreamingCompressor>> = BTreeMap::new();
     let mut batch = Vec::with_capacity(max_batch);
-    let mut emitted = Vec::new();
     // Submit stamps of fixes whose ack waits for the batch commit.
     let mut waiting = Vec::with_capacity(max_batch);
 
@@ -111,13 +112,19 @@ pub(crate) fn run(cfg: WorkerConfig, rx: &Receiver) -> ShardStats {
             for item in batch.drain(..) {
                 let session =
                     sessions.entry(item.mover).or_insert_with(|| codec.build());
-                emitted.clear();
-                if session.push_into(item.fix, &mut emitted).is_err() {
+                // A session that has accepted nothing yet knows nothing of
+                // the mover's recovered history: a fix at or before the
+                // store's latest would fail the store's own check, so it
+                // is invalid here, like a stale fix within the session.
+                let stale = session.pushed() == 0
+                    && store.store().latest(item.mover).is_some_and(|l| l.t >= item.fix.t);
+                let accepted = if stale { None } else { session.push(item.fix).ok() };
+                let Some(emitted) = accepted else {
                     stats.invalid += 1;
                     invalid_ctr.inc();
                     continue;
-                }
-                for f in emitted.drain(..) {
+                };
+                for f in emitted {
                     match store.buffer(item.mover, f) {
                         Ok(_) => stats.emitted += 1,
                         Err(e) => {
@@ -163,7 +170,7 @@ pub(crate) fn run(cfg: WorkerConfig, rx: &Receiver) -> ShardStats {
     // commit so the WAL ends at a durable point.
     let _span = traj_obs::span!("serve.flush", sessions = sessions.len() as u64);
     stats.sessions = sessions.len();
-    for (mover, session) in std::mem::take(&mut sessions) {
+    for (mover, mut session) in std::mem::take(&mut sessions) {
         for f in session.finish() {
             match store.buffer(mover, f) {
                 Ok(_) => stats.emitted += 1,

@@ -259,3 +259,59 @@ fn restart_recovers_and_continues() {
     .unwrap();
     assert_eq!(store.store().trajectory(3).unwrap().len(), 8, "both runs' fixes");
 }
+
+/// Under `raw`, a NaN fix or one not later than the mover's previous fix
+/// is counted invalid and the shard keeps acking: the pass-through
+/// session validates like every codec, so the store never sees it.
+#[test]
+fn raw_sessions_reject_invalid_fixes_and_keep_acking() {
+    let disk = Arc::new(MemStorage::new());
+    let service = Service::start_with(disk, Path::new(DIR), raw_config(1)).unwrap();
+    service.submit(7, fix_at(10)).unwrap();
+    service.submit(7, fix_at(5)).unwrap();
+    service.submit(7, traj_model::Fix::from_parts(f64::NAN, 0.0, 0.0)).unwrap();
+    for k in 11..32u64 {
+        service.submit(7, fix_at(k)).unwrap();
+    }
+    let stats = service.shutdown().unwrap();
+    assert!(stats.errors.is_empty(), "{:?}", stats.errors);
+    assert_eq!(stats.invalid, 2);
+    assert_eq!(stats.acked, 22, "the first fix and all 21 after the invalid ones");
+    assert_eq!(stats.acked + stats.invalid, 24, "acked + rejected + invalid = offered");
+}
+
+/// After a restart a mover's fresh session knows nothing of its
+/// recovered history, so a fix at or before the recovered latest is
+/// invalid — not a store error that stops the shard.
+#[test]
+fn restart_rejects_fixes_older_than_recovered_history() {
+    let disk = Arc::new(MemStorage::new());
+    let cfg = || ServeConfig { shards: 1, ..ServeConfig::default() };
+    {
+        let service = Service::start_with(disk.clone(), Path::new(DIR), cfg()).unwrap();
+        for k in 0..10u64 {
+            service.submit(3, fix_at(k)).unwrap();
+        }
+        assert_eq!(service.shutdown().unwrap().acked, 10);
+    }
+    let service = Service::start_with(disk.clone(), Path::new(DIR), cfg()).unwrap();
+    service.submit(3, fix_at(9)).unwrap();
+    service.submit(3, fix_at(4)).unwrap();
+    for k in 10..31u64 {
+        service.submit(3, fix_at(k)).unwrap();
+    }
+    let stats = service.shutdown().unwrap();
+    assert!(stats.errors.is_empty(), "{:?}", stats.errors);
+    assert_eq!(stats.invalid, 2);
+    assert_eq!(stats.acked, 21);
+    assert_eq!(stats.acked + stats.invalid, 23, "acked + rejected + invalid = offered");
+    let (store, _) = DurableStore::open_with(
+        disk,
+        &Path::new(DIR).join("shard-0"),
+        IngestMode::Raw,
+        DurableOptions::default(),
+    )
+    .unwrap();
+    let t = store.store().trajectory(3).unwrap();
+    assert_eq!((t.fixes()[0].t, t.last().t), (fix_at(0).t, fix_at(30).t));
+}

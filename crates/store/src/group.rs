@@ -62,7 +62,7 @@ impl Default for GroupCommitOptions {
 /// shared, batched fsync — see the [module docs](self) for the
 /// protocol.
 ///
-/// Constructed via [`DurableStore::open_group_commit`] (or
+/// Constructed via [`GroupCommitStore::open`] (or
 /// [`GroupCommitStore::open_with`] over an injectable backend); the
 /// constructor forces [`SyncPolicy::Manual`] internally so the commit
 /// point can never silently move.
@@ -264,41 +264,6 @@ impl GroupCommitStore {
     /// view should [`GroupCommitStore::commit`] first).
     pub fn into_store(self) -> MovingObjectStore {
         self.inner.into_store()
-    }
-}
-
-impl DurableStore {
-    /// Opens a store whose durability commit point is an explicit
-    /// batched fsync — the group-commit ingest configuration
-    /// ([`GroupCommitStore`]). Use this instead of handing
-    /// [`SyncPolicy::Manual`] to a plain [`DurableStore`]: the returned
-    /// handle's `buffer`/`commit` API makes it impossible to
-    /// acknowledge a fix the disk has not seen.
-    ///
-    /// # Errors
-    /// Like [`DurableStore::open`].
-    pub fn open_group_commit(
-        dir: &Path,
-        mode: IngestMode,
-        opts: DurableOptions,
-        group: GroupCommitOptions,
-    ) -> Result<(GroupCommitStore, RecoveryReport), StoreError> {
-        GroupCommitStore::open(dir, mode, opts, group)
-    }
-
-    /// [`DurableStore::open_group_commit`] over an injectable
-    /// [`Storage`] backend.
-    ///
-    /// # Errors
-    /// Like [`DurableStore::open`].
-    pub fn open_group_commit_with(
-        storage: Arc<dyn Storage>,
-        dir: &Path,
-        mode: IngestMode,
-        opts: DurableOptions,
-        group: GroupCommitOptions,
-    ) -> Result<(GroupCommitStore, RecoveryReport), StoreError> {
-        GroupCommitStore::open_with(storage, dir, mode, opts, group)
     }
 }
 

@@ -66,7 +66,7 @@ pub const MAX_PAYLOAD_BYTES: u32 = 1024;
 ///
 /// Callers that want batching without silently weakening the
 /// acknowledged-means-durable guarantee should use
-/// [`crate::DurableStore::open_group_commit`], which pairs `Manual`
+/// [`crate::GroupCommitStore::open`], which pairs `Manual`
 /// with the explicit ack-after-commit protocol, rather than handing
 /// `EveryN`/`Manual` to a store whose acks are per-append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -589,20 +589,20 @@ mod tests {
 
     #[test]
     fn sync_policy_every_n_batches_fsyncs() -> Result<(), Box<dyn std::error::Error>> {
-        let storage = Arc::new(MemStorage::new());
-        let opts = WalOptions { sync: SyncPolicy::EveryN(4), ..WalOptions::default() };
-        let mut wal = Wal::open(storage.clone(), &wal_dir(), opts)?;
-        let before = traj_obs::counter!("store", "wal_fsyncs").get();
-        for i in 0..8 {
-            wal.append(1, &fix(i as f64))?;
+        // Checked on the test's own storage rather than the global
+        // `store.wal_fsyncs` counter, which parallel tests also bump: a
+        // power loss keeps exactly what the 4th and 8th appends synced.
+        for (appends, durable) in [(6, 4), (8, 8)] {
+            let storage = Arc::new(MemStorage::new());
+            let opts = WalOptions { sync: SyncPolicy::EveryN(4), ..WalOptions::default() };
+            let mut wal = Wal::open(storage.clone(), &wal_dir(), opts)?;
+            for i in 0..appends {
+                wal.append(1, &fix(i as f64))?;
+            }
+            storage.drop_unsynced();
+            let (records, _) = replay_dir(storage.as_ref(), &wal_dir())?;
+            assert_eq!(records.len(), durable, "after {appends} appends");
         }
-        if traj_obs::metrics_enabled() {
-            let after = traj_obs::counter!("store", "wal_fsyncs").get();
-            assert!(after - before <= 2 + 1, "fsyncs {before} -> {after}");
-        }
-        // Data still replays in full.
-        let (records, _) = replay_dir(storage.as_ref(), &wal_dir())?;
-        assert_eq!(records.len(), 8);
         Ok(())
     }
 }

@@ -65,9 +65,6 @@ pub enum Command {
         metrics_out: Option<PathBuf>,
         /// Sidecar format (`--metrics-format`), default JSON lines.
         metrics_format: MetricsFormat,
-        /// Worker threads for batch compression (`--threads`);
-        /// `0` = one per available core.
-        threads: usize,
         /// Write a trace timeline of the run (`--trace-out`); `.folded`
         /// extension selects flamegraph folded stacks, anything else
         /// Chrome Trace Event JSON.
@@ -168,7 +165,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         \n  trajc info <file.csv>\
         \n  trajc compress <file.csv> --algo <name> --eps <m> [--speed-eps <m/s>] [-o out.csv]\
         \n                 [--stats] [--metrics-out FILE] [--metrics-format json|csv]\
-        \n                 [--threads N]  (0 = one worker per available core)\
         \n                 [--trace-out FILE]  (.folded = flamegraph stacks, else Chrome trace JSON)\
         \n  trajc evaluate <original.csv> <approx.csv>\
         \n  trajc generate [--seed N] [--trip 0..9] -o <file.csv>\
@@ -203,7 +199,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut stats = false;
             let mut metrics_out = None;
             let mut metrics_format = MetricsFormat::Json;
-            let mut threads = 0usize;
             let mut trace_out = None;
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| -> Result<&String, String> {
@@ -224,12 +219,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     }
                     "--trace-out" => {
                         trace_out = Some(PathBuf::from(value("--trace-out")?));
-                    }
-                    "--threads" => {
-                        let v = value("--threads")?;
-                        threads = v
-                            .parse()
-                            .map_err(|e| format!("compress: bad --threads {v:?}: {e}"))?;
                     }
                     "--metrics-format" => {
                         metrics_format = match value("--metrics-format")?.as_str() {
@@ -254,7 +243,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 stats,
                 metrics_out,
                 metrics_format,
-                threads,
                 trace_out,
             })
         }
@@ -626,7 +614,6 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             stats,
             metrics_out,
             metrics_format,
-            threads,
             trace_out,
         } => {
             // Stop the recorder even on early error returns, so a failed
@@ -651,14 +638,12 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             let compressor = make_compressor(algo, *eps, *speed_eps)?;
             let compress_timer = traj_obs::Timer::start();
             // An explicit workspace (rather than the fleet path, which a
-            // single trajectory runs inline anyway — `--threads` only
-            // matters for batches) so the columnar copy built during
-            // compression can be handed to the evaluation below instead
-            // of being de-interleaved a second time.
+            // single trajectory runs inline anyway) so the columnar copy
+            // built during compression can be handed to the evaluation
+            // below instead of being de-interleaved a second time.
             let mut cws = Workspace::new();
             let result = {
                 let _phase = traj_obs::span!("cli.compress", points = t.len() as u64);
-                let _ = threads; // batch-only knob; kept for the fleet path
                 let mut buf = CompressionResultBuf::new();
                 compressor.compress_into(&t, &mut cws, &mut buf);
                 buf.take()
@@ -1009,7 +994,6 @@ mod tests {
                 stats: false,
                 metrics_out: None,
                 metrics_format: MetricsFormat::Json,
-                threads: 0,
                 trace_out: None,
             }
         );
@@ -1017,22 +1001,10 @@ mod tests {
 
     #[test]
     fn parse_compress_threads_flag() {
-        // Explicit worker count.
-        let c = parse(&args("compress a.csv --algo td-tr --eps 30 --threads 4")).unwrap();
-        match c {
-            Command::Compress { threads, .. } => assert_eq!(threads, 4),
-            other => panic!("parsed {other:?}"),
-        }
-        // 0 (= one worker per available core) is the default and is
-        // also accepted explicitly.
-        let c = parse(&args("compress a.csv --algo td-tr --eps 30 --threads 0")).unwrap();
-        match c {
-            Command::Compress { threads, .. } => assert_eq!(threads, 0),
-            other => panic!("parsed {other:?}"),
-        }
-        assert!(parse(&args("compress a.csv --algo td-tr --eps 30 --threads four"))
-            .unwrap_err()
-            .contains("--threads"));
+        // `compress` runs one trajectory inline, so it takes no worker
+        // count: `--threads` is an unknown flag, named in the error.
+        let err = parse(&args("compress a.csv --algo td-tr --eps 30 --threads 4")).unwrap_err();
+        assert!(err.contains("unknown flag") && err.contains("--threads"), "{err}");
     }
 
     #[test]
@@ -1140,7 +1112,6 @@ mod tests {
             stats: false,
             metrics_out: None,
             metrics_format: MetricsFormat::Json,
-            threads: 0,
             trace_out: None,
         };
         let report = run(&compress).unwrap();
@@ -1173,7 +1144,6 @@ mod tests {
             stats: true,
             metrics_out: Some(metrics_json.clone()),
             metrics_format: MetricsFormat::Json,
-            threads: 0,
             trace_out: None,
         })
         .unwrap();
@@ -1210,7 +1180,6 @@ mod tests {
             stats: false,
             metrics_out: Some(metrics_csv.clone()),
             metrics_format: MetricsFormat::Csv,
-            threads: 0,
             trace_out: None,
         })
         .unwrap();
@@ -1315,7 +1284,6 @@ mod tests {
                 stats: false,
                 metrics_out: Some(path.clone()),
                 metrics_format: format,
-                threads: 0,
                 trace_out: None,
             })
             .unwrap();
@@ -1362,7 +1330,6 @@ mod tests {
             stats: false,
             metrics_out: None,
             metrics_format: MetricsFormat::Json,
-            threads: 0,
             trace_out: Some(trace_json.clone()),
         })
         .unwrap();
@@ -1397,7 +1364,6 @@ mod tests {
             stats: false,
             metrics_out: None,
             metrics_format: MetricsFormat::Json,
-            threads: 0,
             trace_out: Some(trace_folded.clone()),
         })
         .unwrap();
