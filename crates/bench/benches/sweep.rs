@@ -1,14 +1,21 @@
-//! One-pass sweep vs per-threshold compression — the PR 4 headline.
+//! One-pass sweep vs per-threshold compression.
 //!
 //! Both sides produce byte-identical results (pinned by
 //! `crates/eval/tests/sweep_equivalence.rs`); this bench measures the
 //! work saved by answering all fifteen paper thresholds from a single
 //! split-tree pass per trajectory instead of fifteen independent runs.
-//! The committed baseline lives at `BENCH_PR4.json` in the repo root.
+//! The committed baseline for the top-down rows lives at
+//! `BENCH_PR4.json` in the repo root.
+//!
+//! The opening-window rows (`nopw`, `opw_tr`, `opw_sp_5ms`) compare the
+//! memoized window sweep with what the experiment registry ran before
+//! it: `compress_into` once per threshold on a warm workspace.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use traj_compress::{Compressor, TdSp, TdTr, TopDown, Workspace};
+use traj_compress::{
+    CompressionResultBuf, Compressor, OpeningWindow, TdSp, TdTr, TopDown, Workspace,
+};
 use traj_eval::PAPER_THRESHOLDS;
 
 fn bench(c: &mut Criterion) {
@@ -76,6 +83,37 @@ fn bench(c: &mut Criterion) {
             }
         })
     });
+
+    // Opening-window family: per-threshold kernel vs the memoized sweep.
+    let windows = [
+        ("nopw", OpeningWindow::nopw(0.0)),
+        ("opw_tr", OpeningWindow::opw_tr(0.0)),
+        ("opw_sp_5ms", OpeningWindow::opw_sp(0.0, 5.0)),
+    ];
+    for (name, ow) in windows {
+        g.bench_function(format!("{name}/per_threshold"), |b| {
+            let mut ws = Workspace::new();
+            let mut out = CompressionResultBuf::new();
+            b.iter(|| {
+                for t in &dataset {
+                    for &eps in &PAPER_THRESHOLDS {
+                        let crit = ow.criterion().with_epsilon(eps);
+                        let single = OpeningWindow::new(crit, ow.strategy());
+                        single.compress_into(black_box(t), &mut ws, &mut out);
+                        black_box(out.take());
+                    }
+                }
+            })
+        });
+        g.bench_function(format!("{name}/memo_sweep"), |b| {
+            let mut ws = Workspace::new();
+            b.iter(|| {
+                for t in &dataset {
+                    black_box(ow.sweep_with(black_box(t), &PAPER_THRESHOLDS, &mut ws));
+                }
+            })
+        });
+    }
 
     // The full experiment runner, slow path vs registry fast path.
     g.sample_size(10);

@@ -205,6 +205,32 @@ fn first_violation_dists(
     None
 }
 
+/// Writes the interior distances of the window `anchor → float` to
+/// `out` (SED, or the perpendicular distance for
+/// [`Criterion::Perpendicular`]) and returns their maximum, NaN ignored
+/// (`NEG_INFINITY` when no distance is a number). Same kernels and same
+/// [`chunk_max`] reduction as the violation scans, so the window has a
+/// distance violation at `epsilon` exactly when the result exceeds
+/// `epsilon`, and the first violating point is the first entry of `out`
+/// above it — what the opening-window sweep shares across thresholds.
+pub(crate) fn window_dists_into(
+    c: &Criterion,
+    v: TrajView<'_>,
+    anchor: usize,
+    float: usize,
+    out: &mut Vec<f64>,
+) -> f64 {
+    // Every entry is overwritten below, so growing is the only zeroing.
+    out.resize(float - anchor - 1, 0.0);
+    match c {
+        Criterion::Perpendicular { .. } => perp_dists_into(v, anchor, float, anchor + 1, out),
+        Criterion::TimeRatio { .. } | Criterion::TimeRatioSpeed { .. } => {
+            sed_dists_into(v, anchor, float, anchor + 1, out)
+        }
+    }
+    chunk_max(out)
+}
+
 /// A discarding criterion for one approximation segment.
 ///
 /// Implementations decide whether intermediate points of a candidate

@@ -1,4 +1,5 @@
-//! One-pass threshold sweeps for the top-down family.
+//! One-pass threshold sweeps for the top-down and opening-window
+//! families.
 //!
 //! The reproduction (and the paper's §4 experiments) evaluate every
 //! algorithm over a *grid* of thresholds — 15 distance epsilons × several
@@ -23,14 +24,25 @@
 //! max speed difference + argmax) and re-derives each threshold's split
 //! decision from those in `O(1)`, sharing scans across thresholds.
 //!
+//! [`OpeningWindow::sweep`] shares the window scans instead. For a
+//! fixed anchor `a` and float `f` the window test is one comparison —
+//! does the largest interior distance `M(a, f)` exceed `ε`? — so a
+//! threshold's first violating float is where the running maximum of
+//! `M(a, ·)` first rises above it, and one growing window answers every
+//! threshold anchored at `a`. OPW-SP's speed term closes the window at
+//! a float that does not depend on `ε` at all. Thresholds advance in
+//! lockstep over anchors, so each `(anchor, float)` window is scanned
+//! once per sweep however many thresholds reach it.
+//!
 //! **Contract:** for every supported criterion the sweep output is
 //! byte-identical to calling `compress` separately per threshold —
 //! pinned by tests here and in `traj-eval`.
 
 use std::collections::HashMap;
 
-use crate::criterion::{speed_difference_view, Criterion};
+use crate::criterion::{speed_difference_view, window_dists_into, Criterion};
 use crate::douglas_peucker::TopDown;
+use crate::opening_window::{BreakStrategy, OpeningWindow};
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::{SpStats, Workspace};
 use traj_geom::soa::sed_dists_into;
@@ -263,6 +275,146 @@ fn decide_split(st: &SpStats, eps: f64, veps: f64) -> (usize, f64) {
     }
 }
 
+impl OpeningWindow {
+    /// Compresses `traj` once per threshold in `thresholds`, returning
+    /// results in the same order. For each `eps` the result is
+    /// byte-identical to
+    /// `OpeningWindow::new(self.criterion().with_epsilon(eps), self.strategy()).compress(traj)`,
+    /// but each `(anchor, float)` window is scanned once for all
+    /// thresholds that reach it.
+    ///
+    /// ```
+    /// use traj_compress::{Compressor, OpeningWindow};
+    /// use traj_model::Trajectory;
+    ///
+    /// let t = Trajectory::from_triples(
+    ///     (0..60).map(|i| (i as f64 * 10.0, i as f64 * 80.0, ((i % 7) * (i % 5)) as f64 * 9.0)),
+    /// )
+    /// .unwrap();
+    /// let grid = [10.0, 30.0, 50.0];
+    /// let swept = OpeningWindow::opw_sp(0.0, 5.0).sweep(&t, &grid);
+    /// for (r, &eps) in swept.iter().zip(&grid) {
+    ///     assert_eq!(r, &OpeningWindow::opw_sp(eps, 5.0).compress(&t));
+    /// }
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if any threshold is NaN, infinite or negative.
+    pub fn sweep(&self, traj: &Trajectory, thresholds: &[f64]) -> Vec<CompressionResult> {
+        let mut ws = Workspace::new();
+        self.sweep_with(traj, thresholds, &mut ws)
+    }
+
+    /// [`OpeningWindow::sweep`] borrowing scratch space from `ws`, for
+    /// callers sweeping many trajectories in a loop. A warm workspace
+    /// serves the whole sweep; only the results are allocated.
+    pub fn sweep_with(
+        &self,
+        traj: &Trajectory,
+        thresholds: &[f64],
+        ws: &mut Workspace,
+    ) -> Vec<CompressionResult> {
+        let crit = self.criterion();
+        for &eps in thresholds {
+            crit.with_epsilon(eps).validate();
+        }
+        let n = traj.len();
+        ws.begin(n);
+        if n <= 2 {
+            return thresholds.iter().map(|_| CompressionResult::identity(n)).collect();
+        }
+        let _span = traj_obs::span!("ow.compress", points = n);
+        ws.bind_columns(traj);
+        // Field-disjoint borrows: the view reads `ws.cols` while the
+        // loop fills `ws.speed_next` and `ws.ow_dists`.
+        let ws = &mut *ws;
+        let v = ws.cols.view();
+        if let Some(veps) = crit.speed_epsilon() {
+            // One backward pass: `speed_next[a]` is the first index after
+            // `a` whose speed difference violates, so every window
+            // anchored at `a` violates from float `speed_next[a] + 1` on,
+            // whatever the distance threshold.
+            ws.speed_next.resize(n, n);
+            for a in (0..n - 1).rev() {
+                let fast = speed_difference_view(v, a + 1).is_some_and(|dv| dv > veps);
+                ws.speed_next[a] = if fast { a + 1 } else { ws.speed_next[a + 1] };
+            }
+        }
+        let last = n - 1;
+        let mut kept: Vec<Vec<usize>> = thresholds.iter().map(|_| vec![0]).collect();
+        // Lockstep over anchors: serve together every threshold whose
+        // window is anchored at the smallest open anchor `a`. Anchors only
+        // grow, so no threshold comes back to `a` and each window (a, f)
+        // is scanned once for all of them. A threshold is finished once
+        // it has kept `last` (cuts never reach it).
+        while let Some(a) =
+            kept.iter().filter_map(|k| k.last().copied()).filter(|&a| a != last).min()
+        {
+            let mut open = kept.iter().filter(|k| k.last() == Some(&a)).count();
+            // From float `stop` on, every window violates through the
+            // speed term alone.
+            let stop = ws.speed_next.get(a).map_or(n, |&s| n.min(s + 1));
+            // Where the running maximum of the window maxima rises from
+            // `best` to `m`, the window first violates for every open
+            // threshold below `m` (open ones are all at least `best`).
+            let mut best = f64::NEG_INFINITY;
+            let mut f = a + 2;
+            while open > 0 && f < stop {
+                let m = window_dists_into(&crit, v, a, f, &mut ws.ow_dists);
+                if m > best {
+                    best = m;
+                    open -= self.cut_window(&mut kept, thresholds, a, f, m, &ws.ow_dists);
+                }
+                f += 1;
+            }
+            if open == 0 {
+                continue;
+            }
+            if stop < n {
+                window_dists_into(&crit, v, a, stop, &mut ws.ow_dists);
+                self.cut_window(&mut kept, thresholds, a, stop, f64::INFINITY, &ws.ow_dists);
+            } else {
+                for k in kept.iter_mut().filter(|k| k.last() == Some(&a)) {
+                    k.push(last);
+                }
+            }
+        }
+        kept.into_iter().map(|k| CompressionResult::new(k, n)).collect()
+    }
+
+    /// Cuts the violated window `(a, float)` for every threshold still
+    /// anchored at `a` and below `bound`, exactly as the single-threshold
+    /// kernel would: NOPW at the first interior point whose distance in
+    /// `dists` exceeds the threshold (or at `float - 1`, the speed
+    /// violation, when none does), BOPW just before the float. Returns
+    /// how many thresholds it served.
+    fn cut_window(
+        &self,
+        kept: &mut [Vec<usize>],
+        thresholds: &[f64],
+        a: usize,
+        float: usize,
+        bound: f64,
+        dists: &[f64],
+    ) -> usize {
+        let mut served = 0;
+        for (k, &eps) in kept.iter_mut().zip(thresholds) {
+            if k.last() != Some(&a) || eps >= bound {
+                continue;
+            }
+            let cut = match self.strategy() {
+                BreakStrategy::Normal => {
+                    dists.iter().position(|&d| d > eps).map_or(float - 1, |p| a + 1 + p)
+                }
+                BreakStrategy::BeforeFloat => float - 1,
+            };
+            k.push(cut);
+            served += 1;
+        }
+        served
+    }
+}
+
 impl crate::DouglasPeucker {
     /// One-pass multi-threshold compression; see [`TopDown::sweep`].
     pub fn sweep(&self, traj: &Trajectory, thresholds: &[f64]) -> Vec<CompressionResult> {
@@ -411,5 +563,45 @@ mod tests {
     #[should_panic(expected = "epsilon")]
     fn rejects_nan_threshold() {
         let _ = TopDown::time_ratio(0.0).sweep(&noisy(20, 1), &[10.0, f64::NAN]);
+    }
+
+    /// Every criterion × break strategy, with the speed term zero,
+    /// tight, loose and off; `1e6` opens windows over the whole input,
+    /// far past one 64-point scan chunk.
+    #[test]
+    fn window_sweep_matches_per_threshold_compress() {
+        let mut ows = vec![
+            OpeningWindow::nopw(0.0),
+            OpeningWindow::bopw(0.0),
+            OpeningWindow::opw_tr(0.0),
+            OpeningWindow::new(Criterion::TimeRatio { epsilon: 0.0 }, BreakStrategy::BeforeFloat),
+        ];
+        for veps in [0.0, 0.5, 5.0, f64::INFINITY] {
+            ows.push(OpeningWindow::opw_sp(0.0, veps));
+            ows.push(OpeningWindow::new(
+                Criterion::TimeRatioSpeed { epsilon: 0.0, speed_epsilon: veps },
+                BreakStrategy::BeforeFloat,
+            ));
+        }
+        let grid = [55.0, 0.0, 15.0, 1e6, 5.0, 15.0, 90.0, 30.0];
+        let mut ws = Workspace::new();
+        for seed in [1, 2, 3] {
+            let t = noisy(250, seed);
+            for ow in &ows {
+                let swept = ow.sweep_with(&t, &grid, &mut ws);
+                assert_eq!(swept.len(), grid.len());
+                for (r, &eps) in swept.iter().zip(&grid) {
+                    let crit = ow.criterion().with_epsilon(eps);
+                    let single = OpeningWindow::new(crit, ow.strategy()).compress(&t);
+                    assert_eq!(r, &single, "{ow:?} seed={seed} eps={eps}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon")]
+    fn window_sweep_rejects_negative_threshold() {
+        let _ = OpeningWindow::nopw(0.0).sweep(&noisy(20, 1), &[10.0, -1.0]);
     }
 }

@@ -37,6 +37,57 @@ fn trajectory() -> impl Strategy<Value = Trajectory> {
         })
 }
 
+/// Like [`trajectory`], but about a third of the steps dwell: time
+/// advances while the position stays put, so windows meet zero-length
+/// chords and runs of zero distances.
+fn dwelling_trajectory() -> impl Strategy<Value = Trajectory> {
+    proptest::collection::vec(
+        (1.0..30.0f64, -200.0..200.0f64, -200.0..200.0f64, 0.0..1.0f64),
+        3..80,
+    )
+    .prop_map(|steps| {
+        let (mut t, mut x, mut y) = (0.0, 0.0, 0.0);
+        let mut triples = vec![(t, x, y)];
+        for (dt, dx, dy, dwell) in steps {
+            t += dt;
+            if dwell >= 1.0 / 3.0 {
+                x += dx;
+                y += dy;
+            }
+            triples.push((t, x, y));
+        }
+        Trajectory::from_triples(triples).expect("valid by construction")
+    })
+}
+
+/// A threshold grid in arbitrary order that always contains `0` and a
+/// repeated threshold.
+fn unsorted_grid_with_repeats() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(0.0..250.0f64, 1..6).prop_map(|mut grid| {
+        grid.push(0.0);
+        grid.push(grid[0]);
+        grid
+    })
+}
+
+/// The window families the memoized sweep serves: NOPW, BOPW, OPW-TR
+/// and OPW-SP with the speed term at zero, `veps` and off.
+fn window_families(veps: f64) -> [OpeningWindow; 6] {
+    [
+        OpeningWindow::nopw(0.0),
+        OpeningWindow::bopw(0.0),
+        OpeningWindow::opw_tr(0.0),
+        OpeningWindow::opw_sp(0.0, 0.0),
+        OpeningWindow::opw_sp(0.0, veps),
+        OpeningWindow::opw_sp(0.0, f64::INFINITY),
+    ]
+}
+
+/// The single-threshold compressor a window sweep answers for at `eps`.
+fn window_at(ow: &OpeningWindow, eps: f64) -> OpeningWindow {
+    OpeningWindow::new(ow.criterion().with_epsilon(eps), ow.strategy())
+}
+
 /// Feeds every fix of `t` through a boxed stream — the dynamic
 /// dispatch an ingest session uses — and finishes it.
 fn run_boxed(mut stream: Box<dyn StreamingCompressor>, t: &Trajectory) -> Vec<Fix> {
@@ -406,6 +457,54 @@ proptest! {
             for (r, &eps) in swept.iter().zip(&grid) {
                 let single = TopDown::new(td.criterion().with_epsilon(eps)).compress(&t);
                 prop_assert_eq!(r, &single, "{} eps={}", td.name(), eps);
+            }
+        }
+    }
+
+    /// The memoized opening-window sweep is byte-identical to
+    /// per-threshold compression for every window family, on unsorted
+    /// grids with repeats and `0`, on inputs with dwell points, with one
+    /// workspace reused across trajectories of different lengths.
+    #[test]
+    fn window_sweep_equals_per_threshold_compress(
+        ts in proptest::collection::vec(dwelling_trajectory(), 1..4),
+        grid in unsorted_grid_with_repeats(),
+        veps in 0.0..30.0f64,
+    ) {
+        let mut ws = Workspace::new();
+        for t in &ts {
+            for ow in window_families(veps) {
+                let swept = ow.sweep_with(t, &grid, &mut ws);
+                prop_assert_eq!(swept.len(), grid.len());
+                for (r, &eps) in swept.iter().zip(&grid) {
+                    let single = window_at(&ow, eps).compress(t);
+                    prop_assert_eq!(r, &single, "{} n={} eps={}", ow.name(), t.len(), eps);
+                }
+            }
+        }
+    }
+
+    /// Window sweeps over 1-, 2- and 3-fix inputs (an empty trajectory
+    /// cannot be built) equal per-threshold compression for every grid,
+    /// the empty grid included.
+    #[test]
+    fn window_sweep_degenerate_inputs(
+        grid in proptest::collection::vec(0.0..100.0f64, 0..4),
+        dx in -50.0..50.0f64,
+        dy in -50.0..50.0f64,
+        veps in 0.0..10.0f64,
+    ) {
+        prop_assert!(Trajectory::from_triples(std::iter::empty()).is_err());
+        let triples = [(0.0, 0.0, 0.0), (10.0, dx, dy), (20.0, 2.0 * dx, -dy)];
+        for len in 1..=triples.len() {
+            let t = Trajectory::from_triples(triples[..len].iter().copied()).unwrap();
+            for ow in window_families(veps) {
+                let swept = ow.sweep(&t, &grid);
+                prop_assert_eq!(swept.len(), grid.len());
+                for (r, &eps) in swept.iter().zip(&grid) {
+                    let single = window_at(&ow, eps).compress(&t);
+                    prop_assert_eq!(r, &single, "{} n={}", ow.name(), len);
+                }
             }
         }
     }

@@ -182,7 +182,7 @@ fn run_onepass_throughput(dataset: &[traj_model::Trajectory], grid: &[f64], thre
     let algos = [
         Algo::top_down("NDP", TopDown::perpendicular(0.0)),
         Algo::top_down("TD-TR", TopDown::time_ratio(0.0)),
-        Algo::factory("OPW-TR", |e| Box::new(OpeningWindow::opw_tr(e))),
+        Algo::opening_window("OPW-TR", OpeningWindow::opw_tr(0.0)),
         Algo::factory("OP-FIT", |e| Box::new(OnePassFit::new(e))),
         Algo::factory("OP-CONE", |e| Box::new(OnePassCone::new(e))),
     ];

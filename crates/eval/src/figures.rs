@@ -82,13 +82,13 @@ pub fn fig8_threaded(dataset: &[Trajectory], thresholds: &[f64], threads: usize)
         title: "BOPW vs NOPW: error and compression per distance threshold",
         sweeps: vec![
             sweep_algo_parallel(
-                &Algo::factory("BOPW", |e| Box::new(OpeningWindow::bopw(e))),
+                &Algo::opening_window("BOPW", OpeningWindow::bopw(0.0)),
                 dataset,
                 thresholds,
                 threads,
             ),
             sweep_algo_parallel(
-                &Algo::factory("NOPW", |e| Box::new(OpeningWindow::nopw(e))),
+                &Algo::opening_window("NOPW", OpeningWindow::nopw(0.0)),
                 dataset,
                 thresholds,
                 threads,
@@ -115,13 +115,13 @@ pub fn fig9_threaded(dataset: &[Trajectory], thresholds: &[f64], threads: usize)
         title: "NOPW vs OPW-TR: error and compression per distance threshold",
         sweeps: vec![
             sweep_algo_parallel(
-                &Algo::factory("NOPW", |e| Box::new(OpeningWindow::nopw(e))),
+                &Algo::opening_window("NOPW", OpeningWindow::nopw(0.0)),
                 dataset,
                 thresholds,
                 threads,
             ),
             sweep_algo_parallel(
-                &Algo::factory("OPW-TR", |e| Box::new(OpeningWindow::opw_tr(e))),
+                &Algo::opening_window("OPW-TR", OpeningWindow::opw_tr(0.0)),
                 dataset,
                 thresholds,
                 threads,
@@ -146,7 +146,7 @@ pub fn fig10_with(dataset: &[Trajectory], thresholds: &[f64]) -> FigureData {
 pub fn fig10_threaded(dataset: &[Trajectory], thresholds: &[f64], threads: usize) -> FigureData {
     let mut sweeps = vec![
         sweep_algo_parallel(
-            &Algo::factory("OPW-TR", |e| Box::new(OpeningWindow::opw_tr(e))),
+            &Algo::opening_window("OPW-TR", OpeningWindow::opw_tr(0.0)),
             dataset,
             thresholds,
             threads,
@@ -160,9 +160,7 @@ pub fn fig10_threaded(dataset: &[Trajectory], thresholds: &[f64], threads: usize
     ];
     for v in PAPER_SPEED_THRESHOLDS {
         sweeps.push(sweep_algo_parallel(
-            &Algo::factory(format!("OPW-SP({v}m/s)"), move |e| {
-                Box::new(OpeningWindow::opw_sp(e, v))
-            }),
+            &Algo::opening_window(format!("OPW-SP({v}m/s)"), OpeningWindow::opw_sp(0.0, v)),
             dataset,
             thresholds,
             threads,
@@ -203,13 +201,13 @@ pub fn fig11_threaded(dataset: &[Trajectory], thresholds: &[f64], threads: usize
             threads,
         ),
         sweep_algo_parallel(
-            &Algo::factory("NOPW", |e| Box::new(OpeningWindow::nopw(e))),
+            &Algo::opening_window("NOPW", OpeningWindow::nopw(0.0)),
             dataset,
             thresholds,
             threads,
         ),
         sweep_algo_parallel(
-            &Algo::factory("OPW-TR", |e| Box::new(OpeningWindow::opw_tr(e))),
+            &Algo::opening_window("OPW-TR", OpeningWindow::opw_tr(0.0)),
             dataset,
             thresholds,
             threads,
@@ -217,9 +215,7 @@ pub fn fig11_threaded(dataset: &[Trajectory], thresholds: &[f64], threads: usize
     ];
     for v in PAPER_SPEED_THRESHOLDS {
         sweeps.push(sweep_algo_parallel(
-            &Algo::factory(format!("OPW-SP({v}m/s)"), move |e| {
-                Box::new(OpeningWindow::opw_sp(e, v))
-            }),
+            &Algo::opening_window(format!("OPW-SP({v}m/s)"), OpeningWindow::opw_sp(0.0, v)),
             dataset,
             thresholds,
             threads,
@@ -269,7 +265,7 @@ pub fn fig_onepass_threaded(
                 threads,
             ),
             sweep_algo_parallel(
-                &Algo::factory("OPW-TR", |e| Box::new(OpeningWindow::opw_tr(e))),
+                &Algo::opening_window("OPW-TR", OpeningWindow::opw_tr(0.0)),
                 dataset,
                 thresholds,
                 threads,

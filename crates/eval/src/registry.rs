@@ -3,15 +3,18 @@
 //! The experiment runner originally took a *factory* closure
 //! `Fn(f64) -> Box<dyn Compressor>` and rebuilt + reran the compressor
 //! per threshold. [`Algo`] generalizes that: an entry knows whether its
-//! algorithm supports the one-pass multi-threshold sweep of
-//! [`traj_compress::TopDown::sweep`] (the whole top-down family does) or
-//! must be rebuilt per threshold (the online/window families, whose
-//! anchor decisions genuinely depend on the threshold). Either way the
-//! per-threshold results are byte-identical to constructing and running
-//! the compressor separately at each threshold — the registry only
-//! removes redundant work, never changes outputs.
+//! algorithm has a multi-threshold sweep — the one-pass split tree of
+//! [`traj_compress::TopDown::sweep`] (the whole top-down family) or the
+//! memoized window scans of [`traj_compress::OpeningWindow::sweep`]
+//! (NOPW, BOPW, OPW-TR, OPW-SP) — or must be rebuilt per threshold (the
+//! remaining online families). Either way the per-threshold results are
+//! byte-identical to constructing and running the compressor separately
+//! at each threshold — the registry only removes redundant work, never
+//! changes outputs.
 
-use traj_compress::{CompressionResult, CompressionResultBuf, Compressor, TopDown, Workspace};
+use traj_compress::{
+    CompressionResult, CompressionResultBuf, Compressor, OpeningWindow, TopDown, Workspace,
+};
 use traj_model::Trajectory;
 
 /// How tightly a compressor's declared threshold bounds the error of its
@@ -227,6 +230,9 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
 enum AlgoKind {
     /// Top-down family: one split-tree pass answers every threshold.
     TopDown(TopDown),
+    /// Opening-window family: one memoized pass over the anchors
+    /// answers every threshold.
+    OpeningWindow(OpeningWindow),
     /// Anything else: rebuild via the factory and compress per threshold.
     Factory(Box<dyn Fn(f64) -> Box<dyn Compressor> + Send + Sync>),
 }
@@ -241,6 +247,7 @@ impl std::fmt::Debug for Algo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match self.kind {
             AlgoKind::TopDown(_) => "top-down (one-pass sweep)",
+            AlgoKind::OpeningWindow(_) => "opening-window (memoized sweep)",
             AlgoKind::Factory(_) => "factory (per-threshold)",
         };
         write!(f, "Algo({:?}, {kind})", self.label)
@@ -253,6 +260,14 @@ impl Algo {
     /// shape and any speed threshold are preserved.
     pub fn top_down(label: impl Into<String>, td: TopDown) -> Self {
         Algo { label: label.into(), kind: AlgoKind::TopDown(td) }
+    }
+
+    /// Registers an opening-window algorithm; as for [`Algo::top_down`]
+    /// the distance threshold of `ow` is replaced by each sweep
+    /// threshold, while the criterion shape, break strategy and any
+    /// speed threshold are kept.
+    pub fn opening_window(label: impl Into<String>, ow: OpeningWindow) -> Self {
+        Algo { label: label.into(), kind: AlgoKind::OpeningWindow(ow) }
     }
 
     /// Registers an algorithm via a per-threshold factory.
@@ -279,6 +294,7 @@ impl Algo {
     ) -> Vec<CompressionResult> {
         match &self.kind {
             AlgoKind::TopDown(td) => td.sweep_with(traj, thresholds, ws),
+            AlgoKind::OpeningWindow(ow) => ow.sweep_with(traj, thresholds, ws),
             AlgoKind::Factory(make) => {
                 let mut out = CompressionResultBuf::new();
                 thresholds
@@ -329,10 +345,22 @@ mod tests {
     }
 
     #[test]
+    fn opening_window_entry_matches_factory_entry() {
+        let t = traj();
+        let grid = [10.0, 40.0, 90.0];
+        let mut ws = Workspace::new();
+        let fast = Algo::opening_window("OPW-SP(5m/s)", OpeningWindow::opw_sp(0.0, 5.0));
+        let slow = Algo::factory("OPW-SP(5m/s)", |e| Box::new(OpeningWindow::opw_sp(e, 5.0)));
+        assert_eq!(fast.run(&t, &grid, &mut ws), slow.run(&t, &grid, &mut ws));
+    }
+
+    #[test]
     fn labels_and_debug() {
         let a = Algo::top_down("NDP", TopDown::perpendicular(0.0));
         assert_eq!(a.label(), "NDP");
         assert!(format!("{a:?}").contains("one-pass"));
+        let w = Algo::opening_window("NOPW", OpeningWindow::nopw(0.0));
+        assert!(format!("{w:?}").contains("memoized sweep"));
     }
 
     #[test]

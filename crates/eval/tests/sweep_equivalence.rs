@@ -49,6 +49,31 @@ fn tdsp_wrapper_sweep_matches_on_paper_grid() {
 }
 
 #[test]
+fn window_sweep_is_byte_identical_to_per_threshold_compress_on_paper_grid() {
+    // Every opening-window configuration of Figs. 8–11.
+    let dataset = traj_gen::paper_dataset(42);
+    let mut ws = Workspace::new();
+    let mut ows = vec![
+        ("BOPW".to_string(), OpeningWindow::bopw(0.0)),
+        ("NOPW".to_string(), OpeningWindow::nopw(0.0)),
+        ("OPW-TR".to_string(), OpeningWindow::opw_tr(0.0)),
+    ];
+    for v in PAPER_SPEED_THRESHOLDS {
+        ows.push((format!("OPW-SP({v}m/s)"), OpeningWindow::opw_sp(0.0, v)));
+    }
+    for (label, ow) in &ows {
+        for traj in &dataset {
+            let swept = ow.sweep_with(traj, &PAPER_THRESHOLDS, &mut ws);
+            for (r, &eps) in swept.iter().zip(&PAPER_THRESHOLDS) {
+                let crit = ow.criterion().with_epsilon(eps);
+                let single = OpeningWindow::new(crit, ow.strategy()).compress(traj);
+                assert_eq!(r, &single, "{label} eps={eps}");
+            }
+        }
+    }
+}
+
+#[test]
 fn sweep_algo_aggregates_bit_identically_to_factory_sweep() {
     // The registry path must not change a single float in the figures.
     let dataset = traj_gen::paper_dataset(42);
@@ -59,6 +84,20 @@ fn sweep_algo_aggregates_bit_identically_to_factory_sweep() {
     );
     let slow = sweep("TD-TR", &dataset, &PAPER_THRESHOLDS, |e| {
         Box::new(traj_compress::TdTr::new(e))
+    });
+    assert_eq!(fast, slow);
+}
+
+#[test]
+fn window_sweep_algo_aggregates_bit_identically_to_factory_sweep() {
+    let dataset = traj_gen::paper_dataset(42);
+    let fast = sweep_algo(
+        &Algo::opening_window("OPW-TR", OpeningWindow::opw_tr(0.0)),
+        &dataset,
+        &PAPER_THRESHOLDS,
+    );
+    let slow = sweep("OPW-TR", &dataset, &PAPER_THRESHOLDS, |e| {
+        Box::new(OpeningWindow::opw_tr(e))
     });
     assert_eq!(fast, slow);
 }
@@ -83,11 +122,13 @@ fn evaluate_sweep_matches_per_cell_evaluate_on_paper_grid() {
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial_on_paper_grid() {
     // The acceptance pin: fanning the reproduction grid across workers
-    // must not change a single float in the aggregates, for both the
-    // one-pass top-down path and the per-threshold factory path.
+    // must not change a single float in the aggregates, for the one-pass
+    // top-down path, the memoized window path and the per-threshold
+    // factory path.
     let dataset = traj_gen::paper_dataset(42);
     let algos = [
         Algo::top_down("TD-TR", TopDown::time_ratio(0.0)),
+        Algo::opening_window("OPW-TR", OpeningWindow::opw_tr(0.0)),
         Algo::factory("OPW-TR", |e| Box::new(OpeningWindow::opw_tr(e))),
     ];
     for algo in &algos {
