@@ -19,11 +19,18 @@
 //! same implementations, so there is exactly one copy of each distance
 //! decision in the crate.
 //!
-//! All methods take a *slice* of fixes with indices relative to that
-//! slice: batch compressors pass the full trajectory, while
-//! [`crate::streaming::OwStream`] passes its buffered window — the
-//! decisions are identical because a window always contains the anchor
-//! and the scanned point's immediate neighbours.
+//! The scalar methods take a *slice* of fixes with indices relative to
+//! that slice: the recursive top-down reference passes the full
+//! trajectory, while [`crate::streaming::OwStream`] passes its buffered
+//! window — the decisions are identical because a window always contains
+//! the anchor and the scanned point's immediate neighbours. The batch
+//! kernels read trajectory columns instead:
+//! [`SegmentCriterion::scan_segment`] ranks splits for the top-down
+//! family, and the opening-window engine (`crate::opening_window`, which
+//! also serves the sliding window) answers the violation question from
+//! one column of window distances, compared against each threshold, plus
+//! the point-local speed difference. The scalar methods stay the
+//! reference both batch paths are pinned against.
 
 use crate::distance::{perpendicular_distance, sed};
 use traj_geom::numeric::approx_zero;
@@ -47,9 +54,6 @@ pub struct SplitDecision {
     /// The maximum split value, in [`SegmentCriterion::split_threshold`]
     /// units (`f64::NEG_INFINITY` when the segment has no interior).
     pub value: f64,
-    /// First interior index violating the criterion, if any — the
-    /// window families' stop condition.
-    pub first_violation: Option<usize>,
 }
 
 /// Absolute derived-speed difference `‖vᵢ − vᵢ₋₁‖` at slice index `i`
@@ -110,19 +114,15 @@ fn trs_blend(d: f64, dv: Option<f64>, epsilon: f64, speed_epsilon: f64) -> f64 {
 
 /// Shared chunked scan for the single-distance criteria: stages up to
 /// [`SCAN_CHUNK`] distances on the stack via `fill`, then reduces them
-/// in index order — first strict argmax (seeded at `NEG_INFINITY`, the
-/// top-down selection rule) and first value strictly above `eps` (the
-/// window families' violation predicate, which for these criteria *is*
-/// the distance comparison).
+/// in index order to the first strict argmax (seeded at `NEG_INFINITY`,
+/// the top-down selection rule).
 fn scan_dists(
     v: TrajView<'_>,
     lo: usize,
     hi: usize,
-    eps: f64,
     fill: fn(TrajView<'_>, usize, usize, usize, &mut [f64]),
 ) -> SplitDecision {
     let mut best = (lo + 1, f64::NEG_INFINITY);
-    let mut first_violation = None;
     let mut buf = [0.0f64; SCAN_CHUNK];
     let mut i = lo + 1;
     while i < hi {
@@ -145,12 +145,9 @@ fn scan_dists(
             let k = chunk.iter().position(|&d| d == m).unwrap_or(0);
             best = (i + k, m);
         }
-        if first_violation.is_none() && m > eps {
-            first_violation = chunk.iter().position(|&d| d > eps).map(|k| i + k);
-        }
         i += len;
     }
-    SplitDecision { split: best.0, value: best.1, first_violation }
+    SplitDecision { split: best.0, value: best.1 }
 }
 
 /// Maximum of a staged distance chunk, NaN entries ignored (they can
@@ -178,50 +175,21 @@ fn chunk_max(chunk: &[f64]) -> f64 {
     m
 }
 
-/// Early-exit twin of [`scan_dists`] for callers that only need the
-/// first violation: stops at the first staged chunk containing one, so
-/// a violation near the anchor costs at most one chunk of distances.
-fn first_violation_dists(
-    v: TrajView<'_>,
-    anchor: usize,
-    float: usize,
-    eps: f64,
-    fill: fn(TrajView<'_>, usize, usize, usize, &mut [f64]),
-) -> Option<usize> {
-    let mut buf = [0.0f64; SCAN_CHUNK];
-    let mut i = anchor + 1;
-    while i < float {
-        let len = SCAN_CHUNK.min(float - i);
-        // See `scan_dists`: `len <= SCAN_CHUNK`, so this never breaks.
-        let Some(chunk) = buf.get_mut(..len) else {
-            break;
-        };
-        fill(v, anchor, float, i, chunk);
-        if chunk_max(chunk) > eps {
-            return chunk.iter().position(|&d| d > eps).map(|k| i + k);
-        }
-        i += len;
-    }
-    None
-}
-
 /// Writes the interior distances of the window `anchor → float` to
-/// `out` (SED, or the perpendicular distance for
-/// [`Criterion::Perpendicular`]) and returns their maximum, NaN ignored
-/// (`NEG_INFINITY` when no distance is a number). Same kernels and same
-/// [`chunk_max`] reduction as the violation scans, so the window has a
-/// distance violation at `epsilon` exactly when the result exceeds
-/// `epsilon`, and the first violating point is the first entry of `out`
-/// above it — what the opening-window sweep shares across thresholds.
+/// `out`, which holds `float - anchor - 1` entries (SED, or the
+/// perpendicular distance for [`Criterion::Perpendicular`]), and returns
+/// their maximum, NaN ignored (`NEG_INFINITY` when no distance is a
+/// number). The window has a distance violation at `epsilon` exactly
+/// when the result exceeds `epsilon`, and the first violating point is
+/// the first entry of `out` above it — the one window test of the
+/// opening-window engine, shared across thresholds.
 pub(crate) fn window_dists_into(
     c: &Criterion,
     v: TrajView<'_>,
     anchor: usize,
     float: usize,
-    out: &mut Vec<f64>,
+    out: &mut [f64],
 ) -> f64 {
-    // Every entry is overwritten below, so growing is the only zeroing.
-    out.resize(float - anchor - 1, 0.0);
     match c {
         Criterion::Perpendicular { .. } => perp_dists_into(v, anchor, float, anchor + 1, out),
         Criterion::TimeRatio { .. } | Criterion::TimeRatioSpeed { .. } => {
@@ -287,15 +255,6 @@ pub trait SegmentCriterion {
     /// as `fixes`; results are then bitwise identical to the scalar
     /// loop (pinned by the layout-equivalence proptests).
     fn scan_segment(&self, v: TrajView<'_>, lo: usize, hi: usize) -> SplitDecision;
-
-    /// Columnar twin of [`SegmentCriterion::first_violation`]. The
-    /// default derives it from [`SegmentCriterion::scan_segment`];
-    /// implementations override with an early-exit scan so a violation
-    /// near the anchor does not pay for the whole window.
-    #[inline]
-    fn first_violation_view(&self, v: TrajView<'_>, anchor: usize, float: usize) -> Option<usize> {
-        self.scan_segment(v, anchor, float).first_violation
-    }
 }
 
 /// Perpendicular distance to the anchor–float line — the classic
@@ -328,11 +287,7 @@ impl SegmentCriterion for Perpendicular {
     }
 
     fn scan_segment(&self, v: TrajView<'_>, lo: usize, hi: usize) -> SplitDecision {
-        scan_dists(v, lo, hi, self.epsilon, perp_dists_into)
-    }
-
-    fn first_violation_view(&self, v: TrajView<'_>, anchor: usize, float: usize) -> Option<usize> {
-        first_violation_dists(v, anchor, float, self.epsilon, perp_dists_into)
+        scan_dists(v, lo, hi, perp_dists_into)
     }
 }
 
@@ -366,11 +321,7 @@ impl SegmentCriterion for TimeRatio {
     }
 
     fn scan_segment(&self, v: TrajView<'_>, lo: usize, hi: usize) -> SplitDecision {
-        scan_dists(v, lo, hi, self.epsilon, sed_dists_into)
-    }
-
-    fn first_violation_view(&self, v: TrajView<'_>, anchor: usize, float: usize) -> Option<usize> {
-        first_violation_dists(v, anchor, float, self.epsilon, sed_dists_into)
+        scan_dists(v, lo, hi, sed_dists_into)
     }
 }
 
@@ -426,11 +377,8 @@ impl SegmentCriterion for TimeRatioSpeed {
     fn scan_segment(&self, v: TrajView<'_>, lo: usize, hi: usize) -> SplitDecision {
         // The SEDs batch; the speed-difference term is inherently
         // point-local (three neighbours), so it stays scalar per
-        // element. The violation predicate is the scalar disjunction
-        // `sed > ε || Δv > ε_v` — *not* `blend > 1`, which can differ
-        // in the last bit when the ratio rounds across the threshold.
+        // element.
         let mut best = (lo + 1, f64::NEG_INFINITY);
-        let mut first_violation = None;
         let mut buf = [0.0f64; SCAN_CHUNK];
         let mut i = lo + 1;
         while i < hi {
@@ -443,34 +391,10 @@ impl SegmentCriterion for TimeRatioSpeed {
                 if val > best.1 {
                     best = (i + k, val);
                 }
-                if first_violation.is_none()
-                    && (d > self.epsilon || dv.is_some_and(|x| x > self.speed_epsilon))
-                {
-                    first_violation = Some(i + k);
-                }
             }
             i += len;
         }
-        SplitDecision { split: best.0, value: best.1, first_violation }
-    }
-
-    fn first_violation_view(&self, v: TrajView<'_>, anchor: usize, float: usize) -> Option<usize> {
-        let mut buf = [0.0f64; SCAN_CHUNK];
-        let mut i = anchor + 1;
-        while i < float {
-            let len = SCAN_CHUNK.min(float - i);
-            let chunk = &mut buf[..len];
-            sed_dists_into(v, anchor, float, i, chunk);
-            for (k, &d) in chunk.iter().enumerate() {
-                if d > self.epsilon
-                    || speed_difference_view(v, i + k).is_some_and(|x| x > self.speed_epsilon)
-                {
-                    return Some(i + k);
-                }
-            }
-            i += len;
-        }
-        None
+        SplitDecision { split: best.0, value: best.1 }
     }
 }
 
@@ -616,20 +540,6 @@ impl SegmentCriterion for Criterion {
             Criterion::TimeRatio { epsilon } => TimeRatio { epsilon }.scan_segment(v, lo, hi),
             Criterion::TimeRatioSpeed { epsilon, speed_epsilon } => {
                 TimeRatioSpeed { epsilon, speed_epsilon }.scan_segment(v, lo, hi)
-            }
-        }
-    }
-
-    fn first_violation_view(&self, v: TrajView<'_>, anchor: usize, float: usize) -> Option<usize> {
-        match *self {
-            Criterion::Perpendicular { epsilon } => {
-                Perpendicular { epsilon }.first_violation_view(v, anchor, float)
-            }
-            Criterion::TimeRatio { epsilon } => {
-                TimeRatio { epsilon }.first_violation_view(v, anchor, float)
-            }
-            Criterion::TimeRatioSpeed { epsilon, speed_epsilon } => {
-                TimeRatioSpeed { epsilon, speed_epsilon }.first_violation_view(v, anchor, float)
             }
         }
     }
@@ -799,11 +709,7 @@ mod tests {
                 best = (i, d);
             }
         }
-        SplitDecision {
-            split: best.0,
-            value: best.1,
-            first_violation: c.first_violation(fixes, lo, hi),
-        }
+        SplitDecision { split: best.0, value: best.1 }
     }
 
     fn wiggly(n: usize) -> Vec<Fix> {
@@ -842,12 +748,6 @@ mod tests {
                     "{c:?} [{lo},{hi}] got {} want {}",
                     got.value,
                     want.value
-                );
-                assert_eq!(got.first_violation, want.first_violation, "{c:?} [{lo},{hi}]");
-                assert_eq!(
-                    c.first_violation_view(v, lo, hi),
-                    c.first_violation(&fixes, lo, hi),
-                    "{c:?} [{lo},{hi}] early-exit"
                 );
             }
         }

@@ -21,15 +21,19 @@
 //! algorithm (§3.3).
 //!
 //! OW algorithms are *online*: they never look past the current float.
-//! [`crate::streaming::OwStream`] exposes exactly this engine
-//! incrementally. The batch form here is `O(N·w)` for maximum window
-//! size `w` (`O(N²)` worst case), matching the paper.
+//! The batch form here is `O(N·w)` for maximum window size `w` (`O(N²)`
+//! worst case), matching the paper. One engine grows the windows for
+//! [`OpeningWindow`]'s `compress_into`, for the threshold sweep
+//! ([`OpeningWindow::sweep`]) and for [`crate::SlidingWindow`].
+//! [`crate::streaming::OwStream`] makes the same decisions fix by fix
+//! through the scalar [`SegmentCriterion::first_violation`]; it is a
+//! separate implementation, and the engine is pinned against it.
 //!
 //! The paper notes OW algorithms "may lose the last few data points";
 //! as countermeasure the final data point is always emitted.
 
 pub use crate::criterion::Criterion;
-use crate::criterion::SegmentCriterion;
+use crate::criterion::{speed_difference_view, window_dists_into, SegmentCriterion};
 use crate::obs::AlgoRun;
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::Workspace;
@@ -108,54 +112,6 @@ impl OpeningWindow {
             (Criterion::TimeRatioSpeed { .. }, BreakStrategy::BeforeFloat) => "bopw-sp",
         }
     }
-
-    /// The shared kernel: grows windows over `traj`, appending break
-    /// points directly to `out`.
-    fn kernel(&self, traj: &Trajectory, ws: &mut Workspace, out: &mut CompressionResultBuf) {
-        let n = traj.len();
-        ws.begin(n);
-        if n <= 2 {
-            out.set_identity(n);
-            return;
-        }
-        let _span = traj_obs::span!("ow.compress", points = n);
-        let mut run = AlgoRun::new();
-        ws.bind_columns(traj);
-        let v = ws.cols.view();
-        out.reset(n);
-        out.kept.push(0);
-        let mut anchor = 0usize;
-        let mut float = anchor + 2;
-        run.window_opened();
-        while float < n {
-            match self.criterion.first_violation_view(v, anchor, float) {
-                Some(i) => {
-                    // `first_violation` evaluated anchor+1..=i.
-                    run.sed_evals((i - anchor) as u64);
-                    let cut = match self.strategy {
-                        BreakStrategy::Normal => i,
-                        BreakStrategy::BeforeFloat => float - 1,
-                    };
-                    debug_assert!(cut > anchor, "opening window must make progress");
-                    out.kept.push(cut);
-                    anchor = cut;
-                    float = anchor + 2;
-                    run.window_closed();
-                    run.window_opened();
-                }
-                None => {
-                    run.sed_evals((float - anchor).saturating_sub(1) as u64);
-                    float += 1;
-                }
-            }
-        }
-        run.window_closed();
-        // `out.kept` starts with the anchor 0, so last() always exists.
-        if out.kept.last() != Some(&(n - 1)) {
-            out.kept.push(n - 1);
-        }
-        run.flush(self.family(), n, out.kept.len());
-    }
 }
 
 impl Compressor for OpeningWindow {
@@ -166,13 +122,154 @@ impl Compressor for OpeningWindow {
     fn compress(&self, traj: &Trajectory) -> CompressionResult {
         let mut ws = Workspace::new();
         let mut out = CompressionResultBuf::new();
-        self.kernel(traj, &mut ws, &mut out);
+        self.compress_into(traj, &mut ws, &mut out);
         out.take()
     }
 
     fn compress_into(&self, traj: &Trajectory, ws: &mut Workspace, out: &mut CompressionResultBuf) {
-        self.kernel(traj, ws, out);
+        let n = traj.len();
+        ws.begin(n);
+        if n <= 2 {
+            out.set_identity(n);
+            return;
+        }
+        let _span = traj_obs::span!("ow.compress", points = n);
+        let mut run = AlgoRun::new();
+        out.reset(n);
+        let mut kept = [std::mem::take(&mut out.kept)];
+        let eps = [self.criterion.epsilon()];
+        run.sed_evals(open_windows(&self.criterion, self.strategy, &eps, n, traj, ws, &mut kept));
+        [out.kept] = kept;
+        // Each kept segment was one window: opened at its anchor, closed
+        // at its cut.
+        for _ in 1..out.kept.len() {
+            run.window_opened();
+            run.window_closed();
+        }
+        run.flush(self.family(), n, out.kept.len());
     }
+}
+
+/// The opening-window engine: the one window scan behind
+/// [`OpeningWindow::compress_into`] (one threshold),
+/// [`OpeningWindow::sweep_with`] (a grid of them) and
+/// [`crate::SlidingWindow`] (BOPW with the float at most `reach` points
+/// past the anchor).
+///
+/// Appends to `kept[k]` the break points of `criterion` at distance
+/// threshold `thresholds[k]`, from the anchor `0` to the last point, and
+/// returns how many distances it computed. `traj` has at least three
+/// fixes and `ws` has been begun for it.
+///
+/// For anchor `a` and float `f` the window test is one comparison: does
+/// the largest interior distance `M(a, f)` exceed the threshold? A
+/// threshold's first violating float is where the running maximum of
+/// `M(a, ·)` first rises above it, so one growing window answers every
+/// threshold anchored at `a`. The speed term closes every window anchored
+/// at `a` at float `s(a) + 1`, where `s(a)` is the first later point
+/// whose speed difference exceeds `speed_epsilon`, whatever the distance
+/// threshold. Thresholds advance in lockstep over anchors, so each
+/// `(anchor, float)` window is scanned once however many reach it.
+pub(crate) fn open_windows(
+    criterion: &Criterion,
+    strategy: BreakStrategy,
+    thresholds: &[f64],
+    reach: usize,
+    traj: &Trajectory,
+    ws: &mut Workspace,
+    kept: &mut [Vec<usize>],
+) -> u64 {
+    ws.bind_columns(traj);
+    // Field-disjoint borrows: the view reads `ws.cols` while the scan
+    // fills `ws.ow_dists`.
+    let ws = &mut *ws;
+    let v = ws.cols.view();
+    let n = v.len();
+    let last = n - 1;
+    // `s(a)` of the current anchor, `n` when no later point violates.
+    // Anchors only grow, so one forward pass finds every `s(a)`.
+    let mut speed = 0;
+    let mut evals = 0;
+    for k in kept.iter_mut() {
+        k.push(0);
+    }
+    // Serve together every threshold anchored at the smallest open anchor
+    // `a`. Anchors only grow, so no threshold comes back to `a`. A
+    // threshold is finished once it has kept `last`.
+    while let Some(a) = kept.iter().filter_map(|k| k.last().copied()).filter(|&a| a != last).min()
+    {
+        // A plain loop, not `.count()`: `cargo xtask reach` resolves
+        // method calls by bare name and would link unrelated `count`s.
+        let mut open = 0;
+        for k in kept.iter() {
+            if k.last() == Some(&a) {
+                open += 1;
+            }
+        }
+        if speed <= a {
+            speed = criterion.speed_epsilon().map_or(n, |veps| {
+                (a + 1..n)
+                    .find(|&i| speed_difference_view(v, i).is_some_and(|dv| dv > veps))
+                    .unwrap_or(n)
+            });
+        }
+        // From float `stop` on, every window anchored at `a` violates
+        // through the speed term or reaches past the cap.
+        let stop = n.min(speed + 1).min((a + 1).saturating_add(reach));
+        // Where the running maximum of the window maxima rises from
+        // `best` to `m`, the window first violates for every open
+        // threshold below `m` (open ones are all at least `best`).
+        let mut best = f64::NEG_INFINITY;
+        let mut f = a + 2;
+        while open > 0 {
+            if f == n {
+                // No float is left: every open threshold ends at `last`.
+                cut_windows(strategy, kept, thresholds, a, n, f64::INFINITY, &[]);
+                break;
+            }
+            ws.ow_dists.resize(f - a - 1, 0.0);
+            let m = window_dists_into(criterion, v, a, f, &mut ws.ow_dists);
+            evals += (f - a - 1) as u64;
+            let bound = if f == stop { f64::INFINITY } else { m };
+            if bound > best {
+                best = bound;
+                open -= cut_windows(strategy, kept, thresholds, a, f, bound, &ws.ow_dists);
+            }
+            f += 1;
+        }
+    }
+    evals
+}
+
+/// Cuts the violated window `(a, float)` for every threshold still
+/// anchored at `a` and below `bound`: NOPW at the first interior point
+/// whose distance in `dists` exceeds the threshold (else at `float - 1`:
+/// the speed violation, the cap or the last point), BOPW just before the
+/// float. Returns how many thresholds it served.
+fn cut_windows(
+    strategy: BreakStrategy,
+    kept: &mut [Vec<usize>],
+    thresholds: &[f64],
+    a: usize,
+    float: usize,
+    bound: f64,
+    dists: &[f64],
+) -> usize {
+    let mut served = 0;
+    for (k, &eps) in kept.iter_mut().zip(thresholds) {
+        if k.last() != Some(&a) || eps >= bound {
+            continue;
+        }
+        let cut = match strategy {
+            BreakStrategy::Normal => {
+                dists.iter().position(|&d| d > eps).map_or(float - 1, |p| a + 1 + p)
+            }
+            BreakStrategy::BeforeFloat => float - 1,
+        };
+        k.push(cut);
+        served += 1;
+    }
+    served
 }
 
 #[cfg(test)]

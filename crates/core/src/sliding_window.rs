@@ -6,18 +6,21 @@
 //! data points inside the window." (paper §2.)
 //!
 //! The implementation anchors a segment at the current position and
-//! considers at most `window` points ahead (the fixed window): the float
-//! is placed at the window's far edge and pulled back to the first
-//! violating point, which becomes the next anchor. Unlike the
-//! opening-window family the look-ahead is bounded by the window size, so
-//! per-point work is `O(window²)` at worst and memory for the online case
-//! is fixed — the trade-off being that no segment can ever span more than
-//! `window` points, capping the achievable compression.
+//! opens a window at most `window` points ahead (the fixed window): the
+//! segment ends at the last float before the first violating one, or at
+//! the window's far edge when no float up to it violates. That is BOPW
+//! with the float capped at `anchor + window`, so it runs on the
+//! opening-window engine. Unlike the opening-window family the look-ahead
+//! is bounded by the window size, so per-point work is `O(window²)` at
+//! worst and memory for the online case is fixed — the trade-off being
+//! that consecutive kept indices are at most `window` apart (a segment
+//! covers at most `window + 1` fixes), capping the achievable
+//! compression.
 
 use crate::criterion::{Criterion, SegmentCriterion};
+use crate::opening_window::{open_windows, BreakStrategy};
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::Workspace;
-use traj_geom::TrajView;
 use traj_model::Trajectory;
 
 /// Fixed-size sliding-window compressor over a pluggable [`Criterion`].
@@ -29,7 +32,8 @@ pub struct SlidingWindow {
 
 impl SlidingWindow {
     /// Creates a sliding-window compressor: segments satisfy `criterion`
-    /// and span at most `window` points.
+    /// and consecutive kept indices are at most `window` apart, so a
+    /// segment covers at most `window + 1` fixes.
     ///
     /// # Panics
     /// Panics unless the criterion's thresholds are valid and
@@ -55,43 +59,10 @@ impl SlidingWindow {
         self.criterion
     }
 
-    /// The maximum number of points one output segment may span.
+    /// The largest index gap between consecutive kept points (a segment
+    /// covers at most `window + 1` fixes).
     pub fn window(&self) -> usize {
         self.window
-    }
-
-    /// The farthest float in `(anchor, limit]` such that no intermediate
-    /// point violates; falls back to `anchor + 1` (always valid: no
-    /// intermediates).
-    fn best_float(&self, v: TrajView<'_>, anchor: usize, limit: usize) -> usize {
-        let mut float = anchor + 1;
-        for cand in anchor + 2..=limit {
-            if self.criterion.first_violation_view(v, anchor, cand).is_some() {
-                break;
-            }
-            float = cand;
-        }
-        float
-    }
-
-    fn kernel(&self, traj: &Trajectory, ws: &mut Workspace, out: &mut CompressionResultBuf) {
-        let n = traj.len();
-        ws.begin(n);
-        if n <= 2 {
-            out.set_identity(n);
-            return;
-        }
-        ws.bind_columns(traj);
-        let v = ws.cols.view();
-        out.reset(n);
-        out.kept.push(0);
-        let mut anchor = 0usize;
-        while anchor < n - 1 {
-            let limit = (anchor + self.window).min(n - 1);
-            let float = self.best_float(v, anchor, limit);
-            out.kept.push(float);
-            anchor = float;
-        }
     }
 }
 
@@ -103,12 +74,24 @@ impl Compressor for SlidingWindow {
     fn compress(&self, traj: &Trajectory) -> CompressionResult {
         let mut ws = Workspace::new();
         let mut out = CompressionResultBuf::new();
-        self.kernel(traj, &mut ws, &mut out);
+        self.compress_into(traj, &mut ws, &mut out);
         out.take()
     }
 
     fn compress_into(&self, traj: &Trajectory, ws: &mut Workspace, out: &mut CompressionResultBuf) {
-        self.kernel(traj, ws, out);
+        let n = traj.len();
+        ws.begin(n);
+        if n <= 2 {
+            out.set_identity(n);
+            return;
+        }
+        out.reset(n);
+        let mut kept = [std::mem::take(&mut out.kept)];
+        let eps = [self.criterion.epsilon()];
+        // BOPW with the float at most `window` points past the anchor.
+        let bopw = BreakStrategy::BeforeFloat;
+        open_windows(&self.criterion, bopw, &eps, self.window, traj, ws, &mut kept);
+        [out.kept] = kept;
     }
 }
 

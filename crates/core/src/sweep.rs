@@ -24,15 +24,13 @@
 //! max speed difference + argmax) and re-derives each threshold's split
 //! decision from those in `O(1)`, sharing scans across thresholds.
 //!
-//! [`OpeningWindow::sweep`] shares the window scans instead. For a
-//! fixed anchor `a` and float `f` the window test is one comparison —
-//! does the largest interior distance `M(a, f)` exceed `ε`? — so a
-//! threshold's first violating float is where the running maximum of
-//! `M(a, ·)` first rises above it, and one growing window answers every
-//! threshold anchored at `a`. OPW-SP's speed term closes the window at
-//! a float that does not depend on `ε` at all. Thresholds advance in
-//! lockstep over anchors, so each `(anchor, float)` window is scanned
-//! once per sweep however many thresholds reach it.
+//! [`OpeningWindow::sweep`] shares the window scans instead: it hands
+//! the whole grid to the opening-window engine that also runs every
+//! single-threshold window compression (see [`crate::opening_window`]).
+//! For a fixed anchor the window test is one comparison of the window's
+//! largest interior distance with `ε`, so one growing window answers
+//! every threshold anchored there, and each `(anchor, float)` window is
+//! scanned once per sweep however many thresholds reach it.
 //!
 //! **Contract:** for every supported criterion the sweep output is
 //! byte-identical to calling `compress` separately per threshold —
@@ -40,9 +38,9 @@
 
 use std::collections::HashMap;
 
-use crate::criterion::{speed_difference_view, window_dists_into, Criterion};
+use crate::criterion::{speed_difference_view, Criterion};
 use crate::douglas_peucker::TopDown;
-use crate::opening_window::{BreakStrategy, OpeningWindow};
+use crate::opening_window::{open_windows, OpeningWindow};
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::{SpStats, Workspace};
 use traj_geom::soa::sed_dists_into;
@@ -324,94 +322,9 @@ impl OpeningWindow {
             return thresholds.iter().map(|_| CompressionResult::identity(n)).collect();
         }
         let _span = traj_obs::span!("ow.compress", points = n);
-        ws.bind_columns(traj);
-        // Field-disjoint borrows: the view reads `ws.cols` while the
-        // loop fills `ws.speed_next` and `ws.ow_dists`.
-        let ws = &mut *ws;
-        let v = ws.cols.view();
-        if let Some(veps) = crit.speed_epsilon() {
-            // One backward pass: `speed_next[a]` is the first index after
-            // `a` whose speed difference violates, so every window
-            // anchored at `a` violates from float `speed_next[a] + 1` on,
-            // whatever the distance threshold.
-            ws.speed_next.resize(n, n);
-            for a in (0..n - 1).rev() {
-                let fast = speed_difference_view(v, a + 1).is_some_and(|dv| dv > veps);
-                ws.speed_next[a] = if fast { a + 1 } else { ws.speed_next[a + 1] };
-            }
-        }
-        let last = n - 1;
-        let mut kept: Vec<Vec<usize>> = thresholds.iter().map(|_| vec![0]).collect();
-        // Lockstep over anchors: serve together every threshold whose
-        // window is anchored at the smallest open anchor `a`. Anchors only
-        // grow, so no threshold comes back to `a` and each window (a, f)
-        // is scanned once for all of them. A threshold is finished once
-        // it has kept `last` (cuts never reach it).
-        while let Some(a) =
-            kept.iter().filter_map(|k| k.last().copied()).filter(|&a| a != last).min()
-        {
-            let mut open = kept.iter().filter(|k| k.last() == Some(&a)).count();
-            // From float `stop` on, every window violates through the
-            // speed term alone.
-            let stop = ws.speed_next.get(a).map_or(n, |&s| n.min(s + 1));
-            // Where the running maximum of the window maxima rises from
-            // `best` to `m`, the window first violates for every open
-            // threshold below `m` (open ones are all at least `best`).
-            let mut best = f64::NEG_INFINITY;
-            let mut f = a + 2;
-            while open > 0 && f < stop {
-                let m = window_dists_into(&crit, v, a, f, &mut ws.ow_dists);
-                if m > best {
-                    best = m;
-                    open -= self.cut_window(&mut kept, thresholds, a, f, m, &ws.ow_dists);
-                }
-                f += 1;
-            }
-            if open == 0 {
-                continue;
-            }
-            if stop < n {
-                window_dists_into(&crit, v, a, stop, &mut ws.ow_dists);
-                self.cut_window(&mut kept, thresholds, a, stop, f64::INFINITY, &ws.ow_dists);
-            } else {
-                for k in kept.iter_mut().filter(|k| k.last() == Some(&a)) {
-                    k.push(last);
-                }
-            }
-        }
+        let mut kept: Vec<Vec<usize>> = thresholds.iter().map(|_| Vec::new()).collect();
+        open_windows(&crit, self.strategy(), thresholds, n, traj, ws, &mut kept);
         kept.into_iter().map(|k| CompressionResult::new(k, n)).collect()
-    }
-
-    /// Cuts the violated window `(a, float)` for every threshold still
-    /// anchored at `a` and below `bound`, exactly as the single-threshold
-    /// kernel would: NOPW at the first interior point whose distance in
-    /// `dists` exceeds the threshold (or at `float - 1`, the speed
-    /// violation, when none does), BOPW just before the float. Returns
-    /// how many thresholds it served.
-    fn cut_window(
-        &self,
-        kept: &mut [Vec<usize>],
-        thresholds: &[f64],
-        a: usize,
-        float: usize,
-        bound: f64,
-        dists: &[f64],
-    ) -> usize {
-        let mut served = 0;
-        for (k, &eps) in kept.iter_mut().zip(thresholds) {
-            if k.last() != Some(&a) || eps >= bound {
-                continue;
-            }
-            let cut = match self.strategy() {
-                BreakStrategy::Normal => {
-                    dists.iter().position(|&d| d > eps).map_or(float - 1, |p| a + 1 + p)
-                }
-                BreakStrategy::BeforeFloat => float - 1,
-            };
-            k.push(cut);
-            served += 1;
-        }
-        served
     }
 }
 
@@ -441,7 +354,7 @@ impl crate::TdSp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TdSp;
+    use crate::{BreakStrategy, TdSp};
 
     fn noisy(n: usize, seed: u64) -> Trajectory {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;

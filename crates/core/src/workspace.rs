@@ -121,12 +121,9 @@ pub struct Workspace {
     pub(crate) hull: Vec<usize>,
     /// Memoized per-interval statistics for the TD-SP sweep.
     pub(crate) sp_stats: HashMap<(usize, usize), SpStats>,
-    /// Opening-window sweep: interior distances of the window being
-    /// scanned.
+    /// Opening-window engine (every window family, one threshold or a
+    /// sweep): interior distances of the window being scanned.
     pub(crate) ow_dists: Vec<f64>,
-    /// Opening-window sweep (OPW-SP): per anchor, the first later index
-    /// whose speed difference exceeds the speed threshold (`n` if none).
-    pub(crate) speed_next: Vec<usize>,
     /// Fixed polygon edge normals for the one-pass cone region.
     pub(crate) cone_dirs: Vec<(f64, f64)>,
     /// Per-direction tightest offsets for the one-pass cone region.
@@ -169,7 +166,6 @@ impl Workspace {
         self.hull.clear();
         self.sp_stats.clear();
         self.ow_dists.clear();
-        self.speed_next.clear();
         self.cone_dirs.clear();
         self.cone_off.clear();
         // `cols` is deliberately *not* cleared: it is an identity-keyed
@@ -224,7 +220,6 @@ impl Workspace {
             + warm::<usize>(self.hull.capacity(), n)
             + warm::<((usize, usize), SpStats)>(self.sp_stats.capacity(), n)
             + warm::<f64>(self.ow_dists.capacity(), n)
-            + warm::<usize>(self.speed_next.capacity(), n)
             + warm::<(f64, f64)>(self.cone_dirs.capacity(), n)
             + warm::<f64>(self.cone_off.capacity(), n)
     }
@@ -251,7 +246,6 @@ mod tests {
             SpStats { i_s: 1, s: 2.0, i_pos: Some(1), i_v: 1, v: 0.5 },
         );
         ws.ow_dists.push(1.5);
-        ws.speed_next.extend(0..8);
         ws.cone_dirs.push((1.0, 0.0));
         ws.cone_off.push(3.5);
         ws.begin(8);
@@ -266,7 +260,6 @@ mod tests {
         assert!(ws.hull.is_empty());
         assert!(ws.sp_stats.is_empty());
         assert!(ws.ow_dists.is_empty());
-        assert!(ws.speed_next.is_empty());
         assert!(ws.cone_dirs.is_empty());
         assert!(ws.cone_off.is_empty());
         assert!(ws.keep.capacity() >= 8, "begin retains capacity");

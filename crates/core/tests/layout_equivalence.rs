@@ -247,33 +247,6 @@ proptest! {
         }
     }
 
-    /// `first_violation_view` == the scalar `first_violation` default
-    /// method, including the `None` cases, for all three criteria.
-    #[test]
-    fn first_violation_view_matches_scalar(
-        t in trajectory(),
-        eps in 0.0..200.0f64,
-        veps in 0.5..30.0f64,
-        a in any::<proptest::sample::Index>(),
-        b in any::<proptest::sample::Index>(),
-    ) {
-        let n = t.len();
-        prop_assume!(n >= 3);
-        let (mut anchor, mut float) = (a.index(n), b.index(n));
-        if anchor > float {
-            std::mem::swap(&mut anchor, &mut float);
-        }
-        prop_assume!(anchor + 1 < float);
-        let cols = TrajColumns::from_fixes(t.fixes());
-        for c in criteria(eps, veps) {
-            prop_assert_eq!(
-                c.first_violation_view(cols.view(), anchor, float),
-                c.first_violation(t.fixes(), anchor, float),
-                "{}", c.label()
-            );
-        }
-    }
-
     /// The columnar iterative top-down kernel == the scalar recursive
     /// path (which still runs per-`Fix` `split_value`), for all three
     /// top-down algorithms.
@@ -324,14 +297,24 @@ proptest! {
     }
 
     /// The columnar sliding-window kernel == the pre-refactor scalar
-    /// loop, across window sizes.
+    /// loop, across window sizes (the smallest, 2, always) and all three
+    /// criteria, the speed term zero, moderate and off.
     #[test]
     fn sliding_window_matches_scalar_loop(
         t in trajectory(),
         eps in 0.0..200.0f64,
         w in 2..48usize,
     ) {
-        for sw in [SlidingWindow::time_ratio(eps, w), SlidingWindow::perpendicular(eps, w)] {
+        let mut sws = Vec::new();
+        for window in [w, 2] {
+            sws.push(SlidingWindow::time_ratio(eps, window));
+            sws.push(SlidingWindow::perpendicular(eps, window));
+            for speed_epsilon in [0.0, 2.0, f64::INFINITY] {
+                let crit = Criterion::TimeRatioSpeed { epsilon: eps, speed_epsilon };
+                sws.push(SlidingWindow::new(crit, window));
+            }
+        }
+        for sw in sws {
             let got = sw.compress(&t);
             let want = scalar_sliding_window(&sw, &t);
             prop_assert_eq!(got.kept(), want.as_slice(), "{}", sw.name());

@@ -484,6 +484,38 @@ proptest! {
         }
     }
 
+    /// The memoized opening-window sweep equals, at every threshold, an
+    /// `OwStream` replay of the same criterion and strategy — a separate
+    /// fix-by-fix implementation over the scalar `first_violation`, so
+    /// the engine is not only compared with itself. Covers every window
+    /// family plus both time-ratio criteria with BOPW cuts.
+    #[test]
+    fn window_sweep_equals_stream_oracle(
+        t in dwelling_trajectory(),
+        grid in unsorted_grid_with_repeats(),
+        veps in 0.0..30.0f64,
+    ) {
+        let mut ows = window_families(veps).to_vec();
+        let bopw = BreakStrategy::BeforeFloat;
+        ows.push(OpeningWindow::new(Criterion::TimeRatio { epsilon: 0.0 }, bopw));
+        for speed_epsilon in [0.0, veps, f64::INFINITY] {
+            let crit = Criterion::TimeRatioSpeed { epsilon: 0.0, speed_epsilon };
+            ows.push(OpeningWindow::new(crit, bopw));
+        }
+        for ow in ows {
+            let swept = ow.sweep(&t, &grid);
+            for (r, &eps) in swept.iter().zip(&grid) {
+                let stream = OwStream::new(ow.criterion().with_epsilon(eps), ow.strategy());
+                let expected: Vec<Fix> = r.kept().iter().map(|&i| t.fixes()[i]).collect();
+                prop_assert_eq!(
+                    &run_boxed(Box::new(stream), &t),
+                    &expected,
+                    "{:?} {:?} eps={}", ow.criterion(), ow.strategy(), eps
+                );
+            }
+        }
+    }
+
     /// Window sweeps over 1-, 2- and 3-fix inputs (an empty trajectory
     /// cannot be built) equal per-threshold compression for every grid,
     /// the empty grid included.

@@ -5,12 +5,27 @@
 //! speed-threshold — the figures silently change meaning; this test
 //! makes that a hard failure.
 
+use traj_compress::streaming::{OwStream, StreamingCompressor};
 use traj_compress::{
     evaluate, evaluate_sweep, Compressor, EvalWorkspace, OpeningWindow, TdSp, TopDown, Workspace,
 };
 use traj_eval::{
     sweep, sweep_algo, sweep_algo_parallel, Algo, PAPER_SPEED_THRESHOLDS, PAPER_THRESHOLDS,
 };
+use traj_model::Fix;
+
+/// Every opening-window configuration of Figs. 8–11.
+fn figure_windows() -> Vec<(String, OpeningWindow)> {
+    let mut ows = vec![
+        ("BOPW".to_string(), OpeningWindow::bopw(0.0)),
+        ("NOPW".to_string(), OpeningWindow::nopw(0.0)),
+        ("OPW-TR".to_string(), OpeningWindow::opw_tr(0.0)),
+    ];
+    for v in PAPER_SPEED_THRESHOLDS {
+        ows.push((format!("OPW-SP({v}m/s)"), OpeningWindow::opw_sp(0.0, v)));
+    }
+    ows
+}
 
 #[test]
 fn sweep_is_byte_identical_to_per_threshold_compress_on_paper_grid() {
@@ -50,24 +65,38 @@ fn tdsp_wrapper_sweep_matches_on_paper_grid() {
 
 #[test]
 fn window_sweep_is_byte_identical_to_per_threshold_compress_on_paper_grid() {
-    // Every opening-window configuration of Figs. 8–11.
     let dataset = traj_gen::paper_dataset(42);
     let mut ws = Workspace::new();
-    let mut ows = vec![
-        ("BOPW".to_string(), OpeningWindow::bopw(0.0)),
-        ("NOPW".to_string(), OpeningWindow::nopw(0.0)),
-        ("OPW-TR".to_string(), OpeningWindow::opw_tr(0.0)),
-    ];
-    for v in PAPER_SPEED_THRESHOLDS {
-        ows.push((format!("OPW-SP({v}m/s)"), OpeningWindow::opw_sp(0.0, v)));
-    }
-    for (label, ow) in &ows {
+    for (label, ow) in &figure_windows() {
         for traj in &dataset {
             let swept = ow.sweep_with(traj, &PAPER_THRESHOLDS, &mut ws);
             for (r, &eps) in swept.iter().zip(&PAPER_THRESHOLDS) {
                 let crit = ow.criterion().with_epsilon(eps);
                 let single = OpeningWindow::new(crit, ow.strategy()).compress(traj);
                 assert_eq!(r, &single, "{label} eps={eps}");
+            }
+        }
+    }
+}
+
+/// The window sweep against an independent oracle: `OwStream` replays
+/// each trajectory fix by fix through the scalar `first_violation`, so
+/// this pin does not go through the opening-window engine at all.
+#[test]
+fn window_sweep_equals_stream_replay_on_paper_grid() {
+    let dataset = traj_gen::paper_dataset(42);
+    let mut ws = Workspace::new();
+    for (label, ow) in &figure_windows() {
+        for traj in &dataset {
+            let swept = ow.sweep_with(traj, &PAPER_THRESHOLDS, &mut ws);
+            for (r, &eps) in swept.iter().zip(&PAPER_THRESHOLDS) {
+                let mut stream = OwStream::new(ow.criterion().with_epsilon(eps), ow.strategy());
+                let mut replay: Vec<Fix> = Vec::new();
+                for &fix in traj.fixes() {
+                    replay.extend(stream.push(fix).expect("paper fixes are valid"));
+                }
+                replay.extend(stream.finish());
+                assert_eq!(r.apply(traj).fixes(), replay.as_slice(), "{label} eps={eps}");
             }
         }
     }

@@ -715,6 +715,17 @@ pub fn run(cmd: &Command) -> Result<String, String> {
         Command::Evaluate { original, approx } => {
             let p = load(original)?;
             let a = load(approx)?;
+            // α averages over the shared time span, which must have
+            // positive length; the library treats a violation as a bug.
+            let from = p.start_time().as_secs().max(a.start_time().as_secs());
+            let to = p.end_time().as_secs().min(a.end_time().as_secs());
+            if from >= to {
+                return Err(format!(
+                    "{} and {} do not overlap in time (need a shared span of positive length)",
+                    original.display(),
+                    approx.display()
+                ));
+            }
             let alpha = traj_compress::error::average_synchronous_error(&p, &a);
             let max = traj_compress::error::max_synchronous_error(&p, &a);
             let (mean_sed, max_sed) = traj_compress::error::sed_at_samples(&p, &a);

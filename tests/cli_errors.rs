@@ -97,3 +97,24 @@ fn unknown_algorithm_is_a_clean_error_not_a_panic() {
     assert!(stderr.contains("warp-drive"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
+
+#[test]
+fn evaluate_rejects_inputs_without_a_shared_time_span() {
+    let single = tmp_file("single_fix.csv", "t,x,y\n0,0,0\n");
+    let early = tmp_file("early.csv", "t,x,y\n0,0,0\n1,1,1\n");
+    let late = tmp_file("late.csv", "t,x,y\n100,0,0\n200,5,5\n");
+    for (original, approx) in [(&single, &single), (&early, &late)] {
+        let out = trajc(&[
+            "evaluate",
+            original.to_str().expect("utf-8 temp path"),
+            approx.to_str().expect("utf-8 temp path"),
+        ]);
+        assert!(!out.status.success(), "disjoint spans must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+        for path in [original, approx] {
+            let name = path.file_name().expect("file name").to_string_lossy();
+            assert!(stderr.contains(name.as_ref()), "stderr must name {name}: {stderr}");
+        }
+    }
+}
