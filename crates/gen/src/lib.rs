@@ -23,7 +23,8 @@
 //! 6. [`simple`] — closed-form synthetic trajectories (straight runs,
 //!    circles, random walks, stop-and-go) for unit tests and benches;
 //! 7. [`fleet`] — O(1) closed-form fleet synthesis for ingest load
-//!    generation at 100k–1M movers (`trajc serve --load-gen`).
+//!    generation at 100k–1M movers (the repository benchmark's
+//!    `fleet_ingest` workload and the serve tests).
 
 pub mod dataset;
 pub mod fleet;

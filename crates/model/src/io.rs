@@ -3,12 +3,15 @@
 //! One fix per line as `t,x,y` (seconds, metres, metres), `#`-prefixed
 //! comment lines and blank lines ignored. An optional `t,x,y` header is
 //! tolerated. This mirrors the paper's view of the data stream as a
-//! sequence of `⟨t, x, y⟩` records.
+//! sequence of `⟨t, x, y⟩` records. A fleet's interleaved report stream
+//! adds the mover id in front, `id,t,x,y`, one record per line
+//! ([`parse_record`]); every format here shares one line splitter.
 
 use std::fs;
 use std::path::Path;
 
 use crate::error::ModelError;
+use crate::fix::Fix;
 use crate::trajectory::Trajectory;
 
 /// Serializes a trajectory to the `t,x,y` text format.
@@ -21,6 +24,50 @@ pub fn to_csv_string(traj: &Trajectory) -> String {
     out
 }
 
+fn parse_error(line: usize, reason: String) -> ModelError {
+    ModelError::Parse { line, reason }
+}
+
+/// Splits line `line` (1-based) into the comma-separated fields named by
+/// `header`, borrowing them from `raw`. A blank line, a `#` comment, or
+/// `header` itself (any case) on line 1 carries no record: `Ok(None)`.
+fn split_record<'a, const N: usize>(
+    raw: &'a str,
+    line: usize,
+    header: &str,
+) -> Result<Option<[&'a str; N]>, ModelError> {
+    let text = raw.trim();
+    if text.is_empty()
+        || text.starts_with('#')
+        || (line == 1 && text.eq_ignore_ascii_case(header))
+    {
+        return Ok(None);
+    }
+    let mut parts = text.split(',');
+    let mut fields = [""; N];
+    for (i, field) in fields.iter_mut().enumerate() {
+        *field = parts.next().ok_or_else(|| {
+            let name = header.split(',').nth(i).unwrap_or_default();
+            parse_error(line, format!("missing field `{name}`"))
+        })?;
+    }
+    if parts.next().is_some() {
+        return Err(parse_error(line, format!("too many fields (expected {header})")));
+    }
+    Ok(Some(fields))
+}
+
+/// Parses the field `name` of line `line`.
+fn parse_field<T>(text: &str, name: &str, line: usize) -> Result<T, ModelError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    text.trim()
+        .parse()
+        .map_err(|e| parse_error(line, format!("bad `{name}` value {text:?}: {e}")))
+}
+
 /// Parses a trajectory from the `t,x,y` text format.
 ///
 /// # Errors
@@ -30,36 +77,50 @@ pub fn to_csv_string(traj: &Trajectory) -> String {
 pub fn from_csv_str(s: &str) -> Result<Trajectory, ModelError> {
     let mut triples = Vec::new();
     for (idx, raw) in s.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+        let line = idx + 1;
+        if let Some([t, x, y]) = split_record(raw, line, "t,x,y")? {
+            triples.push((
+                parse_field(t, "t", line)?,
+                parse_field(x, "x", line)?,
+                parse_field(y, "y", line)?,
+            ));
         }
-        if idx == 0 && line.eq_ignore_ascii_case("t,x,y") {
-            continue;
-        }
-        let mut parts = line.split(',');
-        let mut field = |name: &str| -> Result<f64, ModelError> {
-            let text = parts.next().ok_or_else(|| ModelError::Parse {
-                line: idx + 1,
-                reason: format!("missing field `{name}`"),
-            })?;
-            text.trim().parse::<f64>().map_err(|e| ModelError::Parse {
-                line: idx + 1,
-                reason: format!("bad `{name}` value {text:?}: {e}"),
-            })
-        };
-        let t = field("t")?;
-        let x = field("x")?;
-        let y = field("y")?;
-        if parts.next().is_some() {
-            return Err(ModelError::Parse {
-                line: idx + 1,
-                reason: "too many fields (expected t,x,y)".into(),
-            });
-        }
-        triples.push((t, x, y));
     }
     Trajectory::from_triples(triples)
+}
+
+/// Parses line `line` (1-based) of an `id,t,x,y` report stream into the
+/// mover id and its fix. A blank line, a `#` comment, or an `id,t,x,y`
+/// header on line 1 carries no record: `Ok(None)`. The fix is not
+/// validated — a non-finite or out-of-order fix is for the consumer to
+/// reject.
+///
+/// ```
+/// use traj_model::{io::parse_record, Fix};
+///
+/// assert_eq!(parse_record("id,t,x,y", 1).unwrap(), None);
+/// assert_eq!(
+///     parse_record("7, 10, 1.5, -2", 2).unwrap(),
+///     Some((7, Fix::from_parts(10.0, 1.5, -2.0)))
+/// );
+/// assert!(parse_record("7,10,1.5", 3).is_err());
+/// ```
+///
+/// # Errors
+/// [`ModelError::Parse`] naming `line` when the line does not hold
+/// exactly four fields, or a field does not parse (the id as a `u64`,
+/// the rest as `f64`).
+pub fn parse_record(raw: &str, line: usize) -> Result<Option<(u64, Fix)>, ModelError> {
+    let Some([id, t, x, y]) = split_record(raw, line, "id,t,x,y")? else {
+        return Ok(None);
+    };
+    let id = parse_field(id, "id", line)?;
+    let fix = Fix::from_parts(
+        parse_field(t, "t", line)?,
+        parse_field(x, "x", line)?,
+        parse_field(y, "y", line)?,
+    );
+    Ok(Some((id, fix)))
 }
 
 /// Parses a `t,lat,lon` file (seconds, WGS-84 degrees) into a planar
@@ -76,52 +137,26 @@ pub fn from_csv_str(s: &str) -> Result<Trajectory, ModelError> {
 pub fn from_geo_csv_str(
     s: &str,
 ) -> Result<(Trajectory, traj_geom::LocalProjection), ModelError> {
-    let mut records: Vec<(usize, f64, traj_geom::GeoPoint)> = Vec::new();
+    let mut records: Vec<(f64, traj_geom::GeoPoint)> = Vec::new();
     for (idx, raw) in s.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
+        let line = idx + 1;
+        let Some([t, lat, lon]) = split_record(raw, line, "t,lat,lon")? else {
             continue;
-        }
-        if idx == 0 && line.eq_ignore_ascii_case("t,lat,lon") {
-            continue;
-        }
-        let mut parts = line.split(',');
-        let mut field = |name: &str| -> Result<f64, ModelError> {
-            let text = parts.next().ok_or_else(|| ModelError::Parse {
-                line: idx + 1,
-                reason: format!("missing field `{name}`"),
-            })?;
-            text.trim().parse::<f64>().map_err(|e| ModelError::Parse {
-                line: idx + 1,
-                reason: format!("bad `{name}` value {text:?}: {e}"),
-            })
         };
-        let t = field("t")?;
-        let lat = field("lat")?;
-        let lon = field("lon")?;
-        if parts.next().is_some() {
-            return Err(ModelError::Parse {
-                line: idx + 1,
-                reason: "too many fields (expected t,lat,lon)".into(),
-            });
-        }
+        let t = parse_field(t, "t", line)?;
+        let lat: f64 = parse_field(lat, "lat", line)?;
+        let lon: f64 = parse_field(lon, "lon", line)?;
         if !(-90.0..=90.0).contains(&lat) {
-            return Err(ModelError::Parse {
-                line: idx + 1,
-                reason: format!("latitude {lat} outside [-90, 90]"),
-            });
+            return Err(parse_error(line, format!("latitude {lat} outside [-90, 90]")));
         }
         if !(-180.0..=180.0).contains(&lon) {
-            return Err(ModelError::Parse {
-                line: idx + 1,
-                reason: format!("longitude {lon} outside [-180, 180]"),
-            });
+            return Err(parse_error(line, format!("longitude {lon} outside [-180, 180]")));
         }
-        records.push((idx + 1, t, traj_geom::GeoPoint::new(lat, lon)));
+        records.push((t, traj_geom::GeoPoint::new(lat, lon)));
     }
     let first = records.first().ok_or(ModelError::TooShort { required: 1, actual: 0 })?;
-    let proj = traj_geom::LocalProjection::new(first.2);
-    let triples = records.iter().map(|&(_, t, g)| {
+    let proj = traj_geom::LocalProjection::new(first.1);
+    let triples = records.iter().map(|&(t, g)| {
         let p = proj.to_plane(g);
         (t, p.x, p.y)
     });
@@ -231,6 +266,35 @@ mod tests {
             from_geo_csv_str("0,52.0,6.0,9\n"),
             Err(ModelError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn records_parse_with_the_shared_rules() {
+        assert_eq!(parse_record("id,t,x,y", 1).unwrap(), None, "header");
+        assert_eq!(parse_record("  ", 2).unwrap(), None, "blank");
+        assert_eq!(parse_record("# note", 3).unwrap(), None, "comment");
+        assert_eq!(
+            parse_record(" 42 ,1.5, 2 ,-3 ", 4).unwrap(),
+            Some((42, Fix::from_parts(1.5, 2.0, -3.0)))
+        );
+        // The header is only a header on line 1, as in `from_csv_str`.
+        assert!(matches!(parse_record("id,t,x,y", 2), Err(ModelError::Parse { line: 2, .. })));
+        // NaN parses: rejecting a non-finite fix is the consumer's job.
+        let (_, nan) = parse_record("1,nan,0,0", 5).unwrap().unwrap();
+        assert!(!nan.is_finite());
+        for (bad, needle) in [
+            ("1,2,3", "missing field `y`"),
+            ("1,2,3,4,5", "too many fields (expected id,t,x,y)"),
+            ("-1,2,3,4", "bad `id` value"),
+            ("7,2,oops,4", "bad `x` value \"oops\""),
+        ] {
+            match parse_record(bad, 9) {
+                Err(ModelError::Parse { line: 9, reason }) => {
+                    assert!(reason.contains(needle), "{bad}: {reason}");
+                }
+                other => panic!("{bad}: {other:?}"),
+            }
+        }
     }
 
     #[test]

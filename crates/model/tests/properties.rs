@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use traj_model::interp::position_at;
 use traj_model::ops::{resample, shift_time, slice_time, translate};
 use traj_model::stats::TrajectoryStats;
-use traj_model::{io, TimeDelta, Timestamp, Trajectory};
+use traj_model::{io, ModelError, TimeDelta, Timestamp, Trajectory};
 
 /// Strategy: a valid trajectory of 2..=60 fixes with strictly increasing
 /// times and bounded coordinates.
@@ -131,6 +131,46 @@ proptest! {
             // Anything accepted must be a valid trajectory.
             prop_assert!(!t.is_empty());
             prop_assert!(t.fixes().windows(2).all(|w| w[0].t < w[1].t));
+        }
+    }
+
+    /// Byte soup: arbitrary bytes, split into lines and decoded lossily,
+    /// through both the `id,t,x,y` record reader and the `t,x,y` file
+    /// parser. Each answers `Ok` or a parse error naming the right line,
+    /// never a panic. Half the bytes come from the formats' own alphabet
+    /// so most lines get past the first field.
+    #[test]
+    fn record_reader_survives_byte_soup(
+        codes in proptest::collection::vec(0u16..512, 0..400)
+    ) {
+        const ALPHABET: &[u8] = b"0123456789,,,,.-+eEnaNif#\n\n \t\r";
+        let bytes: Vec<u8> = codes
+            .iter()
+            .map(|&c| match u8::try_from(c) {
+                Ok(b) => b,
+                Err(_) => ALPHABET[usize::from(c) % ALPHABET.len()],
+            })
+            .collect();
+        let text = String::from_utf8_lossy(&bytes);
+        let lines = text.lines().count();
+        for (idx, raw) in text.lines().enumerate() {
+            match io::parse_record(raw, idx + 1) {
+                Ok(_) => {}
+                Err(ModelError::Parse { line, .. }) => prop_assert_eq!(line, idx + 1),
+                Err(e) => prop_assert!(false, "line {}: not a parse error: {e}", idx + 1),
+            }
+        }
+        match io::from_csv_str(&text) {
+            Err(ModelError::Parse { line, .. }) => {
+                prop_assert!((1..=lines).contains(&line), "line {line} of {lines}");
+                // It is the first bad line: every line before it parses.
+                let before: Vec<&str> = text.lines().take(line - 1).collect();
+                let prefix = io::from_csv_str(&before.join("\n"));
+                let prefix_ok = !matches!(prefix, Err(ModelError::Parse { .. }));
+                prop_assert!(prefix_ok, "a line before {line} fails: {prefix:?}");
+            }
+            Ok(t) => prop_assert!(t.fixes().windows(2).all(|w| w[0].t < w[1].t)),
+            Err(_) => {}
         }
     }
 

@@ -16,16 +16,16 @@
 //! * [`worker`] — one thread per shard owning a
 //!   [`traj_store::GroupCommitStore`]: drain a batch, compress, buffer,
 //!   **one fsync**, then acknowledge everything it covered
-//!   (ack-after-fsync, pinned by the store's crash sweeps);
+//!   (ack-after-fsync, pinned by the store's crash sweeps and by a
+//!   seeded fault simulation of the shard's batch step);
 //! * [`service`] — lifecycle: start/recover shards laid out as standard
 //!   durable-store directories (`dir/shard-K/`, readable by
 //!   `trajc store recover`), route submissions, clean shutdown that
-//!   flushes every session and commits every WAL;
-//! * [`loadgen`] — an open-loop fleet replay for throughput and tail
-//!   latency measurement (`trajc serve --load-gen`, results in
-//!   `BENCH_PR10.json`);
-//! * [`report`] — the `--report-json` format, with ack latencies in a
-//!   [`traj_obs::LogHistogram`].
+//!   flushes every session and commits every WAL.
+//!
+//! `trajc serve <dir>` feeds the service `id,t,x,y` records from
+//! stdin; the repository benchmark (`perfbench`, workload
+//! `fleet_ingest`) drives it with an open-loop synthetic fleet.
 //!
 //! The throughput story is the group commit: per-append fsync caps a
 //! shard at the disk's sync rate, while batching N appends behind one
@@ -33,18 +33,14 @@
 //! durability classification (nothing is acknowledged before it is on
 //! disk). `DESIGN.md` §2h walks through the architecture.
 
-pub mod loadgen;
 pub mod queue;
-pub mod report;
 pub mod service;
 pub mod session;
 pub mod shard;
 pub mod worker;
 
-pub use loadgen::{LoadGenConfig, LoadGenOutcome};
 pub use queue::SubmitError;
-pub use report::{ReportConfig, ServeReport};
-pub use service::{ServeConfig, Service, ShutdownStats, SyncMode};
+pub use service::{ServeConfig, Service, ShutdownStats};
 pub use session::CodecSpec;
 pub use shard::shard_of;
 pub use worker::ShardStats;

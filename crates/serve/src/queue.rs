@@ -1,7 +1,7 @@
 //! The bounded per-shard ingest queue.
 //!
-//! One queue sits between the submitters (any number of reporter /
-//! load-generator threads) and a shard's single worker thread. It is
+//! One queue sits between the submitters (any number of reporter
+//! threads) and a shard's single worker thread. It is
 //! deliberately *bounded* and *non-blocking on the submit side*: when a
 //! shard falls behind, [`Sender::try_send`] fails fast with a typed
 //! backpressure error instead of stalling the reporter or buffering
@@ -11,7 +11,9 @@
 //! The receive side batches: [`Receiver::recv_batch`] blocks for the
 //! first item, then gathers more until the batch bound or the group
 //! commit delay bound is hit — the queue shapes traffic into exactly
-//! the batches one fsync will cover.
+//! the batches one fsync will cover. Dropping the [`Receiver`] — a
+//! worker stopping, for whatever reason — closes the queue, so
+//! submitters learn of it as [`SubmitError::Closed`].
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -45,7 +47,8 @@ pub enum SubmitError {
         /// Its configured capacity.
         capacity: usize,
     },
-    /// The service is shutting down; no further fix will be accepted.
+    /// The service is shutting down, or the shard stopped on a storage
+    /// failure; no further fix will be accepted.
     Closed,
 }
 
@@ -88,17 +91,19 @@ pub struct Sender {
     shared: Arc<Shared>,
 }
 
-/// The worker half; exactly one per shard.
+/// The worker half; exactly one per shard. Dropping it closes the
+/// queue.
 pub struct Receiver {
     shared: Arc<Shared>,
 }
 
 /// Creates a bounded queue for `shard` holding at most `capacity`
-/// in-flight fixes (clamped to at least 1).
+/// in-flight fixes (clamped to at least 1). The buffer grows by use, so
+/// a huge bound costs nothing until the fixes are really there.
 pub fn bounded(shard: usize, capacity: usize) -> (Sender, Receiver) {
     let capacity = capacity.max(1);
     let shared = Arc::new(Shared {
-        state: Mutex::new(State { items: VecDeque::with_capacity(capacity), closed: false }),
+        state: Mutex::new(State { items: VecDeque::new(), closed: false }),
         available: Condvar::new(),
         capacity,
         shard,
@@ -199,6 +204,12 @@ impl Receiver {
     }
 }
 
+impl Drop for Receiver {
+    fn drop(&mut self) {
+        lock(&self.shared).closed = true;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,6 +242,14 @@ mod tests {
         batch.clear();
         assert!(!rx.recv_batch(&mut batch, 16, Duration::from_millis(1)));
         assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn dropping_the_receiver_closes_the_queue() {
+        let (tx, rx) = bounded(0, 1);
+        tx.try_send(item(1, 0.0)).unwrap();
+        drop(rx);
+        assert_eq!(tx.try_send(item(1, 1.0)), Err(SubmitError::Closed), "not backpressure");
     }
 
     #[test]

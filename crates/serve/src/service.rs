@@ -6,9 +6,11 @@
 //! works on any shard in isolation — and spawns one worker thread per
 //! shard. [`Service::submit`] routes by [`crate::shard::shard_of`] and
 //! never blocks: a full shard queue is a typed
-//! [`SubmitError::Backpressure`]. [`Service::shutdown`] closes the
-//! queues, lets every worker drain, flush its sessions and commit, then
-//! merges the per-shard statistics.
+//! [`SubmitError::Backpressure`]. A shard stopped by a storage failure
+//! closes its queue, so submits to it fail with [`SubmitError::Closed`]
+//! instead of backing up. [`Service::shutdown`] closes the queues, lets
+//! every worker drain, flush its sessions and commit, then merges the
+//! per-shard statistics.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -23,47 +25,7 @@ use traj_store::{DurableOptions, GroupCommitOptions, GroupCommitStore, IngestMod
 use crate::queue::{self, Item, Sender, SubmitError};
 use crate::session::CodecSpec;
 use crate::shard::shard_of;
-use crate::worker::{self, ShardStats, WorkerConfig};
-
-/// When a fix becomes durable relative to its acknowledgement.
-///
-/// Both modes acknowledge only after an fsync covering the fix — the
-/// same durability classification; they differ in how many fixes share
-/// each fsync (see [`traj_store::SyncPolicy`] for the tradeoff).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncMode {
-    /// One fsync per batch ([`GroupCommitOptions`] bounds); the
-    /// throughput configuration.
-    GroupCommit,
-    /// One fsync per fix; the paper-simple baseline `BENCH_PR10.json`
-    /// measures group commit against.
-    EveryAppend,
-}
-
-impl SyncMode {
-    /// Parses the CLI `--sync` value.
-    ///
-    /// # Errors
-    /// Unknown names.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "group-commit" => Ok(SyncMode::GroupCommit),
-            "every-append" => Ok(SyncMode::EveryAppend),
-            other => Err(format!(
-                "serve: --sync must be group-commit or every-append, got {other:?}"
-            )),
-        }
-    }
-
-    /// The canonical CLI name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            SyncMode::GroupCommit => "group-commit",
-            SyncMode::EveryAppend => "every-append",
-        }
-    }
-}
+use crate::worker::{self, ShardCore, ShardStats};
 
 /// Service configuration; see field docs for defaults.
 #[derive(Debug, Clone)]
@@ -74,10 +36,9 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Per-mover session codec; default `op-cone` at 30 m.
     pub codec: CodecSpec,
-    /// Durability mode; default [`SyncMode::GroupCommit`].
-    pub sync: SyncMode,
-    /// Group commit bounds (batch size doubles as the queue drain
-    /// batch bound).
+    /// Group commit bounds: a shard drains at most `max_batch` fixes
+    /// per fsync, waiting at most `max_delay` to fill a batch.
+    /// `max_batch: 1` is one fsync per fix, the per-append baseline.
     pub group: GroupCommitOptions,
     /// WAL/snapshot options for each shard store.
     pub durable: DurableOptions,
@@ -89,7 +50,6 @@ impl Default for ServeConfig {
             shards: 2,
             queue_cap: 4096,
             codec: CodecSpec::default_with(30.0),
-            sync: SyncMode::GroupCommit,
             group: GroupCommitOptions::default(),
             durable: DurableOptions::default(),
         }
@@ -175,17 +135,11 @@ impl Service {
         let mut workers = Vec::with_capacity(shards);
         for (k, store) in stores.into_iter().enumerate() {
             let (tx, rx) = queue::bounded(k, cfg.queue_cap);
-            let worker_cfg = WorkerConfig {
-                shard: k,
-                store,
-                codec: cfg.codec,
-                sync: cfg.sync,
-                max_batch: cfg.group.max_batch,
-                max_delay: cfg.group.max_delay,
-            };
+            // The core is built on its thread: session codecs are not
+            // `Send`.
             let handle = std::thread::Builder::new()
                 .name(format!("serve-shard-{k}"))
-                .spawn(move || worker::run(worker_cfg, &rx))
+                .spawn(move || worker::run(ShardCore::new(k, store, cfg.codec), &rx, cfg.group))
                 .map_err(|e| {
                     // Unwind the shards that did start; their workers
                     // exit once their queues close.
@@ -222,12 +176,13 @@ impl Service {
     ///
     /// # Errors
     /// [`SubmitError::Backpressure`] when the owning shard's queue is
-    /// full; [`SubmitError::Closed`] during shutdown.
+    /// full; [`SubmitError::Closed`] during shutdown, or once the owning
+    /// shard has stopped on a storage failure.
     pub fn submit(&self, mover: u64, fix: Fix) -> Result<(), SubmitError> {
         self.submit_at(mover, fix, Instant::now())
     }
 
-    /// [`Service::submit`] with an explicit submit stamp — the open-loop
+    /// [`Service::submit`] with an explicit submit stamp — an open-loop
     /// load generator passes the *scheduled* arrival time so queueing
     /// delay under overload is charged to the latency numbers instead
     /// of silently omitted.

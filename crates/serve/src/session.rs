@@ -19,7 +19,7 @@
 //! bound covers them. `raw` sessions keep the exact per-fix durability
 //! of the store layer. A clean shutdown finishes every session, so
 //! nothing is lost in the graceful case either way. Making an ack mean
-//! "within ε of the recovered trajectory" is ROADMAP item 2.
+//! "within ε of the recovered trajectory" is ROADMAP item 1.
 
 use traj_compress::streaming::{OnePassStream, OwStream, PassThrough, StreamingCompressor};
 
@@ -89,18 +89,6 @@ impl CodecSpec {
         }
     }
 
-    /// The canonical CLI name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            CodecSpec::Raw => "raw",
-            CodecSpec::OpCone { .. } => "op-cone",
-            CodecSpec::OpFit { .. } => "op-fit",
-            CodecSpec::OpwTr { .. } => "opw-tr",
-            CodecSpec::OpwSp { .. } => "opw-sp",
-        }
-    }
-
     /// Builds a fresh session codec for one mover.
     #[must_use]
     pub fn build(&self) -> Box<dyn StreamingCompressor> {
@@ -129,14 +117,18 @@ mod tests {
 
     #[test]
     fn parse_covers_the_streaming_family_and_rejects_batch_algos() {
-        for name in ["raw", "op-cone", "op-fit", "opw-tr"] {
-            let spec = CodecSpec::parse(name, 30.0, None).unwrap();
-            assert_eq!(spec.name(), name);
+        for (name, spec) in [
+            ("raw", CodecSpec::Raw),
+            ("op-cone", CodecSpec::OpCone { eps: 30.0 }),
+            ("op-fit", CodecSpec::OpFit { eps: 30.0 }),
+            ("opw-tr", CodecSpec::OpwTr { eps: 30.0 }),
+        ] {
+            assert_eq!(CodecSpec::parse(name, 30.0, None).unwrap(), spec);
         }
         assert!(CodecSpec::parse("opw-sp", 30.0, None).is_err(), "needs speed");
         assert_eq!(
-            CodecSpec::parse("opw-sp", 30.0, Some(5.0)).unwrap().name(),
-            "opw-sp"
+            CodecSpec::parse("opw-sp", 30.0, Some(5.0)).unwrap(),
+            CodecSpec::OpwSp { eps: 30.0, speed_eps: 5.0 }
         );
         // Batch algorithms are real elsewhere but invalid as sessions.
         assert!(CodecSpec::parse("td-tr", 30.0, None).is_err());
@@ -172,15 +164,10 @@ mod tests {
                 out.extend(codec.push(fix(i as f64 * 10.0, i as f64 * 100.0)).unwrap());
             }
             out.extend(codec.finish());
-            assert!(
-                out.len() < 10,
-                "{}: straight line kept {} of 100 points",
-                spec.name(),
-                out.len()
-            );
-            assert!(out.len() >= 2, "{}: endpoints must survive", spec.name());
+            assert!(out.len() < 10, "{spec:?}: straight line kept {} of 100 points", out.len());
+            assert!(out.len() >= 2, "{spec:?}: endpoints must survive");
             for w in out.windows(2) {
-                assert!(w[1].t > w[0].t, "{}: emitted times not monotone", spec.name());
+                assert!(w[1].t > w[0].t, "{spec:?}: emitted times not monotone");
             }
         }
     }

@@ -5,8 +5,8 @@
 //! per-object WAL replay order (and the per-session compressor state)
 //! stays linear. [`traj_gen::fleet::splitmix64`] supplies the mixing —
 //! consecutive mover ids would otherwise all fall into shard
-//! `id % shards` in lock-step and load-gen fleets (ids `0..movers`)
-//! would hammer shards unevenly under any stride pattern.
+//! `id % shards` in lock-step and fleets numbered `0..movers` would
+//! hammer shards unevenly under any stride pattern.
 
 use traj_gen::fleet::splitmix64;
 
@@ -33,7 +33,7 @@ mod tests {
 
     #[test]
     fn sequential_ids_spread_over_shards() {
-        // The load generator numbers movers 0..N; routing must not send
+        // Fleets number their movers 0..N; routing must not send
         // arithmetic progressions to one shard.
         let shards = 4;
         let mut counts = vec![0u64; shards];

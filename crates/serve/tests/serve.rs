@@ -1,14 +1,14 @@
 //! End-to-end service tests over the in-memory storage backend: full
-//! ingest→shutdown runs, multi-shard recovery reassembly, and the
-//! backpressure contract under a stalled worker.
+//! ingest→shutdown runs, multi-shard recovery reassembly, the
+//! backpressure contract under a stalled worker, and a shard stopped
+//! by a storage failure.
 
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use traj_gen::fleet::{Fleet, FleetConfig};
-use traj_serve::{
-    loadgen, shard_of, CodecSpec, LoadGenConfig, ServeConfig, Service, SubmitError, SyncMode,
-};
+use traj_serve::{shard_of, CodecSpec, ServeConfig, Service, SubmitError};
 use traj_store::storage::MemStorage;
 use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, IngestMode};
 
@@ -124,11 +124,15 @@ fn compressed_sessions_shrink_the_wal_and_flush_on_shutdown() {
     }
 }
 
-/// The every-append baseline acks everything too — one fsync per fix.
+/// `max_batch: 1` is the per-fix baseline: it acks everything too,
+/// with one fsync per fix.
 #[test]
-fn every_append_mode_acks_with_per_fix_commits() {
+fn max_batch_one_acks_with_per_fix_commits() {
     let disk = Arc::new(MemStorage::new());
-    let cfg = ServeConfig { sync: SyncMode::EveryAppend, ..raw_config(1) };
+    let cfg = ServeConfig {
+        group: GroupCommitOptions { max_batch: 1, ..GroupCommitOptions::default() },
+        ..raw_config(1)
+    };
     let service = Service::start_with(disk, Path::new(DIR), cfg).unwrap();
     for k in 0..10u64 {
         service.submit(7, fix_at(k)).unwrap();
@@ -137,6 +141,49 @@ fn every_append_mode_acks_with_per_fix_commits() {
     assert!(stats.errors.is_empty());
     assert_eq!(stats.acked, 10);
     assert_eq!(stats.commits, 10, "one fsync batch per fix");
+}
+
+/// The queue and batch bounds are limits, not allocations: at
+/// `usize::MAX` the service still starts and acks.
+#[test]
+fn huge_bounds_allocate_by_use() {
+    let disk = Arc::new(MemStorage::new());
+    let cfg = ServeConfig {
+        queue_cap: usize::MAX,
+        group: GroupCommitOptions { max_batch: usize::MAX, ..GroupCommitOptions::default() },
+        ..raw_config(1)
+    };
+    let service = Service::start_with(disk, Path::new(DIR), cfg).unwrap();
+    for k in 0..100u64 {
+        service.submit(7, fix_at(k)).unwrap();
+    }
+    let stats = service.shutdown().unwrap();
+    assert!(stats.errors.is_empty(), "{:?}", stats.errors);
+    assert_eq!(stats.acked, 100);
+}
+
+/// A shard stopped by a storage failure closes its queue: a submitter
+/// that waits out backpressure learns of the failure as `Closed`
+/// instead of spinning, and shutdown reports the one error.
+#[test]
+fn failed_shard_closes_its_queue() {
+    let disk = Arc::new(MemStorage::new());
+    let cfg = ServeConfig { queue_cap: 16, ..raw_config(1) };
+    let service = Service::start_with(disk.clone(), Path::new(DIR), cfg).unwrap();
+    disk.arm_write_budget(200);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut k = 0u64;
+    loop {
+        match service.submit(7, fix_at(k)) {
+            Ok(()) => k += 1,
+            Err(SubmitError::Backpressure { .. }) => std::thread::yield_now(),
+            Err(SubmitError::Closed) => break,
+        }
+        assert!(Instant::now() < deadline, "no Closed after {k} accepted fixes");
+    }
+    let stats = service.shutdown().unwrap();
+    assert_eq!(stats.errors.len(), 1, "{:?}", stats.errors);
+    assert!(stats.acked < k, "the failed batch acked nothing");
 }
 
 fn fix_at(k: u64) -> traj_model::Fix {
@@ -160,7 +207,7 @@ fn overload_surfaces_typed_backpressure() {
         // submitter floods the queue.
         group: GroupCommitOptions {
             max_batch: 1_000_000,
-            max_delay: std::time::Duration::from_secs(5),
+            max_delay: Duration::from_secs(5),
         },
         ..ServeConfig::default()
     };
@@ -185,46 +232,40 @@ fn overload_surfaces_typed_backpressure() {
     assert!(stats.acked >= 8, "buffered fixes drain on shutdown: {}", stats.acked);
 }
 
-/// The load generator round-trips through a real service and its
-/// counters reconcile with the service's.
+/// Two concurrent submitters that shed on backpressure: every offered
+/// fix is acked or rejected, and every ack has its latency recorded.
 #[test]
-fn load_gen_reconciles_with_service_stats() {
+fn concurrent_submitters_reconcile_with_service_stats() {
     let disk = Arc::new(MemStorage::new());
     let service = Service::start_with(disk, Path::new(DIR), raw_config(2)).unwrap();
-    let outcome = loadgen::run(
-        &service,
-        &LoadGenConfig {
-            movers: 50,
-            fixes_per_mover: 20,
-            threads: 2,
-            ..LoadGenConfig::default()
-        },
-    );
+    let fleet = Fleet::new(FleetConfig { movers: 50, ..FleetConfig::default() });
+    let fixes_per_mover = 20u64;
+    let rejected: u64 = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..2u64)
+            .map(|thread| {
+                let (service, fleet) = (&service, &fleet);
+                scope.spawn(move || {
+                    let mut rejected = 0u64;
+                    for k in 0..fixes_per_mover {
+                        for mover in (thread..fleet.movers()).step_by(2) {
+                            match service.submit(mover, fleet.fix_for(mover, k)) {
+                                Ok(()) => {}
+                                Err(SubmitError::Backpressure { .. }) => rejected += 1,
+                                Err(e) => panic!("unexpected submit error: {e}"),
+                            }
+                        }
+                    }
+                    rejected
+                })
+            })
+            .collect();
+        submitters.into_iter().map(|h| h.join().unwrap()).sum()
+    });
     let stats = service.shutdown().unwrap();
     assert!(stats.errors.is_empty(), "{:?}", stats.errors);
-    assert_eq!(outcome.submitted + outcome.rejected, 50 * 20);
-    assert_eq!(stats.acked, outcome.submitted, "every accepted fix acks");
+    assert_eq!(stats.acked + rejected, 50 * fixes_per_mover, "acked + rejected = offered");
     assert_eq!(stats.invalid, 0, "fleet fixes are always valid");
-}
-
-/// A paced run (rate-limited open loop) also completes and acks.
-#[test]
-fn paced_load_gen_completes() {
-    let disk = Arc::new(MemStorage::new());
-    let service = Service::start_with(disk, Path::new(DIR), raw_config(1)).unwrap();
-    let outcome = loadgen::run(
-        &service,
-        &LoadGenConfig {
-            movers: 10,
-            fixes_per_mover: 5,
-            rate: 5_000.0,
-            ..LoadGenConfig::default()
-        },
-    );
-    let stats = service.shutdown().unwrap();
-    assert_eq!(outcome.submitted, 50);
-    assert_eq!(outcome.rejected, 0, "5k fixes/s is loafing for a MemStorage shard");
-    assert_eq!(stats.acked, 50);
+    assert_eq!(stats.ack.count(), stats.acked);
     assert!(stats.ack.quantile(0.99) > 0, "latencies were recorded");
 }
 

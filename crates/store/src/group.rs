@@ -1,8 +1,8 @@
 //! Cross-session group commit: many appends, one fsync, then acks.
 //!
 //! The per-append `fsync` of [`SyncPolicy::EveryAppend`] is the
-//! dominant cost of durable ingest (`BENCH_PR10.json`: it caps a shard
-//! at the disk's sync rate). Group commit amortizes it without giving
+//! dominant cost of durable ingest: it caps a shard at the disk's sync
+//! rate (`EXPERIMENTS.md`, "Ingest throughput"). Group commit amortizes it without giving
 //! up the durability class: appends from any number of sessions are
 //! *buffered* — written to the WAL and applied to the in-memory store,
 //! but **not yet acknowledged** — and a single [`GroupCommitStore::commit`]

@@ -17,6 +17,9 @@
 //!   [`MemStorage::lift_faults`] simulates the restart;
 //! * renames are atomic and free (metadata, not data), matching POSIX
 //!   `rename(2)` semantics on a journaling filesystem;
+//! * [`MemStorage::arm_sync_failure`] makes the next
+//!   [`StorageWriter::sync`] fail and crashes the storage, as a spent
+//!   write budget does — the failed fsync a group commit must not ack;
 //! * [`MemStorage::corrupt_byte`] models at-rest bit rot;
 //! * every file tracks its *synced length* — the prefix an
 //!   [`StorageWriter::sync`] has made durable — and
@@ -209,6 +212,8 @@ struct MemFs {
     budget: Option<u64>,
     /// Set once the budget is exhausted: all further I/O fails.
     crashed: bool,
+    /// The next sync fails, crashing the storage.
+    sync_failure: bool,
     /// Cumulative bytes successfully written (for sizing crash sweeps).
     written: u64,
     /// Per-file durable prefix length: what an fsync has pinned. Files
@@ -272,12 +277,21 @@ impl MemStorage {
         fs.budget = Some(budget);
     }
 
-    /// Clears the crashed flag and the write budget — the simulated
-    /// machine restart. On-disk contents are untouched.
+    /// Arms a failed fsync: the next [`StorageWriter::sync`] fails
+    /// without making anything durable, and the storage is crashed from
+    /// then on, as when a write budget runs out.
+    pub fn arm_sync_failure(&self) {
+        lock_fs(&self.fs).sync_failure = true;
+    }
+
+    /// Clears the crashed flag, the write budget and an armed sync
+    /// failure — the simulated machine restart. On-disk contents are
+    /// untouched.
     pub fn lift_faults(&self) {
         let mut fs = lock_fs(&self.fs);
         fs.crashed = false;
         fs.budget = None;
+        fs.sync_failure = false;
     }
 
     /// Whether the injected crash has fired.
@@ -377,6 +391,9 @@ impl StorageWriter for MemWriter {
 
     fn sync(&mut self) -> io::Result<()> {
         let mut fs = lock_fs(&self.fs);
+        if std::mem::take(&mut fs.sync_failure) {
+            fs.crashed = true;
+        }
         fs.check_alive()?;
         // The fsync commit point: everything written so far becomes
         // durable — it survives a later `drop_unsynced`.
@@ -551,6 +568,28 @@ mod tests {
         // The durable prefix survives repeated drops.
         s.drop_unsynced();
         assert_eq!(s.file(Path::new("/d/a")).unwrap(), b"ab");
+    }
+
+    #[test]
+    fn armed_sync_failure_fails_one_sync_and_crashes() {
+        let s = MemStorage::new();
+        s.create_dir_all(Path::new("/d")).unwrap();
+        let mut w = s.create(Path::new("/d/f")).unwrap();
+        w.write_all(b"ab").unwrap();
+        w.sync().unwrap();
+        w.write_all(b"cd").unwrap();
+        s.arm_sync_failure();
+        assert!(w.sync().unwrap_err().to_string().contains("injected crash"));
+        assert!(s.crashed());
+        assert!(w.write_all(b"ef").is_err(), "down until the restart");
+        // The failed sync pinned nothing: power loss keeps only "ab".
+        s.lift_faults();
+        s.drop_unsynced();
+        assert_eq!(s.file(Path::new("/d/f")).unwrap(), b"ab");
+        // The restart disarms it; the next sync succeeds.
+        s.arm_sync_failure();
+        s.lift_faults();
+        w.sync().unwrap();
     }
 
     #[test]

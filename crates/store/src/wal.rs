@@ -49,7 +49,7 @@ pub const MAX_PAYLOAD_BYTES: u32 = 1024;
 ///   power loss, at one fsync per append. This is
 ///   [`WalOptions::default`], chosen so naive callers can never lose
 ///   an acknowledged fix; it is also the slowest choice by orders of
-///   magnitude (`BENCH_PR10.json`).
+///   magnitude (`EXPERIMENTS.md`, "Ingest throughput").
 /// * [`SyncPolicy::EveryN`] — amortizes the fsync over `n` appends
 ///   *of one caller*. Appends between syncs are acknowledged but
 ///   volatile: a process crash alone loses nothing (the OS still has

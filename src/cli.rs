@@ -8,14 +8,18 @@
 //! trajc evaluate <original.csv> <approx.csv>
 //! trajc generate [--seed 42] [--trip 0..9] -o <file.csv>
 //! trajc store recover <dir> [--snapshot]
+//! trajc serve <dir> [--shards N] [--algo A] [--eps E] ... < fleet.csv
 //! ```
 //!
-//! Files are the `t,x,y` format of [`traj_model::io`]. The command logic
+//! Files are the `t,x,y` format of [`traj_model::io`]; `serve` reads
+//! `id,t,x,y` records from stdin. The command logic
 //! lives here (unit-testable); `src/bin/trajc.rs` is the thin entry
 //! point.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::io::{BufRead, Read as _};
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use traj_compress::{
     evaluate_with, BottomUp, CompressionResultBuf, Compressor, DeadReckoning, DistanceThreshold,
@@ -24,9 +28,7 @@ use traj_compress::{
 };
 use traj_model::stats::TrajectoryStats;
 use traj_model::{io, Trajectory};
-use traj_serve::{
-    loadgen, CodecSpec, LoadGenConfig, ReportConfig, ServeConfig, ServeReport, Service, SyncMode,
-};
+use traj_serve::{CodecSpec, ServeConfig, Service, SubmitError};
 use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, IngestMode};
 
 /// Output format for the metrics sidecar written by
@@ -104,49 +106,30 @@ pub enum Command {
         /// After recovery, write a fresh snapshot and truncate the log.
         snapshot: bool,
     },
-    /// `serve <dir> --load-gen [...]` — run the sharded ingest service
-    /// against an open-loop synthetic fleet (see [`ServeArgs`]).
+    /// `serve <dir> [...]` — run the sharded ingest service over the
+    /// `id,t,x,y` records read from stdin (see [`ServeArgs`]).
     Serve(ServeArgs),
 }
 
 /// The `trajc serve` flag surface (wide enough to deserve its own
-/// struct): service shape, durability mode, session codec, load
-/// generator schedule and output sidecars.
+/// struct): service shape, session codec, group commit bounds and
+/// output sidecars.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeArgs {
     /// Service root; shard stores live in `dir/shard-K/`.
     pub dir: PathBuf,
     /// Store shards = worker threads (`--shards`, default 2).
     pub shards: usize,
-    /// Durability mode (`--sync`, default group-commit).
-    pub sync: SyncMode,
     /// Per-mover session codec (`--algo` + `--eps` [+ `--speed-eps`],
     /// default op-cone at 30 m).
     pub codec: CodecSpec,
-    /// The SED tolerance echoed into reports.
-    pub eps: f64,
-    /// Group commit batch bound (`--max-batch`, default 256).
+    /// Group commit batch bound (`--max-batch`, default 256; 1 is one
+    /// fsync per fix).
     pub max_batch: usize,
     /// Group commit delay bound in µs (`--max-delay-us`, default 500).
     pub max_delay_us: u64,
     /// Per-shard queue capacity (`--queue-cap`, default 4096).
     pub queue_cap: usize,
-    /// Drive the service from the synthetic fleet (`--load-gen`;
-    /// required — this build has no network listener).
-    pub load_gen: bool,
-    /// Fleet size (`--movers`, default 1000).
-    pub movers: u64,
-    /// Fixes per mover (`--fixes`, default 10).
-    pub fixes: u64,
-    /// Offered rate, fixes/s over the fleet; 0 = unthrottled
-    /// (`--rate`, default 0).
-    pub rate: f64,
-    /// Fleet seed (`--seed`, default 42).
-    pub seed: u64,
-    /// Load-gen submitter threads (`--threads`, default 1).
-    pub threads: usize,
-    /// Write the machine-readable run report (`--report-json`).
-    pub report_json: Option<PathBuf>,
     /// Write a metrics sidecar (`--metrics-out`).
     pub metrics_out: Option<PathBuf>,
     /// Sidecar format (`--metrics-format`), default JSON lines.
@@ -170,12 +153,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         \n  trajc generate [--seed N] [--trip 0..9] -o <file.csv>\
         \n  trajc obs merge <sidecar>... [-o merged.csv]\
         \n  trajc store recover <dir> [--snapshot]\
-        \n  trajc serve <dir> --load-gen [--shards N] [--sync group-commit|every-append]\
-        \n              [--algo raw|op-cone|op-fit|opw-tr|opw-sp] [--eps <m>] [--speed-eps <m/s>]\
-        \n              [--max-batch N] [--max-delay-us U] [--queue-cap N]\
-        \n              [--movers N] [--fixes N] [--rate F/S] [--seed N] [--threads N]\
-        \n              [--report-json FILE] [--metrics-out FILE] [--metrics-format json|csv]\
-        \n              [--trace-out FILE]\
+        \n  trajc serve <dir> [--shards N] [--algo raw|op-cone|op-fit|opw-tr|opw-sp] [--eps <m>]\
+        \n              [--speed-eps <m/s>] [--max-batch N] [--max-delay-us U] [--queue-cap N]\
+        \n              [--metrics-out FILE] [--metrics-format json|csv] [--trace-out FILE]\
+        \n              < records.csv  (one id,t,x,y record per line)\
         \n\nalgorithms: uniform dist ndp ndp-hull td-tr td-sp nopw bopw opw-tr opw-sp \
         dead-reckoning bottom-up sliding-window op-fit op-cone\
         \n(see ALGORITHMS.md for criteria, error bounds and complexity)\
@@ -328,20 +309,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "serve" => {
             let dir = PathBuf::from(it.next().ok_or("serve: missing <dir>")?);
             let mut shards = 2usize;
-            let mut sync = SyncMode::GroupCommit;
             let mut algo = "op-cone".to_string();
             let mut eps = 30.0f64;
             let mut speed_eps = None;
             let mut max_batch = 256usize;
             let mut max_delay_us = 500u64;
             let mut queue_cap = 4096usize;
-            let mut load_gen = false;
-            let mut movers = 1_000u64;
-            let mut fixes = 10u64;
-            let mut rate = 0.0f64;
-            let mut seed = 42u64;
-            let mut threads = 1usize;
-            let mut report_json = None;
             let mut metrics_out = None;
             let mut metrics_format = MetricsFormat::Json;
             let mut trace_out = None;
@@ -357,7 +330,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         shards = usize::try_from(parse_int(value("--shards")?, "--shards")?)
                             .map_err(|e| format!("serve: bad --shards: {e}"))?;
                     }
-                    "--sync" => sync = SyncMode::parse(value("--sync")?)?,
                     "--algo" => algo = value("--algo")?.clone(),
                     "--eps" => eps = parse_f64(value("--eps")?, "--eps")?,
                     "--speed-eps" => {
@@ -375,21 +347,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         queue_cap =
                             usize::try_from(parse_int(value("--queue-cap")?, "--queue-cap")?)
                                 .map_err(|e| format!("serve: bad --queue-cap: {e}"))?;
-                    }
-                    "--load-gen" => load_gen = true,
-                    "--movers" => movers = parse_int(value("--movers")?, "--movers")?,
-                    "--fixes" => fixes = parse_int(value("--fixes")?, "--fixes")?,
-                    "--rate" => rate = parse_f64(value("--rate")?, "--rate")?,
-                    "--seed" => seed = parse_int(value("--seed")?, "--seed")?,
-                    "--threads" => {
-                        threads = usize::try_from(parse_int(value("--threads")?, "--threads")?)
-                            .map_err(|e| format!("serve: bad --threads: {e}"))?;
-                        if threads == 0 {
-                            return Err("serve: --threads must be >= 1".into());
-                        }
-                    }
-                    "--report-json" => {
-                        report_json = Some(PathBuf::from(value("--report-json")?));
                     }
                     "--metrics-out" => {
                         metrics_out = Some(PathBuf::from(value("--metrics-out")?));
@@ -416,19 +373,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Serve(ServeArgs {
                 dir,
                 shards,
-                sync,
                 codec,
-                eps,
                 max_batch,
                 max_delay_us,
                 queue_cap,
-                load_gen,
-                movers,
-                fixes,
-                rate,
-                seed,
-                threads,
-                report_json,
                 metrics_out,
                 metrics_format,
                 trace_out,
@@ -686,30 +634,10 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 ));
             }
             if let Some(path) = metrics_out {
-                let snapshot = traj_obs::registry().snapshot();
-                let body = match metrics_format {
-                    MetricsFormat::Json => traj_obs::sink::to_json_lines(&snapshot),
-                    MetricsFormat::Csv => traj_obs::sink::to_csv(&snapshot),
-                };
-                std::fs::write(path, body).map_err(|e| format!("{}: {e}", path.display()))?;
-                let _ = writeln!(report, "metrics:          {}", path.display());
+                write_metrics(path, *metrics_format, &mut report)?;
             }
             if let Some(path) = trace_out {
-                trace_session.armed = false;
-                let trace = traj_obs::trace::stop();
-                let body = if path.extension().is_some_and(|e| e == "folded") {
-                    trace.to_folded()
-                } else {
-                    trace.to_chrome_json()
-                };
-                std::fs::write(path, body).map_err(|e| format!("{}: {e}", path.display()))?;
-                let _ = writeln!(
-                    report,
-                    "trace:            {} ({} events, {} dropped)",
-                    path.display(),
-                    trace.event_count(),
-                    trace.dropped_total()
-                );
+                write_trace(path, &mut trace_session, &mut report)?;
             }
         }
         Command::Evaluate { original, approx } => {
@@ -804,162 +732,177 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 let _ = writeln!(report, "snapshotted:      {files} files, log truncated");
             }
         }
-        Command::Serve(args) => {
-            if !args.load_gen {
-                return Err(
-                    "serve: this build ingests from --load-gen only (no network listener); \
-                     pass --load-gen"
-                        .into(),
-                );
-            }
-            let mut trace_session = TraceSessionGuard { armed: args.trace_out.is_some() };
-            if trace_session.armed {
-                traj_obs::trace::start();
-                traj_obs::trace::set_track_label("serve-main");
-            }
-            let cfg = ServeConfig {
-                shards: args.shards,
-                queue_cap: args.queue_cap,
-                codec: args.codec,
-                sync: args.sync,
-                group: GroupCommitOptions {
-                    max_batch: args.max_batch,
-                    max_delay: std::time::Duration::from_micros(args.max_delay_us),
-                },
-                durable: DurableOptions::default(),
-            };
-            std::fs::create_dir_all(&args.dir)
-                .map_err(|e| format!("{}: {e}", args.dir.display()))?;
-            let start = std::time::Instant::now();
-            let service = Service::start(&args.dir, cfg)?;
-            let outcome = loadgen::run(
-                &service,
-                &LoadGenConfig {
-                    movers: args.movers,
-                    fixes_per_mover: args.fixes,
-                    rate: args.rate,
-                    seed: args.seed,
-                    threads: args.threads,
-                    report_dt: 10.0,
-                },
-            );
-            let stats = service.shutdown()?;
-            let duration_s = start.elapsed().as_secs_f64();
-            if !stats.errors.is_empty() {
-                return Err(format!("serve: storage failure: {}", stats.errors.join("; ")));
-            }
-            let wal_bytes = shard_wal_bytes(&args.dir, args.shards);
-            let serve_report = ServeReport {
-                config: ReportConfig {
-                    shards: args.shards,
-                    sync: args.sync.name().into(),
-                    algo: args.codec.name().into(),
-                    eps: args.eps,
-                    max_batch: args.max_batch,
-                    max_delay_us: args.max_delay_us,
-                    queue_cap: args.queue_cap,
-                    movers: args.movers,
-                    fixes_per_mover: args.fixes,
-                    rate: args.rate,
-                    threads: args.threads,
-                },
-                duration_s,
-                submitted: outcome.submitted,
-                rejected: outcome.rejected,
-                invalid: stats.invalid,
-                acked: stats.acked,
-                emitted: stats.emitted,
-                commits: stats.commits,
-                wal_bytes: Some(wal_bytes),
-                ack: stats.ack,
-            };
-            let us = |ns: u64| ns as f64 / 1e3;
-            let _ = writeln!(report, "service:          {}", args.dir.display());
-            let _ = writeln!(
-                report,
-                "shards:           {} ({} sync, {} sessions)",
-                args.shards,
-                args.sync.name(),
-                stats.sessions
-            );
-            let _ = writeln!(
-                report,
-                "codec:            {} (eps {} m)",
-                args.codec.name(),
-                args.eps
-            );
-            let _ = writeln!(report, "duration:         {duration_s:.3} s");
-            let _ = writeln!(
-                report,
-                "submitted:        {} fixes ({} shed by backpressure, {} invalid)",
-                outcome.submitted, outcome.rejected, stats.invalid
-            );
-            let _ = writeln!(
-                report,
-                "acked:            {} fixes · {:.0} acks/s",
-                stats.acked,
-                serve_report.acks_per_sec()
-            );
-            let _ = writeln!(
-                report,
-                "durability:       {} commits · {:.1} fixes/fsync · {} WAL bytes",
-                stats.commits,
-                serve_report.mean_group_size(),
-                wal_bytes
-            );
-            let _ = writeln!(
-                report,
-                "wal reduction:    {} points logged of {} acked",
-                stats.emitted, stats.acked
-            );
-            let _ = writeln!(
-                report,
-                "ack latency:      p50 {:.1} µs · p90 {:.1} µs · p99 {:.1} µs · p999 {:.1} µs · max {:.1} µs",
-                us(serve_report.ack.quantile(0.50)),
-                us(serve_report.ack.quantile(0.90)),
-                us(serve_report.ack.quantile(0.99)),
-                us(serve_report.ack.quantile(0.999)),
-                us(serve_report.ack.quantile(1.0)),
-            );
-            if let Some(path) = &args.report_json {
-                std::fs::write(path, serve_report.to_json())
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                let _ = writeln!(report, "report:           {}", path.display());
-            }
-            if let Some(path) = &args.metrics_out {
-                let snapshot = traj_obs::registry().snapshot();
-                let body = match args.metrics_format {
-                    MetricsFormat::Json => traj_obs::sink::to_json_lines(&snapshot),
-                    MetricsFormat::Csv => traj_obs::sink::to_csv(&snapshot),
-                };
-                std::fs::write(path, body).map_err(|e| format!("{}: {e}", path.display()))?;
-                let _ = writeln!(report, "metrics:          {}", path.display());
-            }
-            if let Some(path) = &args.trace_out {
-                trace_session.armed = false;
-                let trace = traj_obs::trace::stop();
-                let body = if path.extension().is_some_and(|e| e == "folded") {
-                    trace.to_folded()
-                } else {
-                    trace.to_chrome_json()
-                };
-                std::fs::write(path, body).map_err(|e| format!("{}: {e}", path.display()))?;
-                let _ = writeln!(
-                    report,
-                    "trace:            {} ({} events, {} dropped)",
-                    path.display(),
-                    trace.event_count(),
-                    trace.dropped_total()
-                );
-            }
-        }
+        Command::Serve(args) => return serve(args, &mut std::io::stdin().lock()),
     }
     Ok(report)
 }
 
+/// The longest `serve` input line, newline excluded.
+const MAX_LINE: usize = 4096;
+
+/// Submits every `id,t,x,y` record of `input` to `service`, waiting out
+/// backpressure so no record is shed, and returns how many went in.
+/// Stops early, with every earlier record submitted, when the service
+/// closes (the shutdown statistics then carry the storage error).
+///
+/// # Errors
+/// A malformed record, a line over [`MAX_LINE`] bytes, invalid UTF-8 or
+/// a read failure, naming the line and the records submitted before it.
+fn feed(service: &Service, input: &mut dyn BufRead) -> Result<u64, String> {
+    let mut buf = Vec::new();
+    let mut records = 0u64;
+    for line in 1.. {
+        let stop = |reason: String| {
+            format!("serve: stdin line {line}: {reason}; {records} records before it went in")
+        };
+        buf.clear();
+        let n = (&mut *input)
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut buf)
+            .map_err(|e| stop(e.to_string()))?;
+        if n == 0 {
+            break;
+        }
+        if buf.len() > MAX_LINE && buf.last() != Some(&b'\n') {
+            return Err(stop(format!("line longer than {MAX_LINE} bytes")));
+        }
+        let text = std::str::from_utf8(&buf).map_err(|e| stop(format!("invalid UTF-8: {e}")))?;
+        let record = io::parse_record(text, line).map_err(|e| match e {
+            traj_model::ModelError::Parse { reason, .. } => stop(reason),
+            other => stop(other.to_string()),
+        })?;
+        let Some((mover, fix)) = record else { continue };
+        let at = Instant::now();
+        loop {
+            match service.submit_at(mover, fix, at) {
+                Ok(()) => break,
+                Err(SubmitError::Backpressure { .. }) => {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                Err(SubmitError::Closed) => return Ok(records),
+            }
+        }
+        records += 1;
+    }
+    Ok(records)
+}
+
+/// `trajc serve`: runs the service over the records of `input`, then
+/// shuts it down cleanly — also after a bad input line, so every record
+/// before it stays durable — and reports.
+fn serve(args: &ServeArgs, input: &mut dyn BufRead) -> Result<String, String> {
+    let mut trace_session = TraceSessionGuard { armed: args.trace_out.is_some() };
+    if trace_session.armed {
+        traj_obs::trace::start();
+        traj_obs::trace::set_track_label("serve-main");
+    }
+    let cfg = ServeConfig {
+        shards: args.shards,
+        queue_cap: args.queue_cap,
+        codec: args.codec,
+        group: GroupCommitOptions {
+            max_batch: args.max_batch,
+            max_delay: Duration::from_micros(args.max_delay_us),
+        },
+        durable: DurableOptions::default(),
+    };
+    std::fs::create_dir_all(&args.dir).map_err(|e| format!("{}: {e}", args.dir.display()))?;
+    let start = Instant::now();
+    let service = Service::start(&args.dir, cfg)?;
+    let fed = feed(&service, input);
+    let stats = service.shutdown()?;
+    let duration_s = start.elapsed().as_secs_f64();
+    if !stats.errors.is_empty() {
+        return Err(format!("serve: storage failure: {}", stats.errors.join("; ")));
+    }
+    let records = fed?;
+    let wal_bytes = shard_wal_bytes(&args.dir, args.shards);
+    let us = |q: f64| stats.ack.quantile(q) as f64 / 1e3;
+    let mut report = String::new();
+    let _ = writeln!(report, "service:          {}", args.dir.display());
+    let _ = writeln!(report, "shards:           {} ({} sessions)", args.shards, stats.sessions);
+    let _ = writeln!(report, "codec:            {:?}", args.codec);
+    let _ = writeln!(report, "duration:         {duration_s:.3} s");
+    let _ = writeln!(
+        report,
+        "records:          {records} read from stdin ({} invalid)",
+        stats.invalid
+    );
+    let _ = writeln!(
+        report,
+        "acked:            {} fixes · {:.0} acks/s",
+        stats.acked,
+        stats.acked as f64 / duration_s.max(f64::MIN_POSITIVE)
+    );
+    let _ = writeln!(
+        report,
+        "durability:       {} commits · {:.1} fixes/fsync · {wal_bytes} WAL bytes",
+        stats.commits,
+        stats.emitted as f64 / stats.commits.max(1) as f64,
+    );
+    let _ = writeln!(
+        report,
+        "wal reduction:    {} points logged of {} acked",
+        stats.emitted, stats.acked
+    );
+    let _ = writeln!(
+        report,
+        "ack latency:      p50 {:.1} µs · p90 {:.1} µs · p99 {:.1} µs · p999 {:.1} µs · max {:.1} µs",
+        us(0.50),
+        us(0.90),
+        us(0.99),
+        us(0.999),
+        us(1.0),
+    );
+    if let Some(path) = &args.metrics_out {
+        write_metrics(path, args.metrics_format, &mut report)?;
+    }
+    if let Some(path) = &args.trace_out {
+        write_trace(path, &mut trace_session, &mut report)?;
+    }
+    Ok(report)
+}
+
+/// Writes the metrics registry's snapshot to `path` as a sidecar.
+fn write_metrics(path: &Path, format: MetricsFormat, report: &mut String) -> Result<(), String> {
+    let snapshot = traj_obs::registry().snapshot();
+    let body = match format {
+        MetricsFormat::Json => traj_obs::sink::to_json_lines(&snapshot),
+        MetricsFormat::Csv => traj_obs::sink::to_csv(&snapshot),
+    };
+    std::fs::write(path, body).map_err(|e| format!("{}: {e}", path.display()))?;
+    let _ = writeln!(report, "metrics:          {}", path.display());
+    Ok(())
+}
+
+/// Stops the armed trace session and writes it to `path`: flamegraph
+/// folded stacks for a `.folded` extension, else Chrome Trace JSON.
+fn write_trace(
+    path: &Path,
+    session: &mut TraceSessionGuard,
+    report: &mut String,
+) -> Result<(), String> {
+    session.armed = false;
+    let trace = traj_obs::trace::stop();
+    let body = if path.extension().is_some_and(|e| e == "folded") {
+        trace.to_folded()
+    } else {
+        trace.to_chrome_json()
+    };
+    std::fs::write(path, body).map_err(|e| format!("{}: {e}", path.display()))?;
+    let _ = writeln!(
+        report,
+        "trace:            {} ({} events, {} dropped)",
+        path.display(),
+        trace.event_count(),
+        trace.dropped_total()
+    );
+    Ok(())
+}
+
 /// Sums the on-disk WAL bytes across `dir/shard-K/wal/` (best-effort:
 /// unreadable entries count 0).
-fn shard_wal_bytes(dir: &std::path::Path, shards: usize) -> u64 {
+fn shard_wal_bytes(dir: &Path, shards: usize) -> u64 {
     let mut total = 0u64;
     for k in 0..shards {
         let wal_dir = dir.join(format!("shard-{k}")).join("wal");
@@ -1449,40 +1392,32 @@ mod tests {
 
     #[test]
     fn parse_serve_defaults() {
-        let Command::Serve(a) = parse(&args("serve db --load-gen")).unwrap() else {
+        let Command::Serve(a) = parse(&args("serve db")).unwrap() else {
             panic!("expected serve") // lint: allow(panic) test assertion
         };
         assert_eq!(a.dir, PathBuf::from("db"));
         assert_eq!(a.shards, 2);
-        assert_eq!(a.sync, SyncMode::GroupCommit);
         assert_eq!(a.codec, CodecSpec::OpCone { eps: 30.0 });
         assert_eq!(a.max_batch, 256);
         assert_eq!(a.max_delay_us, 500);
         assert_eq!(a.queue_cap, 4096);
-        assert!(a.load_gen);
-        assert_eq!((a.movers, a.fixes, a.seed, a.threads), (1000, 10, 42, 1));
-        assert_eq!(a.rate, 0.0);
-        assert!(a.report_json.is_none() && a.metrics_out.is_none() && a.trace_out.is_none());
+        assert!(a.metrics_out.is_none() && a.trace_out.is_none());
     }
 
     #[test]
     fn parse_serve_full_flag_surface() {
         let Command::Serve(a) = parse(&args(
-            "serve db --shards 4 --sync every-append --algo opw-sp --eps 25 --speed-eps 5 \
-             --max-batch 64 --max-delay-us 200 --queue-cap 512 --load-gen --movers 9 \
-             --fixes 7 --rate 1500 --seed 7 --threads 2 --report-json r.json \
+            "serve db --shards 4 --algo opw-sp --eps 25 --speed-eps 5 \
+             --max-batch 64 --max-delay-us 200 --queue-cap 512 \
              --metrics-out m.json --metrics-format csv --trace-out t.json",
         ))
         .unwrap() else {
             panic!("expected serve") // lint: allow(panic) test assertion
         };
         assert_eq!(a.shards, 4);
-        assert_eq!(a.sync, SyncMode::EveryAppend);
         assert_eq!(a.codec, CodecSpec::OpwSp { eps: 25.0, speed_eps: 5.0 });
         assert_eq!((a.max_batch, a.max_delay_us, a.queue_cap), (64, 200, 512));
-        assert_eq!((a.movers, a.fixes, a.seed, a.threads), (9, 7, 7, 2));
-        assert_eq!(a.rate, 1500.0);
-        assert_eq!(a.report_json, Some(PathBuf::from("r.json")));
+        assert_eq!(a.metrics_out, Some(PathBuf::from("m.json")));
         assert_eq!(a.metrics_format, MetricsFormat::Csv);
         assert_eq!(a.trace_out, Some(PathBuf::from("t.json")));
     }
@@ -1490,70 +1425,131 @@ mod tests {
     #[test]
     fn parse_serve_rejects_bad_inputs() {
         assert!(parse(&args("serve")).is_err(), "missing dir");
-        assert!(parse(&args("serve db --sync sometimes")).is_err(), "unknown sync");
         assert!(parse(&args("serve db --algo dp")).is_err(), "batch algo in a session");
         assert!(parse(&args("serve db --shards 0")).is_err(), "zero shards");
-        assert!(parse(&args("serve db --threads 0")).is_err(), "zero threads");
         assert!(parse(&args("serve db --wat")).is_err(), "unknown flag");
+        // The in-binary load generator and its report are gone: their
+        // flags are unknown, not silently ignored.
+        for flag in [
+            "--load-gen",
+            "--sync every-append",
+            "--movers 9",
+            "--fixes 7",
+            "--rate 100",
+            "--seed 7",
+            "--threads 2",
+            "--report-json r.json",
+        ] {
+            let err = parse(&args(&format!("serve db {flag}"))).unwrap_err();
+            let name = flag.split(' ').next().unwrap_or_default();
+            assert!(err.contains("unknown flag") && err.contains(name), "{flag}: {err}");
+        }
     }
 
-    fn serve_args(dir: &std::path::Path) -> ServeArgs {
+    fn serve_args(dir: &Path) -> ServeArgs {
         ServeArgs {
             dir: dir.to_path_buf(),
             shards: 2,
-            sync: SyncMode::GroupCommit,
             codec: CodecSpec::OpCone { eps: 30.0 },
-            eps: 30.0,
             max_batch: 64,
             max_delay_us: 200,
             queue_cap: 4096,
-            load_gen: true,
-            movers: 40,
-            fixes: 6,
-            rate: 0.0,
-            seed: 42,
-            threads: 1,
-            report_json: None,
             metrics_out: None,
             metrics_format: MetricsFormat::Json,
             trace_out: None,
         }
     }
 
+    /// `movers` movers × `fixes` fixes as `id,t,x,y`, interleaved by
+    /// time like a live fleet, under a header.
+    fn fleet_records(movers: u64, fixes: u64) -> String {
+        let mut out = String::from("id,t,x,y\n");
+        for k in 0..fixes {
+            for m in 0..movers {
+                let t = k as f64 * 10.0;
+                let _ = writeln!(out, "{m},{t},{},{}", t * 3.0 + m as f64, m as f64 * 50.0);
+            }
+        }
+        out
+    }
+
     #[test]
-    fn run_serve_requires_load_gen() {
-        let dir = std::env::temp_dir().join("trajc_cli_serve_nolg_test");
-        let mut a = serve_args(&dir);
-        a.load_gen = false;
-        let err = run(&Command::Serve(a)).unwrap_err();
-        assert!(err.contains("--load-gen"), "{err}");
+    fn run_serve_stops_at_a_malformed_record() {
+        let dir = std::env::temp_dir().join("trajc_cli_serve_bad_record_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let a = ServeArgs { codec: CodecSpec::Raw, ..serve_args(&dir) };
+        let input = "1,0,0,0\n2,0,0,0\n3,0,oops,0\n1,10,5,5\n";
+        let err = serve(&a, &mut input.as_bytes()).unwrap_err();
+        assert!(err.contains("line 3") && err.contains("oops"), "{err}");
+        assert!(err.contains("2 records before it"), "{err}");
+        // The service still shut down cleanly: the two records before
+        // the bad line are durable, and nothing after it went in.
+        let mut replayed = 0;
+        for k in 0..2 {
+            let dir = dir.join(format!("shard-{k}"));
+            let (store, r) =
+                DurableStore::open(&dir, IngestMode::Raw, DurableOptions::default()).unwrap();
+            assert!(r.clean(), "{r:?}");
+            replayed += r.replayed;
+            if let Some(f) = store.store().latest(1) {
+                assert!(f.t.as_secs() < 10.0, "the record after the bad line went in");
+            }
+        }
+        assert_eq!(replayed, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_serve_rejects_overlong_lines_and_invalid_utf8() {
+        let dir = std::env::temp_dir().join("trajc_cli_serve_bad_bytes_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let a = serve_args(&dir);
+        let long = format!("1,0,0,0\n7,{}\n", "1".repeat(MAX_LINE));
+        let err = serve(&a, &mut long.as_bytes()).unwrap_err();
+        assert!(err.contains("line 2") && err.contains("longer than 4096"), "{err}");
+        assert!(err.contains("1 records before it"), "{err}");
+        let err = serve(&a, &mut &b"1,0,0,0\n2,0,\xff,0\n"[..]).unwrap_err();
+        assert!(err.contains("line 2") && err.contains("invalid UTF-8"), "{err}");
+        // A line of exactly the limit is fine (it fails as a record, not
+        // as a long line), and so is a last line without a newline.
+        let exact = format!("9,{}", "1".repeat(MAX_LINE - 2));
+        let err = serve(&a, &mut exact.as_bytes()).unwrap_err();
+        assert!(err.contains("missing field"), "{err}");
+        let report = serve(&a, &mut "5,0,0,0\n5,1,1,1".as_bytes()).unwrap();
+        assert!(report.contains("records:          2 read"), "{report}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn run_serve_smoke_reports_and_recovers() {
         let dir = std::env::temp_dir().join("trajc_cli_serve_smoke_test");
         std::fs::remove_dir_all(&dir).ok();
-        let report_json = dir.join("report.json");
         let metrics = dir.join("metrics.jsonl");
         std::fs::create_dir_all(&dir).unwrap();
         let mut a = serve_args(&dir.join("db"));
-        a.report_json = Some(report_json.clone());
         a.metrics_out = Some(metrics.clone());
-        let report = run(&Command::Serve(a)).unwrap();
+        let input = fleet_records(40, 6);
+        let report = serve(&a, &mut input.as_bytes()).unwrap();
+        assert!(report.contains("records:          240 read from stdin (0 invalid)"), "{report}");
         assert!(report.contains("acked:            240 fixes"), "{report}");
-        assert!(report.contains("shards:           2 (group-commit sync"), "{report}");
+        assert!(report.contains("shards:           2 (40 sessions)"), "{report}");
         assert!(report.contains("ack latency:      p50"), "{report}");
-        // The machine-readable report reconciles with the human one.
-        let body = std::fs::read_to_string(&report_json).unwrap();
-        let doc = traj_obs::json::parse(&body).expect("report JSON must parse");
-        assert_eq!(doc.get("acked").and_then(|v| v.as_f64()), Some(240.0));
-        assert_eq!(doc.get("rejected").and_then(|v| v.as_f64()), Some(0.0));
-        let emitted = doc.get("emitted").and_then(|v| v.as_f64()).unwrap();
-        assert!(emitted > 0.0 && emitted < 240.0, "codec must shrink the WAL: {emitted}");
-        assert!(
-            doc.get("wal_bytes").and_then(|v| v.as_f64()).unwrap() > 0.0,
-            "real files on disk"
-        );
+        let logged = report
+            .lines()
+            .find_map(|l| l.strip_prefix("wal reduction:    "))
+            .and_then(|l| l.split(' ').next())
+            .and_then(|n| n.parse::<u64>().ok())
+            .unwrap();
+        assert!(logged > 0 && logged < 240, "codec must shrink the WAL: {logged}");
+        let wal_bytes = report
+            .lines()
+            .find_map(|l| l.strip_prefix("durability:       "))
+            .and_then(|l| l.split(" · ").nth(2))
+            .and_then(|l| l.strip_suffix(" WAL bytes"))
+            .and_then(|n| n.parse::<u64>().ok())
+            .unwrap();
+        assert!(wal_bytes > 0, "real files on disk: {report}");
+        assert!(report.contains("codec:            OpCone { eps: 30.0 }"), "{report}");
         let sidecar = std::fs::read_to_string(&metrics).expect("metrics sidecar written");
         if cfg!(feature = "obs") {
             assert!(sidecar.contains("serve"), "{sidecar}");
@@ -1566,3 +1562,4 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+

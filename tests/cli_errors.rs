@@ -4,8 +4,9 @@
 //! tests assert on its exit status and stderr: corrupt input must name
 //! the offending file and line, and never panic.
 
+use std::io::Write as _;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn trajc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_trajc"))
@@ -117,4 +118,26 @@ fn evaluate_rejects_inputs_without_a_shared_time_span() {
             assert!(stderr.contains(name.as_ref()), "stderr must name {name}: {stderr}");
         }
     }
+}
+
+#[test]
+fn serve_names_a_malformed_stdin_line_and_exits_1() {
+    let dir = std::env::temp_dir().join("trajc_cli_error_tests").join("serve_db");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_trajc"))
+        .args(["serve", dir.to_str().expect("utf-8 temp path")])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn trajc binary");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(b"id,t,x,y\n1,0,0,0\n1,oops\n").expect("write records");
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait for trajc");
+    assert_eq!(out.status.code(), Some(1), "a bad record is an error, not a panic");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 3"), "stderr must name the line: {stderr}");
+    assert!(stderr.contains("1 records before it"), "stderr: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
