@@ -7,8 +7,8 @@
 //! work saved by (a) the single cursor merge replacing per-notion
 //! `apply()` + `elementary_times` rebuilds, (b) the cross-threshold
 //! segment cache, and (c) fanning the experiment harness across worker
-//! threads. The committed baseline lives at `BENCH_PR5.json` in the repo
-//! root.
+//! threads. Its past baseline is in `EXPERIMENTS.md`, "Benchmark
+//! history".
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -11,15 +11,14 @@
 //!   `SegmentCriterion::scan_segment` over a [`TrajColumns`] view.
 //! * `eval_grid` — the full 15-threshold evaluation grid on the same
 //!   track via `evaluate_sweep`. The pre-refactor baseline for this id
-//!   is recorded in `BENCH_PR9.json` (measured from a clean checkout of
-//!   the parent commit; the old interleaved `seg_terms` no longer
-//!   exists in-tree to benchmark directly).
+//!   is in `EXPERIMENTS.md`, "Benchmark history" (the old interleaved
+//!   `seg_terms` no longer exists in-tree to benchmark directly).
 //! * `op_cone` — the one-pass cone family, batch and streaming. These
 //!   kernels are O(1)-state online loops that never revisit earlier
 //!   fixes, so they gain nothing from columns; the pair documents that
 //!   the refactor left them alone.
 //!
-//! The committed numbers live at `BENCH_PR9.json` in the repo root.
+//! Past numbers are in `EXPERIMENTS.md`, "Benchmark history".
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -2,17 +2,15 @@
 //! it is on, off for the build, or compiled in but inactive.
 //!
 //! Four families:
-//! - `macro/*` — a single span / labeled counter / trace span, the unit
-//!   costs of the instrumentation macros. The span path asserts the
-//!   per-thread path cache stays warm (no `format!` after the first
-//!   enter — the histogram-lookup cache this crate's PR introduced).
-//! - `trace/*` — one trace span with the recorder active vs inactive:
-//!   the cost a `--trace-out` run adds per event, and the cost of
-//!   leaving tracing compiled in but unused.
+//! - `macro/*` — a labeled counter, the unit cost of a per-call
+//!   registry lookup.
+//! - `trace/*` — one `trace_span!` with no session vs an active one:
+//!   every span's cost (two clock reads and one `span.<name>` histogram
+//!   record), and what a `--trace-out` run adds per begin/end pair.
 //! - `sweep/*` — the paper-grid sweep (TD-TR over the ten-trajectory
 //!   dataset × fifteen thresholds) with tracing off vs on. The budget:
-//!   the traced run stays within 5% of the untraced run (pinned in
-//!   `BENCH_PR6.json`).
+//!   the traced run stays within 5% of the untraced run (EXPERIMENTS.md,
+//!   "Benchmark history").
 //! - `parallel/*` — `sweep_algo_parallel` serial vs explicit workers vs
 //!   `0` (adaptive): the re-baseline after the adaptive-worker fix. On
 //!   a single-core host the adaptive path must match serial.
@@ -30,23 +28,6 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("macro");
     g.sample_size(20);
-    g.bench_function("span_enter_exit", |b| {
-        // Warm the per-thread span path cache, then pin it: re-entering
-        // a known path must not grow the cache (i.e. no re-format of
-        // "parent/child" strings on the hot path).
-        {
-            let (_s, _t) = traj_obs::span!("bench.overhead");
-        }
-        let warm = traj_obs::Span::thread_cache_len();
-        b.iter(|| {
-            let (_s, _t) = traj_obs::span!("bench.overhead");
-        });
-        assert_eq!(
-            traj_obs::Span::thread_cache_len(),
-            warm,
-            "span cache must stay warm across re-enters"
-        );
-    });
     g.bench_function("labeled_counter", |b| {
         b.iter(|| {
             traj_obs::counter!("bench", "ticks", algo = "td-tr").inc();
@@ -57,7 +38,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("trace");
     g.sample_size(20);
     g.bench_function("span_inactive", |b| {
-        // Compiled in, no session: the is_active() fast path.
+        // Compiled in, no session: the histogram still records.
         b.iter(|| {
             let _t = traj_obs::trace_span!("bench.trace");
             black_box(());

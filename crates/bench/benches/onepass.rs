@@ -5,9 +5,10 @@
 //! its O(n²) worst case. OP-FIT and OP-CONE answer the same question —
 //! "does a strict SED bound hold for the current segment?" — from an
 //! O(1) fitting region per point, so they stay O(n) on exactly that
-//! workload. `BENCH_PR7.json` pins the headline ratio (≥5× on the
-//! 10k-fix smooth trajectory); the noisy group shows the typical case
-//! where frequent cuts keep OPW-TR's windows short.
+//! workload. The headline ratio is ≥5× on the 10k-fix smooth
+//! trajectory (past numbers: `EXPERIMENTS.md`, "Benchmark history");
+//! the noisy group shows the typical case where frequent cuts keep
+//! OPW-TR's windows short.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -42,8 +43,8 @@ fn algos(eps: f64) -> Vec<(&'static str, Box<dyn Compressor>)> {
 fn bench(c: &mut Criterion) {
     let eps = 50.0;
 
-    // The headline: ≥10k fixes, few cuts. This is the BENCH_PR7.json
-    // ratio — op_fit/op_cone must beat opw_tr by ≥5× here.
+    // The headline: ≥10k fixes, few cuts — op_fit/op_cone must beat
+    // opw_tr by ≥5× here.
     let mut g = c.benchmark_group("onepass_smooth");
     g.sample_size(10);
     for n in [10_000usize, 20_000] {

@@ -4,8 +4,8 @@
 //! `crates/eval/tests/sweep_equivalence.rs`); this bench measures the
 //! work saved by answering all fifteen paper thresholds from a single
 //! split-tree pass per trajectory instead of fifteen independent runs.
-//! The committed baseline for the top-down rows lives at
-//! `BENCH_PR4.json` in the repo root.
+//! The top-down rows' past baseline is in `EXPERIMENTS.md`, "Benchmark
+//! history".
 //!
 //! The opening-window rows (`nopw`, `opw_tr`, `opw_sp_5ms`) compare the
 //! memoized window sweep with what the experiment registry ran before

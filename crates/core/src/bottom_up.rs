@@ -84,7 +84,7 @@ impl BottomUp {
             out.set_identity(n);
             return;
         }
-        let _span = traj_obs::span!("bottom_up.compress", points = n);
+        let _span = traj_obs::trace_span!("bottom_up.compress", n);
         ws.bind_columns(traj);
         let mut run = AlgoRun::new();
         let threshold = self.criterion.split_threshold();

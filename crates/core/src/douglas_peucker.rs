@@ -154,9 +154,9 @@ impl TopDown {
             return;
         }
         let _span = match self.criterion {
-            Criterion::Perpendicular { .. } => traj_obs::span!("ndp.compress", points = n),
-            Criterion::TimeRatio { .. } => traj_obs::span!("td_tr.compress", points = n),
-            Criterion::TimeRatioSpeed { .. } => traj_obs::span!("td_sp.compress", points = n),
+            Criterion::Perpendicular { .. } => traj_obs::trace_span!("ndp.compress", n),
+            Criterion::TimeRatio { .. } => traj_obs::trace_span!("td_tr.compress", n),
+            Criterion::TimeRatioSpeed { .. } => traj_obs::trace_span!("td_sp.compress", n),
         };
         let mut run = AlgoRun::new();
         ws.bind_columns(traj);

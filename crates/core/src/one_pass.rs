@@ -235,7 +235,7 @@ fn batch_kernel<R: Region>(
         out.set_identity(n);
         return;
     }
-    let _span = traj_obs::span!("onepass.compress", points = n);
+    let _span = traj_obs::trace_span!("onepass.compress", n);
     let mut run = AlgoRun::new();
     let fixes = traj.fixes();
     out.reset(n);

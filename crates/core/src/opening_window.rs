@@ -133,7 +133,7 @@ impl Compressor for OpeningWindow {
             out.set_identity(n);
             return;
         }
-        let _span = traj_obs::span!("ow.compress", points = n);
+        let _span = traj_obs::trace_span!("ow.compress", n);
         let mut run = AlgoRun::new();
         out.reset(n);
         let mut kept = [std::mem::take(&mut out.kept)];

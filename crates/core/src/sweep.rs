@@ -93,7 +93,7 @@ impl TopDown {
         if n <= 2 {
             return thresholds.iter().map(|_| CompressionResult::identity(n)).collect();
         }
-        let _span = traj_obs::span!("sweep.compress", points = n);
+        let _span = traj_obs::trace_span!("sweep.compress", n);
         ws.bind_columns(traj);
         match self.criterion() {
             Criterion::Perpendicular { .. } | Criterion::TimeRatio { .. } => {
@@ -321,7 +321,7 @@ impl OpeningWindow {
         if n <= 2 {
             return thresholds.iter().map(|_| CompressionResult::identity(n)).collect();
         }
-        let _span = traj_obs::span!("ow.compress", points = n);
+        let _span = traj_obs::trace_span!("ow.compress", n);
         let mut kept: Vec<Vec<usize>> = thresholds.iter().map(|_| Vec::new()).collect();
         open_windows(&crit, self.strategy(), thresholds, n, traj, ws, &mut kept);
         kept.into_iter().map(|k| CompressionResult::new(k, n)).collect()

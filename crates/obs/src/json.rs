@@ -231,26 +231,7 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((hi - 0xD800) << 10)
-                                        + lo.wrapping_sub(0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.unwrap_or('\u{FFFD}'));
-                            // hex4 leaves pos after the digits; skip the
-                            // unconditional advance below.
+                            out.push(self.unicode_escape()?);
                             continue;
                         }
                         _ => return Err(self.err("invalid escape")),
@@ -271,16 +252,33 @@ impl Parser<'_> {
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end;
-        Ok(v)
+    /// Decodes the `\uXXXX` escape whose `u` is at `pos`. A high
+    /// surrogate combines only with a following low-surrogate escape;
+    /// anything unpaired is U+FFFD and what follows is left unread.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let hi = self.hex4(self.pos + 1).ok_or_else(|| self.err("invalid \\u escape"))?;
+        self.pos += 5;
+        let lo = match self.bytes.get(self.pos..self.pos + 2) {
+            Some(b"\\u") if (0xD800..0xDC00).contains(&hi) => {
+                self.hex4(self.pos + 2).filter(|lo| (0xDC00..0xE000).contains(lo))
+            }
+            _ => None,
+        };
+        let code = match lo {
+            Some(lo) => {
+                self.pos += 6;
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            }
+            None => hi,
+        };
+        Ok(char::from_u32(code).unwrap_or('\u{FFFD}'))
+    }
+
+    /// The value of the four ASCII hex digits at `at` (no sign, unlike
+    /// `from_str_radix`).
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.bytes.get(at..at + 4)?;
+        digits.iter().try_fold(0, |acc, &b| Some((acc << 4) | char::from(b).to_digit(16)?))
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -340,8 +338,33 @@ mod tests {
 
     #[test]
     fn decodes_surrogate_pairs() {
-        let v = parse(r#""😀""#).unwrap();
+        let v = parse(r#""\uD83D\uDE00""#).unwrap();
         assert_eq!(v.as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn decodes_every_escape_pair_like_decode_utf16() {
+        let units = [0x0041u16, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0xFFFF];
+        for hi in units {
+            for lo in units {
+                let text = format!("\"\\u{hi:04X}\\u{lo:04X}\"");
+                let expected: String = char::decode_utf16([hi, lo])
+                    .map(|c| c.unwrap_or('\u{FFFD}'))
+                    .collect();
+                assert_eq!(parse(&text), Ok(Json::String(expected)), "{text}");
+            }
+        }
+        assert_eq!(
+            parse(r#""\uD800\uD83D\uDE00""#),
+            Ok(Json::String("\u{FFFD}😀".to_string()))
+        );
+    }
+
+    #[test]
+    fn rejects_escapes_that_are_not_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#, r#""\uD800\u+C00""#] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -10,19 +10,19 @@
 //!   value: exact count / sum / min / max, estimated quantiles;
 //! * [`Histogram`] — the atomic registry instrument over the same
 //!   buckets, summarized through a [`LogHistogram`] snapshot;
-//! * [`Timer`] / [`ScopeTimer`] — monotonic wall-clock timing;
 //! * [`Registry`] — the global metric store, keyed by
 //!   `(subsystem, name)` plus an optional label set, so one logical
 //!   metric can fan out into a family (`compress.sed_evals{algo=td-tr}`);
-//! * [`span!`] — lightweight nested wall-clock spans recorded into the
-//!   registry under the `span` subsystem;
+//! * [`trace_span!`] — the one span: a guard that times its scope from
+//!   one begin/end pair of clock reads into the `span.<name>` histogram
+//!   and, while a trace session runs, onto the timeline;
 //! * [`sink`] — export of a registry snapshot as a human-readable table,
 //!   JSON lines, or RFC-4180 CSV (with inverse parsers for merging
 //!   sidecar files across runs);
 //! * [`trace`] — `traj-trace`, the structured event-timeline substrate:
 //!   per-thread lock-free ring buffers of binary events with interned
 //!   names, exported as Chrome Trace Event JSON or folded stacks (see
-//!   [`trace_span!`], [`trace_instant!`], [`trace_counter!`]);
+//!   [`trace_instant!`], [`trace_counter!`]);
 //! * [`json`] — the minimal JSON parser backing sidecar readback.
 //!
 //! # Compile-time removal
@@ -42,10 +42,10 @@
 //!   atomic instruments are for call-boundary updates.
 //!
 //! ```
-//! use traj_obs::{counter, registry, span};
+//! use traj_obs::{counter, registry, trace_span};
 //!
 //! {
-//!     let _span = span!("doctest.work", points = 128u64);
+//!     let _span = trace_span!("doctest.work", 128u64);
 //!     counter!("doctest", "points_in").add(128);
 //! }
 //! let samples = registry().snapshot();
@@ -61,12 +61,12 @@ pub mod trace;
 #[cfg(feature = "enabled")]
 mod metrics;
 #[cfg(feature = "enabled")]
-pub use metrics::{registry, Counter, Gauge, Histogram, Registry, ScopeTimer, Span, SpanGuard, Timer};
+pub use metrics::{registry, Counter, Gauge, Histogram, Registry};
 
 #[cfg(not(feature = "enabled"))]
 mod noop;
 #[cfg(not(feature = "enabled"))]
-pub use noop::{registry, Counter, Gauge, Histogram, Registry, ScopeTimer, Span, SpanGuard, Timer};
+pub use noop::{registry, Counter, Gauge, Histogram, Registry};
 
 pub use hist::LogHistogram;
 pub use sample::{HistogramSummary, MetricKind, MetricSample};
@@ -155,47 +155,29 @@ macro_rules! histogram {
     };
 }
 
-/// Opens a wall-clock span; the returned guard records the elapsed time
-/// into the `span` subsystem (nanoseconds) when dropped, **and** — when
-/// a [`trace`] session is active — a begin/end pair on the thread's
-/// trace track. Spans nest: a span opened inside another records under
-/// the joined path (`outer/inner`). Numeric fields record into companion
-/// histograms `span.<name>.<field>`.
-///
-/// ```
-/// let _span = traj_obs::span!("td_tr.split", points = 42u64);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        ($crate::Span::enter($name, &[]), $crate::trace_span!($name))
-    };
-    ($name:expr, $($field:ident = $value:expr),+ $(,)?) => {
-        (
-            $crate::Span::enter($name, &[$((stringify!($field), $value as u64)),+]),
-            $crate::trace_span!($name),
-        )
-    };
-}
-
-/// Records a [`trace`] span: a `Begin` event now, the matching `End`
-/// when the returned guard drops. The name is interned once per call
-/// site; recording is three word-stores on the calling thread's ring —
-/// no allocation, no formatting. Returns an inert guard when no trace
-/// session is active or instrumentation is compiled out.
+/// Opens a span: the returned guard reads the clock now and once more
+/// when it drops, records the difference (ns) into the call site's
+/// `span.<name>` histogram and, if a [`trace`] session accepted the
+/// `Begin`, writes the `End` at that same timestamp, so histogram and
+/// timeline come from one begin/end pair. Spans nest on the timeline
+/// (folded stacks print `outer;inner`); the histogram is keyed by name.
 ///
 /// An optional second argument attaches a `u64` payload to the `Begin`
-/// event: `trace_span!("stripe", items as u64)`.
+/// event (`args.value` in Perfetto): `trace_span!("stripe", items)`.
+/// The name is interned and the histogram registered once per call
+/// site. With instrumentation compiled out the guard is inert and the
+/// payload is not evaluated.
 #[macro_export]
 macro_rules! trace_span {
     ($name:expr) => {
         $crate::trace_span!($name, 0u64)
     };
     ($name:expr, $value:expr) => {
-        if $crate::metrics_enabled() && $crate::trace::is_active() {
-            static __TRACE_NAME: ::std::sync::OnceLock<u32> = ::std::sync::OnceLock::new();
+        if $crate::metrics_enabled() {
+            static __SPAN_SITE: ::std::sync::OnceLock<$crate::trace::SpanSite> =
+                ::std::sync::OnceLock::new();
             $crate::trace::span_with(
-                *__TRACE_NAME.get_or_init(|| $crate::trace::intern($name)),
+                __SPAN_SITE.get_or_init(|| $crate::trace::SpanSite::new($name)),
                 $value as u64,
             )
         } else {

@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 use crate::hist::{bucket_index, LogHistogram, BUCKETS};
 use crate::sample::{HistogramSummary, MetricKind, MetricSample};
@@ -128,12 +127,6 @@ impl Histogram {
         inner.max.fetch_max(v, Ordering::Relaxed); // ordering: relaxed, advisory (see above)
     }
 
-    /// Records a duration in nanoseconds (saturating at `u64::MAX`).
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         // Relaxed ordering: advisory point-in-time read.
@@ -183,43 +176,6 @@ impl Histogram {
         inner.sum.store(0, Ordering::Relaxed); // ordering: relaxed reset, see above
         inner.min.store(u64::MAX, Ordering::Relaxed); // ordering: relaxed reset, see above
         inner.max.store(0, Ordering::Relaxed); // ordering: relaxed reset, see above
-    }
-}
-
-/// A started monotonic clock; read with [`Timer::elapsed_ns`].
-#[derive(Clone, Copy, Debug)]
-pub struct Timer(Instant);
-
-impl Timer {
-    /// Starts the clock.
-    pub fn start() -> Self {
-        Timer(Instant::now())
-    }
-
-    /// Nanoseconds since [`Timer::start`] (saturating).
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-/// Times a scope: records the elapsed nanoseconds into a histogram when
-/// dropped.
-#[derive(Debug)]
-pub struct ScopeTimer {
-    histogram: Histogram,
-    start: Instant,
-}
-
-impl ScopeTimer {
-    /// Starts timing into `histogram`.
-    pub fn new(histogram: Histogram) -> Self {
-        ScopeTimer { histogram, start: Instant::now() }
-    }
-}
-
-impl Drop for ScopeTimer {
-    fn drop(&mut self) {
-        self.histogram.record_duration(self.start.elapsed());
     }
 }
 
@@ -373,132 +329,6 @@ pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
 }
 
-/// One cached span call-path on a thread: the joined `outer/inner` path,
-/// its duration histogram, per-field companion histograms, and the child
-/// paths seen beneath it.
-#[derive(Debug)]
-struct SpanNode {
-    name: &'static str,
-    path: String,
-    histogram: Histogram,
-    fields: Vec<(&'static str, Histogram)>,
-    children: Vec<usize>,
-}
-
-/// Per-thread cache of span paths. The first entry at a given position
-/// in the span tree formats the path and registers its histograms
-/// **once**; every re-entry is a name-pointer walk over the parent's
-/// children — no formatting, no registry lock.
-#[derive(Debug, Default)]
-struct SpanCache {
-    nodes: Vec<SpanNode>,
-    roots: Vec<usize>,
-    stack: Vec<usize>,
-}
-
-impl SpanCache {
-    fn enter(&mut self, name: &'static str, fields: &[(&'static str, u64)]) -> usize {
-        let parent = self.stack.last().copied();
-        let siblings = match parent {
-            Some(p) => &self.nodes[p].children,
-            None => &self.roots,
-        };
-        let idx = match siblings.iter().copied().find(|&i| self.nodes[i].name == name) {
-            Some(i) => i,
-            None => {
-                let path = match parent {
-                    Some(p) => format!("{}/{name}", self.nodes[p].path),
-                    None => name.to_string(),
-                };
-                let histogram = registry().histogram("span", &path);
-                let idx = self.nodes.len();
-                self.nodes.push(SpanNode {
-                    name,
-                    path,
-                    histogram,
-                    fields: Vec::new(),
-                    children: Vec::new(),
-                });
-                match parent {
-                    Some(p) => self.nodes[p].children.push(idx),
-                    None => self.roots.push(idx),
-                }
-                idx
-            }
-        };
-        for (field, value) in fields {
-            let hist = match self.nodes[idx].fields.iter().find(|(f, _)| f == field) {
-                Some((_, h)) => h.clone(),
-                None => {
-                    let h = registry()
-                        .histogram("span", &format!("{}.{field}", self.nodes[idx].path));
-                    self.nodes[idx].fields.push((field, h.clone()));
-                    h
-                }
-            };
-            hist.record(*value);
-        }
-        self.stack.push(idx);
-        idx
-    }
-}
-
-thread_local! {
-    static SPAN_CACHE: std::cell::RefCell<SpanCache> =
-        std::cell::RefCell::new(SpanCache::default());
-}
-
-/// Entry point for the [`span!`](crate::span) macro.
-#[derive(Debug)]
-pub struct Span;
-
-impl Span {
-    /// Opens a span named `name` under the thread's current span path,
-    /// recording `fields` as companion histograms `span.<name>.<field>`.
-    ///
-    /// The `format!("{path}.{field}")` + registry lookup happens only the
-    /// first time a call path is seen on a thread; re-entries hit the
-    /// thread-local `SpanCache` (see [`Span::thread_cache_len`]).
-    pub fn enter(name: &'static str, fields: &[(&'static str, u64)]) -> SpanGuard {
-        let node = SPAN_CACHE.with(|cache| cache.borrow_mut().enter(name, fields));
-        SpanGuard { node: Some(node), start: Instant::now() }
-    }
-
-    /// Number of distinct span call-paths cached on this thread — a
-    /// bench/test hook: re-entering a known span must not grow it.
-    pub fn thread_cache_len() -> usize {
-        SPAN_CACHE.with(|cache| cache.borrow().nodes.len())
-    }
-}
-
-/// Guard returned by [`Span::enter`]; records the span's wall-clock
-/// duration (nanoseconds) under `span.<path>` on drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    node: Option<usize>,
-    start: Instant,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some(node) = self.node.take() else {
-            return;
-        };
-        let elapsed = self.start.elapsed();
-        // try_with: a guard dropped during thread teardown (after the
-        // cache was destroyed) simply records nothing.
-        let _ = SPAN_CACHE.try_with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some(n) = cache.nodes.get(node) {
-                n.histogram.record_duration(elapsed);
-            }
-            if cache.stack.last() == Some(&node) {
-                cache.stack.pop();
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,53 +400,6 @@ mod tests {
             assert_eq!(h.quantile(q), value.quantile(q), "q = {q}");
         }
         assert_eq!(h.quantile(1.0), u64::MAX, "the max is exact");
-    }
-
-    #[test]
-    fn scope_timer_records_on_drop() {
-        let r = Registry::new();
-        let h = r.histogram("t", "elapsed_ns");
-        {
-            let _t = ScopeTimer::new(h.clone());
-            std::hint::black_box(0u64);
-        }
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn spans_nest_into_slash_paths() {
-        // Uses the global registry (spans always do); assert on deltas.
-        let outer = registry().histogram("span", "obs_test.outer");
-        let inner = registry().histogram("span", "obs_test.outer/obs_test.inner");
-        let (o0, i0) = (outer.count(), inner.count());
-        {
-            let _a = Span::enter("obs_test.outer", &[("points", 7)]);
-            let _b = Span::enter("obs_test.inner", &[]);
-        }
-        assert_eq!(outer.count(), o0 + 1);
-        assert_eq!(inner.count(), i0 + 1);
-        let fields = registry().histogram("span", "obs_test.outer.points");
-        assert!(fields.count() >= 1);
-    }
-
-    #[test]
-    fn span_cache_reuses_paths_per_thread() {
-        // Warm the cache, then assert re-entry at the same call paths
-        // neither grows it nor re-registers histograms.
-        {
-            let _a = Span::enter("obs_cache.outer", &[("n", 1)]);
-            let _b = Span::enter("obs_cache.inner", &[]);
-        }
-        let warm = Span::thread_cache_len();
-        for _ in 0..10 {
-            let _a = Span::enter("obs_cache.outer", &[("n", 2)]);
-            let _b = Span::enter("obs_cache.inner", &[]);
-        }
-        assert_eq!(Span::thread_cache_len(), warm, "re-entry must not grow the span cache");
-        let nested = registry().histogram("span", "obs_cache.outer/obs_cache.inner");
-        assert!(nested.count() >= 11);
-        let field = registry().histogram("span", "obs_cache.outer.n");
-        assert!(field.count() >= 11);
     }
 
     #[test]

@@ -53,10 +53,6 @@ impl Histogram {
     #[inline(always)]
     pub fn record(&self, _v: u64) {}
 
-    /// No-op.
-    #[inline(always)]
-    pub fn record_duration(&self, _d: std::time::Duration) {}
-
     /// Always 0.
     #[inline(always)]
     pub fn count(&self) -> u64 {
@@ -75,58 +71,6 @@ impl Histogram {
         0
     }
 }
-
-/// Disabled timer; always reads 0.
-#[derive(Clone, Copy, Debug)]
-pub struct Timer;
-
-impl Timer {
-    /// No-op start.
-    #[inline(always)]
-    pub fn start() -> Self {
-        Timer
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn elapsed_ns(&self) -> u64 {
-        0
-    }
-}
-
-/// Disabled scope timer; records nothing.
-#[derive(Debug)]
-pub struct ScopeTimer;
-
-impl ScopeTimer {
-    /// No-op.
-    #[inline(always)]
-    pub fn new(_histogram: Histogram) -> Self {
-        ScopeTimer
-    }
-}
-
-/// Disabled span entry point.
-#[derive(Debug)]
-pub struct Span;
-
-impl Span {
-    /// Returns an inert guard.
-    #[inline(always)]
-    pub fn enter(_name: &'static str, _fields: &[(&'static str, u64)]) -> SpanGuard {
-        SpanGuard
-    }
-
-    /// Always 0 (no cache when compiled out).
-    #[inline(always)]
-    pub fn thread_cache_len() -> usize {
-        0
-    }
-}
-
-/// Inert guard; dropping it does nothing.
-#[derive(Debug)]
-pub struct SpanGuard;
 
 /// Disabled registry; hands out ZST instruments and empty snapshots.
 #[derive(Debug, Default)]

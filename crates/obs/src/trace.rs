@@ -1,11 +1,15 @@
 //! `traj-trace`: zero-dependency structured event tracing.
 //!
 //! Where the metric [`Registry`](crate::Registry) aggregates (a span
-//! collapses into a log₂ histogram), this module records the *timeline*:
-//! every span begin/end, instant event and counter sample, stamped with a
-//! monotonic nanosecond timestamp and the recording thread's track id.
-//! That is what lets a per-worker view of `sweep_algo_parallel` show
-//! where wall-clock time actually goes.
+//! collapses into its `span.<name>` log₂ histogram), this module records
+//! the *timeline*: every span begin/end, instant event and counter
+//! sample, stamped with a monotonic nanosecond timestamp and the
+//! recording thread's track id. That is what lets a per-worker view of
+//! `sweep_algo_parallel` show where wall-clock time actually goes.
+//!
+//! A span is one guard with one pair of clock reads ([`span_with`]):
+//! they stamp its `Begin` and `End`, and their difference is its
+//! histogram sample, recorded with or without a session.
 //!
 //! # Recording model
 //!
@@ -394,6 +398,7 @@ fn push_json_escaped(out: &mut String, s: &str) {
 #[cfg(feature = "enabled")]
 mod recorder {
     use super::{Trace, TraceEvent, TraceEventKind, TrackTrace};
+    use crate::Histogram;
     use std::cell::RefCell;
     use std::collections::HashMap;
     use std::marker::PhantomData;
@@ -455,9 +460,9 @@ mod recorder {
             })
         }
 
-        /// Writes one event into the next slot and publishes it.
-        /// Caller guarantees a free slot. Owning thread only.
-        fn write(&self, len: u64, kind: TraceEventKind, name: u32, value: u64) {
+        /// Writes one event stamped `ts_ns` into the next slot and
+        /// publishes it. Caller guarantees a free slot. Owning thread only.
+        fn write(&self, len: u64, kind: TraceEventKind, name: u32, value: u64, ts_ns: u64) {
             let ring = self.ring();
             let cap = ring.len() as u64;
             let slot = &ring[(len % cap) as usize];
@@ -466,7 +471,7 @@ mod recorder {
             // `len` below is the publication point; a drain's acquire load
             // of `len` makes these visible before it reads them.
             slot.w0.store(packed, Ordering::Relaxed);
-            slot.w1.store(now_ns(), Ordering::Relaxed); // ordering: relaxed payload, published by `len` below
+            slot.w1.store(ts_ns, Ordering::Relaxed); // ordering: relaxed payload, published by `len` below
             slot.w2.store(value, Ordering::Relaxed); // ordering: relaxed payload, published by `len` below
             // Release ordering: publishes the three payload stores above to
             // the drain's acquire load of `len`.
@@ -481,6 +486,7 @@ mod recorder {
             kind: TraceEventKind,
             name: u32,
             value: u64,
+            ts_ns: u64,
             extra_reserve: u64,
         ) -> bool {
             let ring = self.ring();
@@ -502,17 +508,17 @@ mod recorder {
                 // Relaxed ordering: writer-owned reservation count.
                 self.reserved.fetch_add(extra_reserve, Ordering::Relaxed);
             }
-            self.write(len, kind, name, value);
+            self.write(len, kind, name, value, ts_ns);
             true
         }
 
         /// Records the `End` for an accepted `Begin`; the reservation made
         /// then guarantees the slot. Owning thread only.
-        fn push_end(&self, name: u32, value: u64) {
+        fn push_end(&self, name: u32, ts_ns: u64) {
             // Relaxed ordering: `len`/`reserved` are writer-owned.
             let len = self.len.load(Ordering::Relaxed);
             self.reserved.fetch_sub(1, Ordering::Relaxed); // ordering: relaxed, writer-owned (see above)
-            self.write(len, TraceEventKind::End, name, value);
+            self.write(len, TraceEventKind::End, name, 0, ts_ns);
         }
 
         /// Consumes every published-but-undrained event. Callers hold the
@@ -707,55 +713,73 @@ mod recorder {
         });
     }
 
-    /// Guard closing a trace span on drop. `!Send`: the `End` event must
-    /// land on the track that recorded the `Begin`.
+    /// One [`trace_span!`](crate::trace_span) call site: its interned
+    /// name and its `span.<name>` histogram. Macro plumbing, public only
+    /// because the macro expands in other crates (one `static` per site).
+    #[derive(Debug)]
+    pub struct SpanSite {
+        name: u32,
+        histogram: Histogram,
+    }
+
+    impl SpanSite {
+        /// Interns `name` and registers its `span.<name>` histogram.
+        pub fn new(name: &'static str) -> Self {
+            SpanSite { name: intern(name), histogram: crate::registry().histogram("span", name) }
+        }
+    }
+
+    /// Guard closing a span on drop: it records end − begin into the
+    /// site's `span.<name>` histogram and, if the trace accepted the
+    /// `Begin`, writes the `End` at that same end timestamp. `!Send`: the
+    /// `End` event must land on the track that recorded the `Begin`.
     #[must_use = "the span closes when the guard drops"]
     #[derive(Debug)]
     pub struct TraceSpanGuard {
-        name: u32,
+        site: Option<&'static SpanSite>,
+        begin_ns: u64,
         track: Option<Arc<Track>>,
         _single_thread: PhantomData<*const ()>,
     }
 
     impl TraceSpanGuard {
-        /// A guard that records nothing (tracing inactive or compiled
-        /// out).
+        /// A guard that records nothing (the branch `trace_span!` takes
+        /// when instrumentation is compiled out).
         #[inline]
         pub fn inert() -> Self {
-            TraceSpanGuard { name: 0, track: None, _single_thread: PhantomData }
+            TraceSpanGuard { site: None, begin_ns: 0, track: None, _single_thread: PhantomData }
         }
     }
 
     impl Drop for TraceSpanGuard {
         fn drop(&mut self) {
+            let Some(site) = self.site else {
+                return;
+            };
+            let end_ns = now_ns();
+            site.histogram.record(end_ns.saturating_sub(self.begin_ns));
             if let Some(track) = self.track.take() {
-                track.push_end(self.name, 0);
+                track.push_end(site.name, end_ns);
             }
         }
     }
 
-    /// Records a span `Begin` (see [`span_with`]).
-    #[inline]
-    pub fn span(name: u32) -> TraceSpanGuard {
-        span_with(name, 0)
-    }
-
-    /// Records a span `Begin` carrying `value`, returning the guard that
-    /// records the `End`. If the ring is full the whole span is dropped
-    /// (counted once) and the guard is inert — traces stay balanced.
-    pub fn span_with(name: u32, value: u64) -> TraceSpanGuard {
-        if !is_active() {
-            return TraceSpanGuard::inert();
-        }
-        let track = with_track(|t| {
-            if t.try_push(TraceEventKind::Begin, name, value, 1) {
-                Some(Arc::clone(t))
-            } else {
-                None
-            }
-        })
-        .flatten();
-        TraceSpanGuard { name, track, _single_thread: PhantomData }
+    /// Opens a span at `site` whose `Begin` carries `value`, reading the
+    /// clock here and once more when the guard drops. The histogram
+    /// records every span; a full ring drops only its trace events
+    /// (counted once), so traces stay balanced.
+    pub fn span_with(site: &'static SpanSite, value: u64) -> TraceSpanGuard {
+        let begin_ns = now_ns();
+        let track = if is_active() {
+            with_track(|t| {
+                t.try_push(TraceEventKind::Begin, site.name, value, begin_ns, 1)
+                    .then(|| Arc::clone(t))
+            })
+            .flatten()
+        } else {
+            None
+        };
+        TraceSpanGuard { site: Some(site), begin_ns, track, _single_thread: PhantomData }
     }
 
     /// Records an instant event carrying `value`.
@@ -763,7 +787,7 @@ mod recorder {
         if !is_active() {
             return;
         }
-        let _ = with_track(|t| t.try_push(TraceEventKind::Instant, name, value, 0));
+        let _ = with_track(|t| t.try_push(TraceEventKind::Instant, name, value, now_ns(), 0));
     }
 
     /// Records a counter sample (rendered as a counter track in the
@@ -772,7 +796,7 @@ mod recorder {
         if !is_active() {
             return;
         }
-        let _ = with_track(|t| t.try_push(TraceEventKind::Counter, name, value, 0));
+        let _ = with_track(|t| t.try_push(TraceEventKind::Counter, name, value, now_ns(), 0));
     }
 }
 
@@ -819,6 +843,18 @@ mod recorder {
     #[inline(always)]
     pub fn set_track_label(_label: &str) {}
 
+    /// Disabled span site; holds nothing.
+    #[derive(Debug)]
+    pub struct SpanSite;
+
+    impl SpanSite {
+        /// The empty site.
+        #[inline(always)]
+        pub fn new(_name: &'static str) -> Self {
+            SpanSite
+        }
+    }
+
     /// Inert guard; dropping it does nothing.
     #[derive(Debug)]
     pub struct TraceSpanGuard;
@@ -833,13 +869,7 @@ mod recorder {
 
     /// Returns an inert guard.
     #[inline(always)]
-    pub fn span(_name: u32) -> TraceSpanGuard {
-        TraceSpanGuard
-    }
-
-    /// Returns an inert guard.
-    #[inline(always)]
-    pub fn span_with(_name: u32, _value: u64) -> TraceSpanGuard {
+    pub fn span_with(_site: &'static SpanSite, _value: u64) -> TraceSpanGuard {
         TraceSpanGuard
     }
 
@@ -853,8 +883,8 @@ mod recorder {
 }
 
 pub use recorder::{
-    counter_sample, drain, instant, intern, is_active, set_track_label, span, span_with, start,
-    start_with_capacity, stop, TraceSpanGuard, DEFAULT_CAPACITY,
+    counter_sample, drain, instant, intern, is_active, set_track_label, span_with, start,
+    start_with_capacity, stop, SpanSite, TraceSpanGuard, DEFAULT_CAPACITY,
 };
 
 #[cfg(test)]
@@ -866,6 +896,12 @@ mod tests {
     fn session_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A leaked span site, as `trace_span!` keeps one per call site.
+    #[cfg(feature = "enabled")]
+    fn site(name: &'static str) -> &'static SpanSite {
+        Box::leak(Box::new(SpanSite::new(name)))
     }
 
     fn ev(kind: TraceEventKind, name: u32, ts_ns: u64) -> TraceEvent {
@@ -973,8 +1009,8 @@ mod tests {
         start_with_capacity(256);
         set_track_label("trace-unit-test");
         {
-            let _outer = span_with(intern("unit.outer"), 42);
-            let _inner = span(intern("unit.inner"));
+            let _outer = span_with(site("unit.outer"), 42);
+            let _inner = span_with(site("unit.inner"), 0);
             instant(intern("unit.mark"), 7);
             counter_sample(intern("unit.level"), 3);
         }
@@ -995,16 +1031,66 @@ mod tests {
         assert!(names.contains(&"unit.mark"), "{names:?}");
     }
 
+    /// `(count, sum)` of the `span.<name>` histogram now.
+    #[cfg(feature = "enabled")]
+    fn histogram_totals(name: &str) -> (u64, u64) {
+        let s = crate::registry().histogram("span", name).summary();
+        (s.count, s.sum)
+    }
+
+    /// `(ends, Σ End.ts − Begin.ts)` of the spans named `name`, pairing
+    /// each `End` with its `Begin` in LIFO order.
+    #[cfg(feature = "enabled")]
+    fn trace_totals(trace: &Trace, name: &str) -> (u64, u64) {
+        let (mut ends, mut sum) = (0, 0);
+        for track in &trace.tracks {
+            let mut open = Vec::new();
+            for e in track.events.iter().filter(|e| trace.name(e.name) == name) {
+                match e.kind {
+                    TraceEventKind::Begin => open.push(e.ts_ns),
+                    TraceEventKind::End => {
+                        ends += 1;
+                        sum += e.ts_ns - open.pop().expect("balanced trace");
+                    }
+                    TraceEventKind::Instant | TraceEventKind::Counter => {}
+                }
+            }
+        }
+        (ends, sum)
+    }
+
+    #[test]
+    #[cfg(feature = "enabled")]
+    fn span_histogram_is_the_traced_begin_end_pairs() {
+        let _serial = session_lock();
+        let pair = site("unit.pair");
+        let before = histogram_totals("unit.pair");
+        start_with_capacity(256);
+        for i in 0..5 {
+            let _outer = span_with(pair, i);
+            let _inner = span_with(pair, i);
+            std::hint::black_box(i);
+        }
+        let trace = stop();
+        assert_eq!(trace.validate(), Ok(()));
+        let after = histogram_totals("unit.pair");
+        let (ends, sum) = trace_totals(&trace, "unit.pair");
+        assert_eq!(ends, 10);
+        assert_eq!((after.0 - before.0, after.1 - before.1), (ends, sum));
+    }
+
     #[test]
     #[cfg(feature = "enabled")]
     fn saturation_drops_whole_spans_and_counts_them() {
         let _serial = session_lock();
+        let saturate = site("unit.saturate");
+        let before = histogram_totals("unit.saturate");
         start_with_capacity(8);
-        let name = intern("unit.saturate");
-        let guards: Vec<TraceSpanGuard> = (0..32).map(|_| span(name)).collect();
-        drop(guards);
+        let guards: Vec<TraceSpanGuard> = (0..32).map(|_| span_with(saturate, 0)).collect();
+        guards.into_iter().rev().for_each(drop);
         let trace = stop();
         assert_eq!(trace.validate(), Ok(()), "drops must never unbalance");
+        assert_eq!(histogram_totals("unit.saturate").0 - before.0, 32);
         let track = trace
             .tracks
             .iter()
@@ -1022,6 +1108,7 @@ mod tests {
             .filter(|e| e.kind == TraceEventKind::End)
             .count();
         assert_eq!(begins, ends);
+        assert!(ends < 32);
     }
 
     #[test]
@@ -1029,11 +1116,14 @@ mod tests {
     fn inactive_recorder_records_nothing() {
         let _serial = session_lock();
         let _ = stop();
-        let before = drain();
+        let ignored = site("unit.ignored_span");
+        let before = histogram_totals("unit.ignored_span");
+        let drained = drain();
         instant(intern("unit.ignored"), 1);
-        let _g = span(intern("unit.ignored_span"));
+        drop(span_with(ignored, 0));
         let after = drain();
-        assert_eq!(before.event_count(), 0);
+        assert_eq!(drained.event_count(), 0);
         assert_eq!(after.event_count(), 0);
+        assert_eq!(histogram_totals("unit.ignored_span").0 - before.0, 1);
     }
 }

@@ -1,9 +1,9 @@
 //! The labeled `counter!`/`gauge!`/`histogram!` macros must not evaluate
-//! their label values (allocation, arbitrary side effects) when
-//! instrumentation is compiled out — and must evaluate them exactly once
-//! per lookup when it is enabled. This test runs in both feature states;
-//! CI's no-default-features job is the one that pins the zero-cost
-//! claim.
+//! their label values (allocation, arbitrary side effects), nor
+//! `trace_span!` its payload, when instrumentation is compiled out — and
+//! must evaluate them exactly once per use when it is enabled. This
+//! test runs in both feature states; CI's no-default-features job is
+//! the one that pins the zero-cost claim.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,7 +28,12 @@ fn labeled_macros_evaluate_labels_only_when_enabled() {
     g.set(1.0);
     let h = traj_obs::histogram!("gating", "sizes", run = CountingLabel(&evals));
     h.record(3);
-    let expected = if traj_obs::metrics_enabled() { 3 } else { 0 };
+    let _span = traj_obs::trace_span!("gating.payload", {
+        // Relaxed ordering: single-threaded test bookkeeping.
+        evals.fetch_add(1, Ordering::Relaxed);
+        1u64
+    });
+    let expected = if traj_obs::metrics_enabled() { 4 } else { 0 };
     // Relaxed ordering: single-threaded test bookkeeping.
     assert_eq!(evals.load(Ordering::Relaxed), expected);
 }

@@ -277,3 +277,38 @@ fn global_registry_snapshot_flows_through_both_sinks() {
     let table = traj_obs::sink::render_table(&snapshot);
     assert!(table.contains("rt_test.events"), "{table}");
 }
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+    /// Byte soup: raw bytes mixed with the formats' own tokens (escapes,
+    /// surrogate halves, quotes, braces, the CSV header), decoded
+    /// lossily. Every sidecar decoder answers `Ok` or `Err`, never a
+    /// panic; `trajc obs merge` feeds them user files. The soup is also
+    /// parsed as one JSON string, which drives the escape decoder.
+    #[test]
+    fn sidecar_decoders_survive_byte_soup(
+        codes in proptest::collection::vec(0u16..1024, 0..300)
+    ) {
+        const TOKENS: &[&str] = &[
+            "\\u", "\\uD800", "\\uDBFF", "\\uDC00", "\\uDFFF", "\\uE000", "\\u+041", "D83D",
+            "DE00", "0041", "\"", "\\", "{", "}", "[", "]", ":", ",", "\n", "\r\n", "null",
+            "true", "-1e999", "0.5", "\"subsystem\":", "\"kind\":\"histogram\"",
+            "\"labels\":{", "\"count\":", CSV_HEADER,
+        ];
+        let mut bytes = Vec::new();
+        for &c in &codes {
+            match u8::try_from(c) {
+                Ok(b) => bytes.push(b),
+                Err(_) => {
+                    bytes.extend_from_slice(TOKENS[usize::from(c) % TOKENS.len()].as_bytes())
+                }
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = traj_obs::json::parse(&text);
+        let _ = traj_obs::json::parse(&format!("\"{text}\""));
+        let _ = traj_obs::sink::parse_json_lines(&text);
+        let _ = traj_obs::sink::parse_csv(&text);
+    }
+}

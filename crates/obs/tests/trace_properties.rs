@@ -21,6 +21,11 @@ fn session_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// A leaked span site, as `trace_span!` keeps one per call site.
+fn site(name: &'static str) -> &'static trace::SpanSite {
+    Box::leak(Box::new(trace::SpanSite::new(name)))
+}
+
 /// Counts (begins, ends, instants, counters) in one track.
 fn kind_counts(track: &traj_obs::trace::TrackTrace) -> (u64, u64, u64, u64) {
     let mut counts = (0u64, 0u64, 0u64, 0u64);
@@ -48,7 +53,7 @@ proptest! {
         let _serial = session_lock();
         trace::start_with_capacity(capacity);
         trace::set_track_label("props-single");
-        let span_name = trace::intern("props.span");
+        let span_site = site("props.span");
         let instant_name = trace::intern("props.instant");
         let counter_name = trace::intern("props.counter");
 
@@ -60,7 +65,7 @@ proptest! {
             match op {
                 0 | 1 => {
                     span_attempts += 1;
-                    guards.push(trace::span_with(span_name, guards.len() as u64));
+                    guards.push(trace::span_with(span_site, guards.len() as u64));
                 }
                 2 => {
                     drop(guards.pop());
@@ -149,10 +154,10 @@ proptest! {
                 .map(|w| {
                     scope.spawn(move || {
                         trace::set_track_label(&format!("props-writer-{w}"));
-                        let span_name = trace::intern("props.x.span");
+                        let span_site = site("props.x.span");
                         let instant_name = trace::intern("props.x.instant");
                         for i in 0..spans_per_thread {
-                            let _g = trace::span_with(span_name, i);
+                            let _g = trace::span_with(span_site, i);
                             if i < instants_per_thread {
                                 trace::instant(instant_name, i);
                             }

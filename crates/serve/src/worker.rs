@@ -120,7 +120,7 @@ impl ShardCore {
     pub(crate) fn finish(mut self) -> ShardStats {
         self.stats.sessions = self.sessions.len();
         if self.stats.error.is_none() {
-            let _span = traj_obs::span!("serve.flush", sessions = self.sessions.len() as u64);
+            let _span = traj_obs::trace_span!("serve.flush", self.sessions.len());
             let _ = std::mem::take(&mut self.sessions)
                 .into_iter()
                 .try_for_each(|(mover, mut session)| self.log_points(mover, session.finish()))
@@ -174,7 +174,7 @@ pub(crate) fn run(mut core: ShardCore, rx: &Receiver, group: GroupCommitOptions)
         batch.clear();
         let open = rx.recv_batch(&mut batch, group.max_batch, group.max_delay);
         if !batch.is_empty() {
-            let _span = traj_obs::span!("serve.batch", fixes = batch.len() as u64);
+            let _span = traj_obs::trace_span!("serve.batch", batch.len());
             batch_hist.record(batch.len() as u64);
             let Ok(acked) = core.ingest(&batch) else { break };
             let now = Instant::now();

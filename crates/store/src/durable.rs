@@ -151,7 +151,7 @@ impl DurableStore {
         mode: IngestMode,
         opts: DurableOptions,
     ) -> Result<(Self, RecoveryReport), StoreError> {
-        let _span = traj_obs::span!("store.recover");
+        let _span = traj_obs::trace_span!("store.recover");
         let snap_dir = dir.join(Self::SNAPSHOT_DIR);
         let wal_dir = dir.join(Self::WAL_DIR);
         storage.create_dir_all(&snap_dir).map_err(|e| io_err(&snap_dir, e))?;
@@ -260,7 +260,7 @@ impl DurableStore {
     /// Backend I/O failures; the WAL is left untouched unless every
     /// snapshot file made it to disk.
     pub fn snapshot(&mut self) -> Result<usize, StoreError> {
-        let _span = traj_obs::span!("store.snapshot");
+        let _span = traj_obs::trace_span!("store.snapshot");
         let snap_dir = self.dir.join(Self::SNAPSHOT_DIR);
         let written = persist::save_dir_with(self.storage.as_ref(), &self.store, &snap_dir)?;
         self.wal.truncate()?;

@@ -571,9 +571,9 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 traj_obs::trace::start();
                 traj_obs::trace::set_track_label("main");
             }
-            let total = traj_obs::Timer::start();
+            let total = Instant::now();
             let t = {
-                let _phase = traj_obs::span!("cli.read_input");
+                let _phase = traj_obs::trace_span!("cli.read_input");
                 load(file)?
             };
             if t.len() < 2 {
@@ -584,27 +584,27 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 ));
             }
             let compressor = make_compressor(algo, *eps, *speed_eps)?;
-            let compress_timer = traj_obs::Timer::start();
+            let compress_start = Instant::now();
             // An explicit workspace (rather than the fleet path, which a
             // single trajectory runs inline anyway) so the columnar copy
             // built during compression can be handed to the evaluation
             // below instead of being de-interleaved a second time.
             let mut cws = Workspace::new();
             let result = {
-                let _phase = traj_obs::span!("cli.compress", points = t.len() as u64);
+                let _phase = traj_obs::trace_span!("cli.compress", t.len());
                 let mut buf = CompressionResultBuf::new();
                 compressor.compress_into(&t, &mut cws, &mut buf);
                 buf.take()
             };
-            let compress_ns = compress_timer.elapsed_ns();
-            let evaluate_timer = traj_obs::Timer::start();
+            let compress_time = compress_start.elapsed();
+            let evaluate_start = Instant::now();
             let e = {
-                let _phase = traj_obs::span!("cli.evaluate");
+                let _phase = traj_obs::trace_span!("cli.evaluate");
                 let mut ews = EvalWorkspace::new();
                 ews.seed_columns(cws.take_columns());
                 evaluate_with(&t, &result, &mut ews)
             };
-            let evaluate_ns = evaluate_timer.elapsed_ns();
+            let evaluate_time = evaluate_start.elapsed();
             let _ = writeln!(report, "algorithm:        {}", compressor.name());
             let _ = writeln!(report, "kept points:      {} of {}", result.kept_len(), t.len());
             let _ = writeln!(report, "compression:      {:.2} %", e.compression_pct);
@@ -613,20 +613,21 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             let _ = writeln!(report, "mean/max SED:     {:.3} / {:.3} m", e.mean_sed_m, e.max_sed_m);
             let _ = writeln!(report, "mean/max perp:    {:.3} / {:.3} m", e.mean_perp_m, e.max_perp_m);
             if let Some(out) = out {
-                let _phase = traj_obs::span!("cli.write_output");
+                let _phase = traj_obs::trace_span!("cli.write_output");
                 let approx = result.apply(&t);
                 io::write_csv(&approx, out).map_err(|e| format!("{}: {e}", out.display()))?;
                 let _ = writeln!(report, "wrote:            {}", out.display());
             }
-            traj_obs::histogram!("cli", "total_ns").record(total.elapsed_ns());
+            traj_obs::histogram!("cli", "total_ns")
+                .record(u64::try_from(total.elapsed().as_nanos()).unwrap_or(u64::MAX));
             if *stats {
                 // Compression vs evaluation cost per run, at a glance
                 // (the full span table below has the same data per phase).
                 let _ = writeln!(
                     report,
                     "timing:           compress {:.3} ms · evaluate {:.3} ms",
-                    compress_ns as f64 / 1e6,
-                    evaluate_ns as f64 / 1e6,
+                    compress_time.as_secs_f64() * 1e3,
+                    evaluate_time.as_secs_f64() * 1e3,
                 );
                 let _ = writeln!(report);
                 report.push_str(&traj_obs::sink::render_table(

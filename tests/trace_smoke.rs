@@ -110,6 +110,64 @@ fn compress_trace_out_writes_folded_stacks() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One span, one pair, one histogram: every span name the trace opens
+/// has a `span.<name>` histogram in the metrics sidecar with as many
+/// samples as the trace has `B` events, keyed by name alone.
+#[test]
+fn compress_span_histograms_count_the_traced_pairs() {
+    let dir = std::env::temp_dir().join("trajc_trace_smoke_pairs");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = generate_input(&dir);
+    let trace = dir.join("t.json");
+    let metrics = dir.join("m.jsonl");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_trajc"))
+        .arg("compress")
+        .arg(&input)
+        .args(["--algo", "td-tr", "--eps", "30", "--stats", "--trace-out"])
+        .arg(&trace)
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .output()
+        .expect("trajc must run");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let timing = stdout.lines().find(|l| l.starts_with("timing:")).expect("timing line");
+    assert!(!timing.contains("compress 0.000 ms · evaluate 0.000 ms"), "{timing}");
+
+    let doc = json::parse(&std::fs::read_to_string(&trace).expect("trace written"))
+        .expect("trace must parse as JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents");
+    let mut begins: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
+    for e in events {
+        if e.get("ph").and_then(Json::as_str) == Some("B") {
+            *begins.entry(e.get("name").and_then(Json::as_str).expect("name")).or_default() += 1;
+        }
+    }
+    let samples = trajc::obs::sink::parse_json_lines(
+        &std::fs::read_to_string(&metrics).expect("metrics written"),
+    )
+    .expect("metrics sidecar parses");
+    let spans: std::collections::BTreeMap<&str, u64> = samples
+        .iter()
+        .filter(|s| s.subsystem == "span")
+        .map(|s| (s.name.as_str(), s.histogram.as_ref().map_or(0, |h| h.count)))
+        .collect();
+    for name in spans.keys() {
+        assert!(!name.contains('/') && !name.ends_with(".points"), "span metric {name}");
+    }
+    for (name, count) in &begins {
+        assert_eq!(spans.get(name), Some(count), "span.{name} vs its B events");
+    }
+    if cfg!(feature = "obs") {
+        assert!(begins.contains_key("cli.compress") && begins.contains_key("td_tr.compress"));
+    } else {
+        assert!(begins.is_empty() && samples.is_empty());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn obs_merge_round_trips_metrics_sidecars() {
     let dir = std::env::temp_dir().join("trajc_trace_smoke_merge");

@@ -10,6 +10,7 @@
 
 pub mod allowlist;
 pub mod callgraph;
+pub mod lines;
 pub mod lints;
 pub mod reach;
 pub mod scan;

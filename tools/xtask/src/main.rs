@@ -1,13 +1,14 @@
-//! `cargo xtask` — workspace task runner: `lint` and `reach`.
+//! `cargo xtask` — workspace task runner: `lint`, `reach` and `lines`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::{fix_allowlist, load_config, reach, run};
+use xtask::{fix_allowlist, lines, load_config, reach, run};
 
 const USAGE: &str = "\
 usage: cargo xtask lint  [--fix-allowlist] [--root <path>]
        cargo xtask reach [--format text|json] [--all] [--root <path>]
+       cargo xtask lines [--root <path>]
 
 lint   runs the workspace static-analysis gate (float_eq, panic,
        safety, ordering, time_cast) and reconciles findings against
@@ -15,6 +16,8 @@ lint   runs the workspace static-analysis gate (float_eq, panic,
 reach  builds the workspace call graph and proves the [contracts]
        roots in lint.toml panic-free and allocation-free, printing
        the shortest offending call chain for each violation.
+lines  prints non-blank Rust lines per crate, split into non-test
+       and test code, with totals.
 See tools/xtask/README.md.
 
 options:
@@ -66,6 +69,10 @@ fn main() -> ExitCode {
     let result = match cmd.as_deref() {
         Some("lint") => lint(&root, fix),
         Some("reach") => run_reach(&root, &format, all),
+        Some("lines") => lines::count(&root).map(|counts| {
+            print!("{}", lines::render(&counts));
+            ExitCode::SUCCESS
+        }),
         Some(other) => return usage_error(&format!("unknown task `{other}`")),
         None => return usage_error("no task given"),
     };
