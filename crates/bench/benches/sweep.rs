@@ -115,18 +115,9 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // The full experiment runner, slow path vs registry fast path.
+    // The full experiment runner: one split-tree pass and one memoized
+    // evaluation pass per trajectory.
     g.sample_size(10);
-    g.bench_function("experiment/factory_sweep", |b| {
-        b.iter(|| {
-            black_box(traj_eval::sweep(
-                "TD-TR",
-                black_box(&dataset),
-                &PAPER_THRESHOLDS,
-                |e| Box::new(TdTr::new(e)),
-            ))
-        })
-    });
     g.bench_function("experiment/registry_sweep_algo", |b| {
         let algo = traj_eval::Algo::top_down("TD-TR", TopDown::time_ratio(0.0));
         b.iter(|| {

@@ -91,7 +91,6 @@ pub mod error;
 pub mod hull_dp;
 pub mod one_pass;
 pub mod opening_window;
-pub mod parallel;
 pub mod result;
 pub mod segmentation;
 pub mod simple;
@@ -116,7 +115,6 @@ pub use error::{
 pub use hull_dp::HullDouglasPeucker;
 pub use one_pass::{OnePassCone, OnePassFit, CONE_DIRECTIONS};
 pub use opening_window::{BreakStrategy, OpeningWindow};
-pub use parallel::{auto_workers, compress_all, MIN_AUTO_PARALLEL_WORK};
 pub use result::{CompressionResult, CompressionResultBuf, Compressor, InvalidResult};
 pub use segmentation::{detect_stops, segment_stops_moves, stop_ratio, Episode, Stop};
 pub use simple::{DistanceThreshold, UniformSample};

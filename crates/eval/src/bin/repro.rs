@@ -14,7 +14,7 @@
 //! `--csv DIR` additionally writes
 //! one CSV per figure into `DIR`, plus a `metrics.csv` sidecar with the
 //! instrumentation snapshot of the whole run; `--metrics-out FILE`
-//! redirects the sidecar (JSON lines for `.json` paths, CSV otherwise).
+//! redirects the sidecar (CSV for `.csv` paths, JSON lines otherwise).
 //!
 //! `--threads N` fans each figure's sweeps over N worker threads
 //! (`0` = auto: all cores, or serial when the grid is too small to
@@ -36,7 +36,7 @@ use std::process::ExitCode;
 use traj_eval::{
     check_expectations, fig10_threaded, fig11_threaded, fig7_threaded, fig8_threaded,
     fig9_threaded, fig_onepass_threaded, figure_to_csv, format_figure, format_table2,
-    sweep_algo_parallel, table2, Algo, FigureData, PAPER_THRESHOLDS,
+    onepass_algos, sweep_algo_parallel, table2, FigureData, PAPER_THRESHOLDS,
 };
 
 struct Args {
@@ -108,19 +108,14 @@ fn parse_args() -> Result<Args, String> {
 
 /// Writes the instrumentation snapshot of the whole run: to
 /// `--metrics-out` when given, else to `DIR/metrics.csv` next to the
-/// figure CSVs. JSON lines for `.json` paths, CSV otherwise.
+/// figure CSVs. CSV for `.csv` paths, JSON lines otherwise.
 fn write_metrics(args: &Args) {
     let path = match (&args.metrics_out, &args.csv_dir) {
         (Some(p), _) => p.clone(),
         (None, Some(dir)) => dir.join("metrics.csv"),
         (None, None) => return,
     };
-    let snapshot = traj_obs::registry().snapshot();
-    let body = if path.extension().is_some_and(|e| e == "json") {
-        traj_obs::sink::to_json_lines(&snapshot)
-    } else {
-        traj_obs::sink::to_csv(&snapshot)
-    };
+    let body = traj_obs::sink::to_sidecar(&path, &traj_obs::registry().snapshot());
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).ok();
     }
@@ -178,19 +173,11 @@ fn emit(fig: &FigureData, csv_dir: &Option<PathBuf>) {
 /// and throughput (million input fixes per second, counting every
 /// threshold of the grid as one full pass over the dataset).
 fn run_onepass_throughput(dataset: &[traj_model::Trajectory], grid: &[f64], threads: usize) {
-    use traj_compress::{OnePassCone, OnePassFit, OpeningWindow, TopDown};
-    let algos = [
-        Algo::top_down("NDP", TopDown::perpendicular(0.0)),
-        Algo::top_down("TD-TR", TopDown::time_ratio(0.0)),
-        Algo::opening_window("OPW-TR", OpeningWindow::opw_tr(0.0)),
-        Algo::factory("OP-FIT", |e| Box::new(OnePassFit::new(e))),
-        Algo::factory("OP-CONE", |e| Box::new(OnePassCone::new(e))),
-    ];
     let fixes: usize = dataset.iter().map(|t| t.len()).sum();
     let total = fixes * grid.len();
     println!("sweep wall time ({} fixes x {} thresholds):", fixes, grid.len());
     println!("{:>10} | {:>10} {:>12}", "algo", "wall (ms)", "Mfix/s");
-    for algo in &algos {
+    for algo in &onepass_algos() {
         let start = std::time::Instant::now();
         let sweep = sweep_algo_parallel(algo, dataset, grid, threads);
         let secs = start.elapsed().as_secs_f64();

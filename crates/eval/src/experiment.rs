@@ -1,7 +1,7 @@
 //! The experiment runner: threshold sweeps averaged over the dataset.
 
 use crate::registry::Algo;
-use traj_compress::{evaluate, evaluate_sweep, Compressor, EvalWorkspace, Evaluation, Workspace};
+use traj_compress::{evaluate_sweep, EvalWorkspace, Evaluation, Workspace};
 use traj_model::Trajectory;
 
 /// The paper's fifteen spatial thresholds: 30–100 m in 5 m steps (§4.3).
@@ -90,39 +90,17 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Runs `make(threshold)` over every trajectory of `dataset` for every
-/// threshold, averaging compression and error per threshold — the
-/// protocol behind each curve of Figs. 7–11 ("figures given are averages
-/// over ten different trajectories").
+/// Runs a registered [`Algo`] over the dataset × threshold grid,
+/// averaging compression and error per threshold — the protocol behind
+/// each curve of Figs. 7–11 ("figures given are averages over ten
+/// different trajectories"). Per trajectory this is one [`Algo::run`]
+/// call (a single split-tree pass for top-down entries, one memoized
+/// window pass for opening-window entries) and one [`evaluate_sweep`]
+/// engine pass (anchor segments shared across thresholds are evaluated
+/// once).
 ///
-/// Prefer [`sweep_algo`] for registered algorithms: top-down entries
-/// then share one split-tree pass across all thresholds. The per-point
-/// numbers are bit-identical either way.
-pub fn sweep<F>(label: &str, dataset: &[Trajectory], thresholds: &[f64], make: F) -> AlgoSweep
-where
-    F: Fn(f64) -> Box<dyn Compressor>,
-{
-    // Stays on the reference `evaluate()` path deliberately: the factory
-    // sweep is the independent cross-check for the one-pass engine used
-    // by `sweep_algo` (see `tests/sweep_equivalence.rs`).
-    aggregate(
-        label,
-        dataset.len(),
-        thresholds,
-        dataset.iter().map(|traj| {
-            thresholds
-                .iter()
-                .map(|&eps| evaluate(traj, &make(eps).compress(traj)))
-                .collect()
-        }),
-    )
-}
-
-/// Runs a registered [`Algo`] over the dataset × threshold grid: one
-/// [`Algo::run`] call per trajectory (a single split-tree pass for
-/// top-down entries) and one [`evaluate_sweep`] engine pass per
-/// trajectory (anchor segments shared across thresholds are evaluated
-/// once), averaged per threshold exactly like [`sweep`].
+/// # Panics
+/// Panics on an empty dataset.
 pub fn sweep_algo(algo: &Algo, dataset: &[Trajectory], thresholds: &[f64]) -> AlgoSweep {
     let mut ws = Workspace::new();
     let mut ews = EvalWorkspace::new();
@@ -139,9 +117,9 @@ pub fn sweep_algo(algo: &Algo, dataset: &[Trajectory], thresholds: &[f64]) -> Al
 
 /// [`sweep_algo`] with the dataset fanned across up to `threads` scoped
 /// worker threads (`0` = auto: all available cores, falling back to the
-/// inline path on single-core hosts or when the grid is too small to
-/// amortise thread startup — see [`traj_compress::auto_workers`];
-/// `1` = inline with no thread overhead). Each worker owns one
+/// inline path on single-core hosts or when the grid is below 16,384
+/// points × thresholds, too small to amortise thread startup; `1` =
+/// inline with no thread overhead). Each worker owns one
 /// compression [`Workspace`] and one [`EvalWorkspace`] for its whole
 /// stripe; per-trajectory rows are merged back in input order before
 /// aggregation, so the returned sweep is **bit-identical** to the
@@ -163,13 +141,14 @@ pub fn sweep_algo_parallel(
     // Grid work: every input point is visited once per threshold.
     let total_points: usize = dataset.iter().map(Trajectory::len).sum();
     let grid_work = total_points.saturating_mul(thresholds.len().max(1));
-    let workers = traj_compress::auto_workers(threads, n, grid_work);
+    let workers = auto_workers(threads, n, grid_work);
     if workers == 1 {
         return sweep_algo(algo, dataset, thresholds);
     }
     let mut slots: Vec<Option<Vec<Evaluation>>> = vec![None; n];
     std::thread::scope(|scope| {
-        // Striped partition, as in `traj_compress::compress_all`.
+        // Striped partition: worker w takes trajectories w, w+workers, …
+        // (no work stealing; striping balances mixed lengths well).
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             handles.push(scope.spawn(move || {
@@ -199,6 +178,43 @@ pub fn sweep_algo_parallel(
         }
     });
     aggregate(algo.label(), n, thresholds, slots.into_iter().flatten())
+}
+
+/// Minimum grid work (input points × thresholds) below which
+/// `threads == 0` auto-sizing stays serial.
+///
+/// Spawning scoped workers and giving each its own [`Workspace`] costs
+/// on the order of a hundred microseconds; a grid this small sweeps in
+/// less. Benchmarks on the paper grid showed the parallel path *losing*
+/// to serial for small grids (and on single-core hosts at any size), so
+/// `auto_workers` refuses to fan out beneath this floor. An explicit
+/// `threads >= 1` request always overrides it.
+const MIN_AUTO_PARALLEL_WORK: usize = 16_384;
+
+/// Resolves a requested thread count into the worker count to actually
+/// spawn for `items` independent trajectories totalling `work_units`
+/// of grid work.
+///
+/// - `requested >= 1` is honored (clamped to `items` — more workers
+///   than tasks would idle).
+/// - `requested == 0` means "auto": all available cores, but *serial*
+///   when the machine has a single core or `work_units` is below
+///   [`MIN_AUTO_PARALLEL_WORK`], where thread startup dominates.
+///
+/// Returns at least 1; a return of 1 means "run inline, spawn nothing".
+fn auto_workers(requested: usize, items: usize, work_units: usize) -> usize {
+    if items <= 1 {
+        return 1;
+    }
+    if requested >= 1 {
+        return requested.min(items);
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    if cores <= 1 || work_units < MIN_AUTO_PARALLEL_WORK {
+        1
+    } else {
+        cores.min(items)
+    }
 }
 
 /// Shared aggregation: one row of per-threshold [`Evaluation`]s per
@@ -256,7 +272,7 @@ fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_compress::TdTr;
+    use crate::figures::td_tr;
 
     fn tiny_dataset() -> Vec<Trajectory> {
         (0..3)
@@ -273,9 +289,7 @@ mod tests {
     #[test]
     fn sweep_produces_one_point_per_threshold() {
         let ds = tiny_dataset();
-        let s = sweep("TD-TR", &ds, &[10.0, 50.0, 90.0], |e| {
-            Box::new(TdTr::new(e))
-        });
+        let s = sweep_algo(&td_tr(), &ds, &[10.0, 50.0, 90.0]);
         assert_eq!(s.points.len(), 3);
         assert_eq!(s.label, "TD-TR");
         for (p, eps) in s.points.iter().zip([10.0, 50.0, 90.0]) {
@@ -288,7 +302,7 @@ mod tests {
     #[test]
     fn compression_monotone_in_threshold_for_td_tr() {
         let ds = tiny_dataset();
-        let s = sweep("TD-TR", &ds, &PAPER_THRESHOLDS, |e| Box::new(TdTr::new(e)));
+        let s = sweep_algo(&td_tr(), &ds, &PAPER_THRESHOLDS);
         for w in s.points.windows(2) {
             assert!(
                 w[1].compression_pct >= w[0].compression_pct - 1e-9,
@@ -300,7 +314,7 @@ mod tests {
     #[test]
     fn aggregates() {
         let ds = tiny_dataset();
-        let s = sweep("TD-TR", &ds, &[30.0, 100.0], |e| Box::new(TdTr::new(e)));
+        let s = sweep_algo(&td_tr(), &ds, &[30.0, 100.0]);
         assert!(s.mean_error() >= 0.0);
         assert!(s.mean_compression() > 0.0);
         assert!(s.error_spread() >= 0.0);
@@ -318,8 +332,7 @@ mod tests {
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
         let ds = tiny_dataset();
-        let algo =
-            crate::registry::Algo::top_down("TD-TR", traj_compress::TopDown::time_ratio(0.0));
+        let algo = td_tr();
         let serial = sweep_algo(&algo, &ds, &PAPER_THRESHOLDS);
         for threads in [0, 2, 8] {
             let par = sweep_algo_parallel(&algo, &ds, &PAPER_THRESHOLDS, threads);
@@ -338,6 +351,32 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_dataset_rejected() {
-        let _ = sweep("x", &[], &[10.0], |e| Box::new(TdTr::new(e)));
+        let _ = sweep_algo(&td_tr(), &[], &[10.0]);
+    }
+
+    #[test]
+    fn auto_workers_honors_explicit_requests() {
+        // An explicit request is clamped to the item count only.
+        assert_eq!(auto_workers(4, 100, 10), 4);
+        assert_eq!(auto_workers(4, 2, 10), 2);
+        assert_eq!(auto_workers(1, 100, usize::MAX), 1);
+    }
+
+    #[test]
+    fn auto_workers_stays_serial_below_the_work_floor() {
+        assert_eq!(auto_workers(0, 100, MIN_AUTO_PARALLEL_WORK - 1), 1);
+        assert_eq!(auto_workers(0, 1, usize::MAX), 1);
+        assert_eq!(auto_workers(0, 0, usize::MAX), 1);
+    }
+
+    #[test]
+    fn auto_workers_scales_with_cores_for_big_work() {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(
+            auto_workers(0, 1000, MIN_AUTO_PARALLEL_WORK),
+            cores.min(1000)
+        );
+        // Never more workers than items, whatever the machine.
+        assert!(auto_workers(0, 2, usize::MAX) <= 2);
     }
 }

@@ -15,12 +15,13 @@
 //!   error figure.
 
 use traj_compress::error::interpolation_model_gap;
-use traj_compress::{DouglasPeucker, OpeningWindow, TdTr};
+use traj_compress::DeadReckoning;
 use traj_gen::{animal_track, paper_dataset, pedestrian_trip, AnimalParams, PedestrianParams};
 use traj_model::Trajectory;
 
-use crate::experiment::{sweep, AlgoSweep};
-use crate::figures::FigureData;
+use crate::experiment::{sweep_algo, AlgoSweep};
+use crate::figures::{figure, ndp, opw_tr, td_tr, FigureData};
+use crate::registry::Algo;
 
 /// A labelled dataset of one object class.
 #[derive(Debug, Clone)]
@@ -75,18 +76,10 @@ pub fn object_classes(seed: u64) -> Vec<(String, FigureData)> {
     class_datasets(seed)
         .into_iter()
         .map(|ds| {
-            let fig = FigureData {
-                id: "ext_classes",
-                title: "TD-TR vs OPW-TR per object class (extension)",
-                sweeps: vec![
-                    sweep("TD-TR", &ds.trajectories, &ds.thresholds, |e| {
-                        Box::new(TdTr::new(e))
-                    }),
-                    sweep("OPW-TR", &ds.trajectories, &ds.thresholds, |e| {
-                        Box::new(OpeningWindow::opw_tr(e))
-                    }),
-                ],
-            };
+            let title = "TD-TR vs OPW-TR per object class (extension)";
+            let algos = [td_tr(), opw_tr()];
+            let (trajs, grid) = (&ds.trajectories, &ds.thresholds);
+            let fig = figure("ext_classes", title, &algos, trajs, grid, 1);
             (ds.class.to_string(), fig)
         })
         .collect()
@@ -107,8 +100,8 @@ pub fn noise_ablation(seed: u64, thresholds: &[f64]) -> Vec<(f64, AlgoSweep, Alg
                 ..traj_gen::TripConfig::default()
             };
             let ds = traj_gen::dataset::paper_dataset_with(seed, &cfg);
-            let ndp = sweep("NDP", &ds, thresholds, |e| Box::new(DouglasPeucker::new(e)));
-            let tdtr = sweep("TD-TR", &ds, thresholds, |e| Box::new(TdTr::new(e)));
+            let ndp = sweep_algo(&ndp(), &ds, thresholds);
+            let tdtr = sweep_algo(&td_tr(), &ds, thresholds);
             (sigma, ndp, tdtr)
         })
         .collect()
@@ -125,8 +118,8 @@ pub fn sampling_ablation(seed: u64, thresholds: &[f64]) -> Vec<(f64, AlgoSweep, 
                 ..traj_gen::TripConfig::default()
             };
             let ds = traj_gen::dataset::paper_dataset_with(seed, &cfg);
-            let ndp = sweep("NDP", &ds, thresholds, |e| Box::new(DouglasPeucker::new(e)));
-            let tdtr = sweep("TD-TR", &ds, thresholds, |e| Box::new(TdTr::new(e)));
+            let ndp = sweep_algo(&ndp(), &ds, thresholds);
+            let tdtr = sweep_algo(&td_tr(), &ds, thresholds);
             (interval, ndp, tdtr)
         })
         .collect()
@@ -159,20 +152,11 @@ pub fn class_signatures(seed: u64) -> Vec<(String, f64)> {
 /// OPW-TR (`O(w)` window) vs batch TD-TR, swept over the paper
 /// thresholds — what giving up look-back (and then batch access) buys.
 pub fn online_spectrum(seed: u64, thresholds: &[f64]) -> FigureData {
+    let title = "Online spectrum: dead-reckoning vs OPW-TR vs TD-TR (extension)";
+    let dr = Algo::factory("DR", |e| Box::new(DeadReckoning::new(e)));
+    let algos = [dr, opw_tr(), td_tr()];
     let ds = paper_dataset(seed);
-    FigureData {
-        id: "ext_online",
-        title: "Online spectrum: dead-reckoning vs OPW-TR vs TD-TR (extension)",
-        sweeps: vec![
-            sweep("DR", &ds, thresholds, |e| {
-                Box::new(traj_compress::DeadReckoning::new(e))
-            }),
-            sweep("OPW-TR", &ds, thresholds, |e| {
-                Box::new(OpeningWindow::opw_tr(e))
-            }),
-            sweep("TD-TR", &ds, thresholds, |e| Box::new(TdTr::new(e))),
-        ],
-    }
+    figure("ext_online", title, &algos, &ds, thresholds, 1)
 }
 
 /// Mean Catmull–Rom-vs-linear interpretation gap over the dataset,

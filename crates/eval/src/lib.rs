@@ -3,19 +3,25 @@
 //! One function per table/figure of *Meratnia & de By (EDBT 2004)* §4:
 //!
 //! * [`figures::table2`] — dataset statistics (Table 2);
-//! * [`figures::fig7`] — NDP vs TD-TR, compression and error per
-//!   threshold;
-//! * [`figures::fig8`] — BOPW vs NOPW;
-//! * [`figures::fig9`] — NOPW vs OPW-TR;
-//! * [`figures::fig10`] — OPW-TR vs TD-SP(5) vs OPW-SP(5/15/25);
-//! * [`figures::fig11`] — error versus compression across all
+//! * [`figures::fig7_threaded`] — NDP vs TD-TR, compression and error
+//!   per threshold;
+//! * [`figures::fig8_threaded`] — BOPW vs NOPW;
+//! * [`figures::fig9_threaded`] — NOPW vs OPW-TR;
+//! * [`figures::fig10_threaded`] — OPW-TR vs TD-SP(5) vs
+//!   OPW-SP(5/15/25);
+//! * [`figures::fig11_threaded`] — error versus compression across all
 //!   algorithms.
 //!
-//! Beyond the paper, [`figures::fig_onepass`] compares the one-pass SED
-//! family (OP-FIT / OP-CONE, Lin et al., arXiv 1801.05360) against NDP,
-//! TD-TR and OPW-TR on the same grid, and
+//! Beyond the paper, [`figures::fig_onepass_threaded`] compares the
+//! one-pass SED family (OP-FIT / OP-CONE, Lin et al., arXiv 1801.05360)
+//! against NDP, TD-TR and OPW-TR on the same grid, and
 //! [`registry::algorithm_catalog`] is the live, test-synced source of
 //! truth behind the root `ALGORITHMS.md` catalog.
+//!
+//! Every figure, and every [`extensions`] experiment, is a list of
+//! registry [`Algo`]s swept by one runner, [`sweep_algo_parallel`]: one
+//! compression pass and one memoized evaluation pass per trajectory,
+//! averaged per threshold.
 //!
 //! All experiments follow the paper's §4.3 protocol: ten trajectories
 //! (the calibrated synthetic dataset of `traj-gen`), fifteen spatial
@@ -35,7 +41,7 @@ pub mod registry;
 pub mod report;
 
 pub use experiment::{
-    sweep, sweep_algo, sweep_algo_parallel, AlgoSweep, SweepPoint, PAPER_SPEED_THRESHOLDS,
+    sweep_algo, sweep_algo_parallel, AlgoSweep, SweepPoint, PAPER_SPEED_THRESHOLDS,
     PAPER_THRESHOLDS,
 };
 pub use registry::{algorithm_catalog, Algo, AlgoMeta, ErrorBound};
@@ -44,10 +50,7 @@ pub use extensions::{
     online_spectrum, sampling_ablation,
 };
 pub use figures::{
-    fig10, fig10_threaded, fig10_with, fig11, fig11_threaded, fig11_with, fig7, fig7_threaded,
-    fig7_with, fig8, fig8_threaded, fig8_with, fig9, fig9_threaded, fig9_with, fig_onepass,
-    fig_onepass_threaded, fig_onepass_with, table2, FigureData,
+    fig10_threaded, fig11_threaded, fig7_threaded, fig8_threaded, fig9_threaded,
+    fig_onepass_threaded, onepass_algos, table2, FigureData,
 };
-pub use report::{
-    check_expectations, figure_to_csv, figure_to_markdown, format_figure, format_table2,
-};
+pub use report::{check_expectations, figure_to_csv, format_figure, format_table2};

@@ -43,11 +43,16 @@ impl ErrorBound {
     }
 }
 
+/// A catalog constructor's output: the compressor, or why its
+/// parameters cannot build it.
+type Built = Result<Box<dyn Compressor>, String>;
+
 /// One row of the live algorithm catalog — the machine-readable source
 /// of truth that `ALGORITHMS.md` is diffed against (see
-/// `crates/eval/tests/catalog_sync.rs`).
+/// `crates/eval/tests/catalog_sync.rs`) and the only `--algo` name
+/// table of `trajc compress`.
 pub struct AlgoMeta {
-    /// The `trajc compress --algo` name (primary alias).
+    /// The `trajc compress --algo` name.
     pub cli_name: &'static str,
     /// The discarding criterion, in one phrase.
     pub criterion: &'static str,
@@ -59,9 +64,11 @@ pub struct AlgoMeta {
     pub streaming: bool,
     /// Where the algorithm comes from.
     pub reference: &'static str,
-    /// Builds the compressor at a given primary threshold (speed-blended
-    /// algorithms use the paper's 5 m/s default speed threshold).
-    pub make: fn(f64) -> Box<dyn Compressor>,
+    /// Builds the compressor at a primary threshold and an optional
+    /// speed threshold (`--eps`, `--speed-eps`). Only the speed-blended
+    /// rows read the speed, and they fail without one; `td-sp` also
+    /// needs it > 0. Everything else ignores it.
+    pub make: fn(f64, Option<f64>) -> Built,
 }
 
 impl std::fmt::Debug for AlgoMeta {
@@ -75,6 +82,11 @@ impl std::fmt::Debug for AlgoMeta {
             .field("reference", &self.reference)
             .finish_non_exhaustive()
     }
+}
+
+/// The speed threshold a speed-blended catalog row needs.
+fn need_speed(name: &str, speed: Option<f64>) -> Result<f64, String> {
+    speed.ok_or_else(|| format!("algorithm {name:?} needs --speed-eps"))
 }
 
 /// Every registered compressor, in the order `ALGORITHMS.md` documents
@@ -94,7 +106,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n)",
             streaming: true,
             reference: "Tobler; paper §2",
-            make: |eps| Box::new(UniformSample::new(eps.round().max(1.0) as usize)),
+            make: |eps, _| Ok(Box::new(UniformSample::new(eps.round().max(1.0) as usize))),
         },
         AlgoMeta {
             cli_name: "dist",
@@ -103,7 +115,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n)",
             streaming: true,
             reference: "paper §2",
-            make: |eps| Box::new(DistanceThreshold::new(eps)),
+            make: |eps, _| Ok(Box::new(DistanceThreshold::new(eps))),
         },
         AlgoMeta {
             cli_name: "ndp",
@@ -112,7 +124,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n²) worst",
             streaming: false,
             reference: "Douglas & Peucker; paper §2.1",
-            make: |eps| Box::new(DouglasPeucker::new(eps)),
+            make: |eps, _| Ok(Box::new(DouglasPeucker::new(eps))),
         },
         AlgoMeta {
             cli_name: "ndp-hull",
@@ -121,7 +133,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n log n) expected",
             streaming: false,
             reference: "Hershberger & Snoeyink [17]",
-            make: |eps| Box::new(HullDouglasPeucker::new(eps)),
+            make: |eps, _| Ok(Box::new(HullDouglasPeucker::new(eps))),
         },
         AlgoMeta {
             cli_name: "td-tr",
@@ -130,7 +142,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n²) worst",
             streaming: false,
             reference: "paper §3.2",
-            make: |eps| Box::new(TdTr::new(eps)),
+            make: |eps, _| Ok(Box::new(TdTr::new(eps))),
         },
         AlgoMeta {
             cli_name: "td-sp",
@@ -139,7 +151,10 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n²) worst",
             streaming: false,
             reference: "paper §4.3",
-            make: |eps| Box::new(TdSp::new(eps, 5.0)),
+            make: |eps, speed| match need_speed("td-sp", speed)? {
+                v if v > 0.0 => Ok(Box::new(TdSp::new(eps, v))),
+                _ => Err("td-sp: --speed-eps must be > 0".into()),
+            },
         },
         AlgoMeta {
             cli_name: "nopw",
@@ -148,7 +163,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n²) worst",
             streaming: true,
             reference: "paper §2.2",
-            make: |eps| Box::new(OpeningWindow::nopw(eps)),
+            make: |eps, _| Ok(Box::new(OpeningWindow::nopw(eps))),
         },
         AlgoMeta {
             cli_name: "bopw",
@@ -157,7 +172,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n²) worst",
             streaming: true,
             reference: "paper §2.2",
-            make: |eps| Box::new(OpeningWindow::bopw(eps)),
+            make: |eps, _| Ok(Box::new(OpeningWindow::bopw(eps))),
         },
         AlgoMeta {
             cli_name: "opw-tr",
@@ -166,7 +181,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n²) worst",
             streaming: true,
             reference: "paper §3.3",
-            make: |eps| Box::new(OpeningWindow::opw_tr(eps)),
+            make: |eps, _| Ok(Box::new(OpeningWindow::opw_tr(eps))),
         },
         AlgoMeta {
             cli_name: "opw-sp",
@@ -175,7 +190,10 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n²) worst",
             streaming: true,
             reference: "paper §3.3 (SPT)",
-            make: |eps| Box::new(OpeningWindow::opw_sp(eps, 5.0)),
+            make: |eps, speed| {
+                let v = need_speed("opw-sp", speed)?;
+                Ok(Box::new(OpeningWindow::opw_sp(eps, v)))
+            },
         },
         AlgoMeta {
             cli_name: "dead-reckoning",
@@ -184,7 +202,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n)",
             streaming: true,
             reference: "Wolfson et al.; DESIGN.md extension",
-            make: |eps| Box::new(DeadReckoning::new(eps)),
+            make: |eps, _| Ok(Box::new(DeadReckoning::new(eps))),
         },
         AlgoMeta {
             cli_name: "bottom-up",
@@ -193,7 +211,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n log n) heap ops, O(span) re-eval",
             streaming: false,
             reference: "Keogh et al.; paper §2",
-            make: |eps| Box::new(BottomUp::time_ratio(eps)),
+            make: |eps, _| Ok(Box::new(BottomUp::time_ratio(eps))),
         },
         AlgoMeta {
             cli_name: "sliding-window",
@@ -202,7 +220,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n·w²) worst",
             streaming: true,
             reference: "Keogh et al.; paper §2",
-            make: |eps| Box::new(SlidingWindow::time_ratio(eps, 32)),
+            make: |eps, _| Ok(Box::new(SlidingWindow::time_ratio(eps, 32))),
         },
         AlgoMeta {
             cli_name: "op-fit",
@@ -211,7 +229,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n)",
             streaming: true,
             reference: "Lin et al., arXiv 1801.05360 (OPERB)",
-            make: |eps| Box::new(OnePassFit::new(eps)),
+            make: |eps, _| Ok(Box::new(OnePassFit::new(eps))),
         },
         AlgoMeta {
             cli_name: "op-cone",
@@ -220,7 +238,7 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             complexity: "O(n·m), m directions",
             streaming: true,
             reference: "Lin et al., arXiv 1801.05360 (CISED)",
-            make: |eps| Box::new(OnePassCone::new(eps)),
+            make: |eps, _| Ok(Box::new(OnePassCone::new(eps))),
         },
     ];
     CATALOG
@@ -375,7 +393,7 @@ mod tests {
         // Every constructor actually compresses.
         let t = traj();
         for meta in cat {
-            let r = (meta.make)(30.0).compress(&t);
+            let r = (meta.make)(30.0, Some(5.0)).unwrap().compress(&t);
             assert_eq!(r.original_len(), t.len(), "{}", meta.cli_name);
         }
     }

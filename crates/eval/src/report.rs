@@ -84,44 +84,6 @@ pub fn format_figure(fig: &FigureData) -> String {
     out
 }
 
-/// Renders a figure as a GitHub-flavoured Markdown table (threshold rows,
-/// one `comp % / err m` column pair per algorithm) — the format used in
-/// `EXPERIMENTS.md`.
-pub fn figure_to_markdown(fig: &FigureData) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "### {} — {}\n", fig.id, fig.title);
-    let _ = write!(out, "| ε (m) |");
-    for s in &fig.sweeps {
-        let _ = write!(out, " {} comp % | {} err (m) |", s.label, s.label);
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "|---|");
-    for _ in &fig.sweeps {
-        let _ = write!(out, "---|---|");
-    }
-    let _ = writeln!(out);
-    let n = fig.sweeps.first().map_or(0, |s| s.points.len());
-    for i in 0..n {
-        let _ = write!(out, "| {:.0} |", fig.sweeps[0].points[i].threshold_m);
-        for s in &fig.sweeps {
-            let p = &s.points[i];
-            let _ = write!(out, " {:.2} | {:.2} |", p.compression_pct, p.error_m);
-        }
-        let _ = writeln!(out);
-    }
-    let _ = write!(out, "| **mean** |");
-    for s in &fig.sweeps {
-        let _ = write!(
-            out,
-            " **{:.2}** | **{:.2}** |",
-            s.mean_compression(),
-            s.mean_error()
-        );
-    }
-    let _ = writeln!(out);
-    out
-}
-
 /// Serializes a figure's sweeps as CSV with per-threshold means and
 /// across-trajectory standard deviations:
 /// `algo,threshold_m,compression_pct,compression_std,error_m,error_std,perp_error_m,mean_sed_m,max_sed_m`.
@@ -397,32 +359,6 @@ mod tests {
         assert!(text.contains('A') && text.contains('B'));
         assert!(text.contains("30") && text.contains("40"));
         assert!(text.lines().count() >= 5);
-    }
-
-    #[test]
-    fn markdown_has_header_rows_and_means() {
-        let f = fig(
-            "figM",
-            vec![
-                sweep("A", &[(30.0, 50.0, 100.0), (40.0, 60.0, 120.0)]),
-                sweep("B", &[(30.0, 55.0, 80.0), (40.0, 65.0, 90.0)]),
-            ],
-        );
-        let md = figure_to_markdown(&f);
-        assert!(md.starts_with("### figM"));
-        assert!(md.contains("| ε (m) |"));
-        assert!(md.contains("| 30 |"));
-        assert!(md.contains("**mean**"));
-        // Column count consistent on every data row.
-        let cols: Vec<usize> = md
-            .lines()
-            .filter(|l| l.starts_with('|'))
-            .map(|l| l.matches('|').count())
-            .collect();
-        assert!(
-            cols.windows(2).all(|w| w[0] == w[1]),
-            "ragged table: {cols:?}"
-        );
     }
 
     #[test]

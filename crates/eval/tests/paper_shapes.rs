@@ -6,7 +6,8 @@
 //! sweep. Shape claims are threshold-set-independent.
 
 use traj_eval::{
-    check_expectations, fig10_with, fig11_with, fig7_with, fig8_with, fig9_with, table2,
+    check_expectations, fig10_threaded, fig11_threaded, fig7_threaded, fig8_threaded,
+    fig9_threaded, table2,
 };
 
 const FAST_THRESHOLDS: [f64; 5] = [30.0, 45.0, 60.0, 80.0, 100.0];
@@ -14,11 +15,11 @@ const FAST_THRESHOLDS: [f64; 5] = [30.0, 45.0, 60.0, 80.0, 100.0];
 #[test]
 fn paper_shape_claims_hold_on_calibrated_dataset() {
     let dataset = traj_gen::paper_dataset(42);
-    let f7 = fig7_with(&dataset, &FAST_THRESHOLDS);
-    let f8 = fig8_with(&dataset, &FAST_THRESHOLDS);
-    let f9 = fig9_with(&dataset, &FAST_THRESHOLDS);
-    let f10 = fig10_with(&dataset, &FAST_THRESHOLDS);
-    let f11 = fig11_with(&dataset, &FAST_THRESHOLDS);
+    let f7 = fig7_threaded(&dataset, &FAST_THRESHOLDS, 1);
+    let f8 = fig8_threaded(&dataset, &FAST_THRESHOLDS, 1);
+    let f9 = fig9_threaded(&dataset, &FAST_THRESHOLDS, 1);
+    let f10 = fig10_threaded(&dataset, &FAST_THRESHOLDS, 1);
+    let f11 = fig11_threaded(&dataset, &FAST_THRESHOLDS, 1);
     let violations = check_expectations(&f7, &f8, &f9, &f10, &f11);
     assert!(
         violations.is_empty(),
@@ -31,11 +32,11 @@ fn shape_claims_are_seed_robust() {
     // The reproduction must not hinge on one lucky dataset.
     for seed in [7, 1234] {
         let dataset = traj_gen::paper_dataset(seed);
-        let f7 = fig7_with(&dataset, &FAST_THRESHOLDS);
-        let f8 = fig8_with(&dataset, &FAST_THRESHOLDS);
-        let f9 = fig9_with(&dataset, &FAST_THRESHOLDS);
-        let f10 = fig10_with(&dataset, &FAST_THRESHOLDS);
-        let f11 = fig11_with(&dataset, &FAST_THRESHOLDS);
+        let f7 = fig7_threaded(&dataset, &FAST_THRESHOLDS, 1);
+        let f8 = fig8_threaded(&dataset, &FAST_THRESHOLDS, 1);
+        let f9 = fig9_threaded(&dataset, &FAST_THRESHOLDS, 1);
+        let f10 = fig10_threaded(&dataset, &FAST_THRESHOLDS, 1);
+        let f11 = fig11_threaded(&dataset, &FAST_THRESHOLDS, 1);
         let violations = check_expectations(&f7, &f8, &f9, &f10, &f11);
         assert!(violations.is_empty(), "seed {seed}: {violations:#?}");
     }
@@ -71,7 +72,7 @@ fn error_magnitudes_are_plausible() {
     // Beyond shape: errors must be in sane metre ranges for 30–100 m
     // thresholds (not micrometres, not kilometres).
     let dataset = traj_gen::paper_dataset(42);
-    let f7 = fig7_with(&dataset, &FAST_THRESHOLDS);
+    let f7 = fig7_threaded(&dataset, &FAST_THRESHOLDS, 1);
     for s in &f7.sweeps {
         for p in &s.points {
             assert!(

@@ -7,11 +7,10 @@
 
 use traj_compress::streaming::{OwStream, StreamingCompressor};
 use traj_compress::{
-    evaluate, evaluate_sweep, Compressor, EvalWorkspace, OpeningWindow, TdSp, TopDown, Workspace,
+    evaluate, evaluate_sweep, Compressor, DeadReckoning, DouglasPeucker, EvalWorkspace,
+    OnePassCone, OnePassFit, OpeningWindow, TdSp, TdTr, TopDown, Workspace,
 };
-use traj_eval::{
-    sweep, sweep_algo, sweep_algo_parallel, Algo, PAPER_SPEED_THRESHOLDS, PAPER_THRESHOLDS,
-};
+use traj_eval::{sweep_algo, sweep_algo_parallel, Algo, PAPER_SPEED_THRESHOLDS, PAPER_THRESHOLDS};
 use traj_model::Fix;
 
 /// Every opening-window configuration of Figs. 8–11.
@@ -102,48 +101,91 @@ fn window_sweep_equals_stream_replay_on_paper_grid() {
     }
 }
 
-#[test]
-fn sweep_algo_aggregates_bit_identically_to_factory_sweep() {
-    // The registry path must not change a single float in the figures.
-    let dataset = traj_gen::paper_dataset(42);
-    let fast = sweep_algo(
-        &Algo::top_down("TD-TR", TopDown::time_ratio(0.0)),
-        &dataset,
-        &PAPER_THRESHOLDS,
-    );
-    let slow = sweep("TD-TR", &dataset, &PAPER_THRESHOLDS, |e| {
-        Box::new(traj_compress::TdTr::new(e))
-    });
-    assert_eq!(fast, slow);
+/// Builds one compressor at one threshold, independently of the registry.
+type Make = fn(f64) -> Box<dyn Compressor>;
+
+fn row(algo: Algo, make: Make) -> (Algo, Make) {
+    (algo, make)
 }
 
-#[test]
-fn window_sweep_algo_aggregates_bit_identically_to_factory_sweep() {
-    let dataset = traj_gen::paper_dataset(42);
-    let fast = sweep_algo(
-        &Algo::opening_window("OPW-TR", OpeningWindow::opw_tr(0.0)),
-        &dataset,
-        &PAPER_THRESHOLDS,
-    );
-    let slow = sweep("OPW-TR", &dataset, &PAPER_THRESHOLDS, |e| {
-        Box::new(OpeningWindow::opw_tr(e))
-    });
-    assert_eq!(fast, slow);
+/// Every registry row that the figures and the `repro ext` experiments
+/// sweep, each paired with its compressor built directly.
+fn swept_rows() -> Vec<(Algo, Make)> {
+    vec![
+        row(Algo::top_down("NDP", TopDown::perpendicular(0.0)), |e| {
+            Box::new(DouglasPeucker::new(e))
+        }),
+        row(Algo::top_down("TD-TR", TopDown::time_ratio(0.0)), |e| {
+            Box::new(TdTr::new(e))
+        }),
+        row(
+            Algo::top_down("TD-SP(5m/s)", TopDown::time_ratio_speed(0.0, 5.0)),
+            |e| Box::new(TdSp::new(e, 5.0)),
+        ),
+        row(
+            Algo::opening_window("BOPW", OpeningWindow::bopw(0.0)),
+            |e| Box::new(OpeningWindow::bopw(e)),
+        ),
+        row(
+            Algo::opening_window("NOPW", OpeningWindow::nopw(0.0)),
+            |e| Box::new(OpeningWindow::nopw(e)),
+        ),
+        row(
+            Algo::opening_window("OPW-TR", OpeningWindow::opw_tr(0.0)),
+            |e| Box::new(OpeningWindow::opw_tr(e)),
+        ),
+        row(
+            Algo::opening_window("OPW-SP(5m/s)", OpeningWindow::opw_sp(0.0, 5.0)),
+            |e| Box::new(OpeningWindow::opw_sp(e, 5.0)),
+        ),
+        row(
+            Algo::opening_window("OPW-SP(15m/s)", OpeningWindow::opw_sp(0.0, 15.0)),
+            |e| Box::new(OpeningWindow::opw_sp(e, 15.0)),
+        ),
+        row(
+            Algo::opening_window("OPW-SP(25m/s)", OpeningWindow::opw_sp(0.0, 25.0)),
+            |e| Box::new(OpeningWindow::opw_sp(e, 25.0)),
+        ),
+        row(
+            Algo::factory("OP-FIT", |e| Box::new(OnePassFit::new(e))),
+            |e| Box::new(OnePassFit::new(e)),
+        ),
+        row(
+            Algo::factory("OP-CONE", |e| Box::new(OnePassCone::new(e))),
+            |e| Box::new(OnePassCone::new(e)),
+        ),
+        row(
+            Algo::factory("DR", |e| Box::new(DeadReckoning::new(e))),
+            |e| Box::new(DeadReckoning::new(e)),
+        ),
+    ]
 }
 
+/// The experiment runner against the reference path, cell by cell: for
+/// every swept row, `Algo::run` equals the compressor built and run
+/// separately at each threshold, and each `evaluate_sweep` cell equals
+/// the reference `evaluate` of that result. The runner and any
+/// per-threshold loop share the same aggregation, so equal cells mean
+/// equal figures.
 #[test]
-fn evaluate_sweep_matches_per_cell_evaluate_on_paper_grid() {
-    // The memoized engine pass behind `sweep_algo` must reproduce the
-    // reference per-cell evaluation exactly on the real protocol.
+fn every_swept_algo_equals_per_threshold_compress_and_evaluate_on_paper_grid() {
     let dataset = traj_gen::paper_dataset(42);
-    let td = TopDown::time_ratio(0.0);
     let mut ws = Workspace::new();
     let mut ews = EvalWorkspace::new();
-    for traj in &dataset {
-        let results = td.sweep_with(traj, &PAPER_THRESHOLDS, &mut ws);
-        let swept = evaluate_sweep(traj, &results, &mut ews);
-        for ((e, r), &eps) in swept.iter().zip(&results).zip(&PAPER_THRESHOLDS) {
-            assert_eq!(*e, evaluate(traj, r), "eps={eps}");
+    for (algo, make) in swept_rows() {
+        let label = algo.label();
+        for traj in &dataset {
+            let results = algo.run(traj, &PAPER_THRESHOLDS, &mut ws);
+            assert_eq!(results.len(), PAPER_THRESHOLDS.len(), "{label}");
+            let evals = evaluate_sweep(traj, &results, &mut ews);
+            for ((r, e), &eps) in results.iter().zip(&evals).zip(&PAPER_THRESHOLDS) {
+                assert_eq!(
+                    r,
+                    &make(eps).compress(traj),
+                    "{label} eps={eps}: compression"
+                );
+                assert_eq!(e, &evaluate(traj, r), "{label} eps={eps}: evaluation");
+            }
         }
     }
 }

@@ -148,6 +148,17 @@ fn json_number(v: f64) -> String {
     }
 }
 
+/// Serializes the snapshot as the sidecar file at `path` should hold
+/// it: [`to_csv`] for a `.csv` path, [`to_json_lines`] for any other.
+/// Every `--metrics-out` flag picks its format through this one rule.
+pub fn to_sidecar(path: &std::path::Path, samples: &[MetricSample]) -> String {
+    if path.extension().is_some_and(|e| e == "csv") {
+        to_csv(samples)
+    } else {
+        to_json_lines(samples)
+    }
+}
+
 /// Column order of [`to_csv`], exposed so tests and readers can assert
 /// schema stability.
 pub const CSV_HEADER: &str = "subsystem,name,labels,kind,value,count,sum,min,max,p50,p90,p99";
@@ -487,6 +498,17 @@ mod tests {
         samples[2].labels = vec![("run".into(), "a".into())];
         let parsed = parse_csv(&to_csv(&samples)).unwrap();
         assert_eq!(parsed, samples);
+    }
+
+    #[test]
+    fn sidecar_format_follows_the_path() {
+        use std::path::Path;
+        let samples = awkward_samples();
+        let (csv, json) = (to_csv(&samples), to_json_lines(&samples));
+        assert_eq!(to_sidecar(Path::new("out/m.csv"), &samples), csv);
+        for path in ["m.json", "m.jsonl", "m.txt", "m", "csv"] {
+            assert_eq!(to_sidecar(Path::new(path), &samples), json, "{path}");
+        }
     }
 
     #[test]

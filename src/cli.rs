@@ -4,7 +4,7 @@
 //! ```text
 //! trajc info <file.csv>
 //! trajc compress <file.csv> --algo td-tr --eps 30 [--speed-eps 5] [-o out.csv]
-//!       [--stats] [--metrics-out m.json] [--metrics-format json|csv]
+//!       [--stats] [--metrics-out m.json]
 //! trajc evaluate <original.csv> <approx.csv>
 //! trajc generate [--seed 42] [--trip 0..9] -o <file.csv>
 //! trajc store recover <dir> [--snapshot]
@@ -12,34 +12,21 @@
 //! ```
 //!
 //! Files are the `t,x,y` format of [`traj_model::io`]; `serve` reads
-//! `id,t,x,y` records from stdin. The command logic
-//! lives here (unit-testable); `src/bin/trajc.rs` is the thin entry
-//! point.
+//! `id,t,x,y` records from stdin. A `--metrics-out` sidecar is CSV for
+//! a `.csv` path and JSON lines otherwise
+//! ([`traj_obs::sink::to_sidecar`]). The command logic lives here
+//! (unit-testable); `src/bin/trajc.rs` is the thin entry point.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, Read as _};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use traj_compress::{
-    evaluate_with, BottomUp, CompressionResultBuf, Compressor, DeadReckoning, DistanceThreshold,
-    DouglasPeucker, EvalWorkspace, OpeningWindow, SlidingWindow, TdSp, TdTr, UniformSample,
-    Workspace,
-};
+use traj_compress::{evaluate_with, CompressionResultBuf, Compressor, EvalWorkspace, Workspace};
 use traj_model::stats::TrajectoryStats;
 use traj_model::{io, Trajectory};
 use traj_serve::{CodecSpec, ServeConfig, Service, SubmitError};
 use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, IngestMode};
-
-/// Output format for the metrics sidecar written by
-/// `compress --metrics-out`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsFormat {
-    /// One JSON object per line ([`traj_obs::sink::to_json_lines`]).
-    Json,
-    /// RFC-4180 CSV ([`traj_obs::sink::to_csv`]).
-    Csv,
-}
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,10 +50,9 @@ pub enum Command {
         out: Option<PathBuf>,
         /// Print the metrics table after the report (`--stats`).
         stats: bool,
-        /// Write a metrics sidecar file (`--metrics-out`).
+        /// Write a metrics sidecar file (`--metrics-out`): CSV for a
+        /// `.csv` path, JSON lines otherwise.
         metrics_out: Option<PathBuf>,
-        /// Sidecar format (`--metrics-format`), default JSON lines.
-        metrics_format: MetricsFormat,
         /// Write a trace timeline of the run (`--trace-out`); `.folded`
         /// extension selects flamegraph folded stacks, anything else
         /// Chrome Trace Event JSON.
@@ -130,24 +116,23 @@ pub struct ServeArgs {
     pub max_delay_us: u64,
     /// Per-shard queue capacity (`--queue-cap`, default 4096).
     pub queue_cap: usize,
-    /// Write a metrics sidecar (`--metrics-out`).
+    /// Write a metrics sidecar (`--metrics-out`): CSV for a `.csv`
+    /// path, JSON lines otherwise.
     pub metrics_out: Option<PathBuf>,
-    /// Sidecar format (`--metrics-format`), default JSON lines.
-    pub metrics_format: MetricsFormat,
     /// Write a trace timeline with one lane per shard worker
     /// (`--trace-out`).
     pub trace_out: Option<PathBuf>,
 }
 
-/// Parses command-line arguments (without the program name).
-///
-/// # Errors
-/// Returns a usage/diagnostic string on malformed input.
-pub fn parse(args: &[String]) -> Result<Command, String> {
-    const USAGE: &str = "usage: trajc <info|compress|evaluate|generate|obs|store|serve> ...\n\
+/// The usage text; its `algorithms:` line lists the catalog's names.
+fn usage() -> String {
+    let catalog = traj_eval::algorithm_catalog();
+    let names: Vec<&str> = catalog.iter().map(|m| m.cli_name).collect();
+    format!(
+        "usage: trajc <info|compress|evaluate|generate|obs|store|serve> ...\n\
         \n  trajc info <file.csv>\
         \n  trajc compress <file.csv> --algo <name> --eps <m> [--speed-eps <m/s>] [-o out.csv]\
-        \n                 [--stats] [--metrics-out FILE] [--metrics-format json|csv]\
+        \n                 [--stats] [--metrics-out FILE]\
         \n                 [--trace-out FILE]  (.folded = flamegraph stacks, else Chrome trace JSON)\
         \n  trajc evaluate <original.csv> <approx.csv>\
         \n  trajc generate [--seed N] [--trip 0..9] -o <file.csv>\
@@ -155,17 +140,25 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         \n  trajc store recover <dir> [--snapshot]\
         \n  trajc serve <dir> [--shards N] [--algo raw|op-cone|op-fit|opw-tr|opw-sp] [--eps <m>]\
         \n              [--speed-eps <m/s>] [--max-batch N] [--max-delay-us U] [--queue-cap N]\
-        \n              [--metrics-out FILE] [--metrics-format json|csv] [--trace-out FILE]\
+        \n              [--metrics-out FILE] [--trace-out FILE]\
         \n              < records.csv  (one id,t,x,y record per line)\
-        \n\nalgorithms: uniform dist ndp ndp-hull td-tr td-sp nopw bopw opw-tr opw-sp \
-        dead-reckoning bottom-up sliding-window op-fit op-cone\
+        \n\nalgorithms: {}\
         \n(see ALGORITHMS.md for criteria, error bounds and complexity)\
         \n\n--stats prints the instrumentation table (points in/out, SED evaluations,\
         \nrecursion depth, per-phase wall time); --metrics-out writes the same snapshot\
-        \nto FILE as JSON lines (default) or CSV; obs merge reads those sidecars back\
-        \ninto one side-by-side table.";
+        \nto FILE as CSV for a .csv path, JSON lines otherwise; obs merge reads those\
+        \nsidecars back into one side-by-side table.",
+        names.join(" ")
+    )
+}
+
+/// Parses command-line arguments (without the program name).
+///
+/// # Errors
+/// Returns a usage/diagnostic string on malformed input.
+pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
-    let sub = it.next().ok_or(USAGE)?;
+    let sub = it.next().ok_or_else(usage)?;
     match sub.as_str() {
         "info" => {
             let file = it.next().ok_or("info: missing <file>")?;
@@ -179,7 +172,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut out = None;
             let mut stats = false;
             let mut metrics_out = None;
-            let mut metrics_format = MetricsFormat::Json;
             let mut trace_out = None;
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| -> Result<&String, String> {
@@ -201,17 +193,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--trace-out" => {
                         trace_out = Some(PathBuf::from(value("--trace-out")?));
                     }
-                    "--metrics-format" => {
-                        metrics_format = match value("--metrics-format")?.as_str() {
-                            "json" => MetricsFormat::Json,
-                            "csv" => MetricsFormat::Csv,
-                            other => {
-                                return Err(format!(
-                                    "compress: --metrics-format must be json or csv, got {other:?}"
-                                ))
-                            }
-                        };
-                    }
                     other => return Err(format!("compress: unknown flag {other:?}")),
                 }
             }
@@ -223,7 +204,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 out,
                 stats,
                 metrics_out,
-                metrics_format,
                 trace_out,
             })
         }
@@ -316,7 +296,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut max_delay_us = 500u64;
             let mut queue_cap = 4096usize;
             let mut metrics_out = None;
-            let mut metrics_format = MetricsFormat::Json;
             let mut trace_out = None;
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| -> Result<&String, String> {
@@ -351,17 +330,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--metrics-out" => {
                         metrics_out = Some(PathBuf::from(value("--metrics-out")?));
                     }
-                    "--metrics-format" => {
-                        metrics_format = match value("--metrics-format")?.as_str() {
-                            "json" => MetricsFormat::Json,
-                            "csv" => MetricsFormat::Csv,
-                            other => {
-                                return Err(format!(
-                                    "serve: --metrics-format must be json or csv, got {other:?}"
-                                ))
-                            }
-                        };
-                    }
                     "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
                     other => return Err(format!("serve: unknown flag {other:?}")),
                 }
@@ -378,12 +346,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 max_delay_us,
                 queue_cap,
                 metrics_out,
-                metrics_format,
                 trace_out,
             }))
         }
-        "--help" | "-h" => Err(USAGE.to_string()),
-        other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
+        "--help" | "-h" => Err(usage()),
+        other => Err(format!("unknown subcommand {other:?}\n{}", usage())),
     }
 }
 
@@ -489,7 +456,8 @@ fn parse_f64(s: &str, flag: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-/// Builds a compressor by CLI name.
+/// Builds a compressor by its `--algo` name, looked up in the one name
+/// table, [`traj_eval::algorithm_catalog`].
 ///
 /// # Errors
 /// Returns a diagnostic for unknown names, missing speed thresholds and
@@ -498,37 +466,12 @@ pub fn make_compressor(
     algo: &str,
     eps: f64,
     speed_eps: Option<f64>,
-) -> Result<Box<dyn Compressor + Sync>, String> {
-    let need_speed = || {
-        speed_eps.ok_or_else(|| format!("algorithm {algo:?} needs --speed-eps"))
-    };
-    Ok(match algo {
-        "uniform" => {
-            let step = eps.round().max(1.0) as usize;
-            Box::new(UniformSample::new(step))
-        }
-        "dist" => Box::new(DistanceThreshold::new(eps)),
-        "ndp" | "dp" | "douglas-peucker" => Box::new(DouglasPeucker::new(eps)),
-        "ndp-hull" => Box::new(traj_compress::HullDouglasPeucker::new(eps)),
-        "td-tr" => Box::new(TdTr::new(eps)),
-        "td-sp" => {
-            let v = need_speed()?;
-            if v <= 0.0 {
-                return Err("td-sp: --speed-eps must be > 0".into());
-            }
-            Box::new(TdSp::new(eps, v))
-        }
-        "nopw" => Box::new(OpeningWindow::nopw(eps)),
-        "bopw" => Box::new(OpeningWindow::bopw(eps)),
-        "opw-tr" => Box::new(OpeningWindow::opw_tr(eps)),
-        "opw-sp" => Box::new(OpeningWindow::opw_sp(eps, need_speed()?)),
-        "dead-reckoning" | "dr" => Box::new(DeadReckoning::new(eps)),
-        "bottom-up" => Box::new(BottomUp::time_ratio(eps)),
-        "sliding-window" => Box::new(SlidingWindow::time_ratio(eps, 32)),
-        "op-fit" => Box::new(traj_compress::OnePassFit::new(eps)),
-        "op-cone" => Box::new(traj_compress::OnePassCone::new(eps)),
-        other => return Err(format!("unknown algorithm {other:?}")),
-    })
+) -> Result<Box<dyn Compressor>, String> {
+    let meta = traj_eval::algorithm_catalog()
+        .iter()
+        .find(|m| m.cli_name == algo)
+        .ok_or_else(|| format!("unknown algorithm {algo:?}"))?;
+    (meta.make)(eps, speed_eps)
 }
 
 /// Executes a parsed command, returning its human-readable report.
@@ -561,7 +504,6 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             out,
             stats,
             metrics_out,
-            metrics_format,
             trace_out,
         } => {
             // Stop the recorder even on early error returns, so a failed
@@ -585,10 +527,9 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             }
             let compressor = make_compressor(algo, *eps, *speed_eps)?;
             let compress_start = Instant::now();
-            // An explicit workspace (rather than the fleet path, which a
-            // single trajectory runs inline anyway) so the columnar copy
-            // built during compression can be handed to the evaluation
-            // below instead of being de-interleaved a second time.
+            // An explicit workspace, so the columnar copy built during
+            // compression can be handed to the evaluation below instead
+            // of being de-interleaved a second time.
             let mut cws = Workspace::new();
             let result = {
                 let _phase = traj_obs::trace_span!("cli.compress", t.len());
@@ -635,7 +576,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 ));
             }
             if let Some(path) = metrics_out {
-                write_metrics(path, *metrics_format, &mut report)?;
+                write_metrics(path, &mut report)?;
             }
             if let Some(path) = trace_out {
                 write_trace(path, &mut trace_session, &mut report)?;
@@ -706,6 +647,20 @@ pub fn run(cmd: &Command) -> Result<String, String> {
         Command::StoreRecover { dir, snapshot } => {
             if !dir.is_dir() {
                 return Err(format!("{}: not a directory", dir.display()));
+            }
+            // `open` creates a missing layout, which is right for a new
+            // store and wrong here: recovering must not invent one.
+            let (wal, snap) = (DurableStore::WAL_DIR, DurableStore::SNAPSHOT_DIR);
+            if !dir.join(wal).exists() && !dir.join(snap).exists() {
+                let hint = if dir.join("shard-0").exists() {
+                    "; this looks like a `trajc serve` root: recover each shard-K directory"
+                } else {
+                    ""
+                };
+                return Err(format!(
+                    "{}: not a durable store (expected {wal}/ or {snap}/ inside){hint}",
+                    dir.display()
+                ));
             }
             let (mut store, r) =
                 DurableStore::open(dir, IngestMode::Raw, DurableOptions::default())
@@ -856,7 +811,7 @@ fn serve(args: &ServeArgs, input: &mut dyn BufRead) -> Result<String, String> {
         us(1.0),
     );
     if let Some(path) = &args.metrics_out {
-        write_metrics(path, args.metrics_format, &mut report)?;
+        write_metrics(path, &mut report)?;
     }
     if let Some(path) = &args.trace_out {
         write_trace(path, &mut trace_session, &mut report)?;
@@ -864,13 +819,10 @@ fn serve(args: &ServeArgs, input: &mut dyn BufRead) -> Result<String, String> {
     Ok(report)
 }
 
-/// Writes the metrics registry's snapshot to `path` as a sidecar.
-fn write_metrics(path: &Path, format: MetricsFormat, report: &mut String) -> Result<(), String> {
-    let snapshot = traj_obs::registry().snapshot();
-    let body = match format {
-        MetricsFormat::Json => traj_obs::sink::to_json_lines(&snapshot),
-        MetricsFormat::Csv => traj_obs::sink::to_csv(&snapshot),
-    };
+/// Writes the metrics registry's snapshot to `path` as a sidecar, in
+/// the format the path selects ([`traj_obs::sink::to_sidecar`]).
+fn write_metrics(path: &Path, report: &mut String) -> Result<(), String> {
+    let body = traj_obs::sink::to_sidecar(path, &traj_obs::registry().snapshot());
     std::fs::write(path, body).map_err(|e| format!("{}: {e}", path.display()))?;
     let _ = writeln!(report, "metrics:          {}", path.display());
     Ok(())
@@ -948,7 +900,6 @@ mod tests {
                 out: Some(PathBuf::from("b.csv")),
                 stats: false,
                 metrics_out: None,
-                metrics_format: MetricsFormat::Json,
                 trace_out: None,
             }
         );
@@ -964,30 +915,18 @@ mod tests {
 
     #[test]
     fn parse_compress_metrics_flags() {
-        let c = parse(&args(
-            "compress a.csv --algo td-tr --eps 30 --stats --metrics-out m.csv --metrics-format csv",
-        ))
-        .unwrap();
-        match c {
-            Command::Compress { stats, metrics_out, metrics_format, .. } => {
+        let line = "compress a.csv --algo td-tr --eps 30 --stats --metrics-out m.csv";
+        match parse(&args(line)).unwrap() {
+            Command::Compress { stats, metrics_out, .. } => {
                 assert!(stats);
                 assert_eq!(metrics_out, Some(PathBuf::from("m.csv")));
-                assert_eq!(metrics_format, MetricsFormat::Csv);
             }
             other => panic!("parsed {other:?}"),
         }
-        // Default format is JSON lines; bad formats are rejected.
-        let c = parse(&args("compress a.csv --algo td-tr --eps 30 --metrics-out m.json")).unwrap();
-        match c {
-            Command::Compress { metrics_format, .. } => {
-                assert_eq!(metrics_format, MetricsFormat::Json);
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        assert!(parse(&args(
-            "compress a.csv --algo td-tr --eps 30 --metrics-format yaml"
-        ))
-        .is_err());
+        // The sidecar path picks the format: a format flag is unknown.
+        let line = "compress a.csv --algo td-tr --eps 30 --metrics-format csv";
+        let err = parse(&args(line)).unwrap_err();
+        assert!(err.contains("unknown flag") && err.contains("--metrics-format"), "{err}");
     }
 
     #[test]
@@ -1030,16 +969,19 @@ mod tests {
 
     #[test]
     fn factory_accepts_every_catalog_entry() {
-        // `ALGORITHMS.md` is pinned to `algorithm_catalog()`; this pins
-        // the CLI to the same list, so catalog, docs and `--algo` names
-        // can never drift apart. Speed-threshold entries use the
-        // paper's 5 m/s default in the catalog but need `--speed-eps`
-        // here, hence the fallback probe.
+        // `--algo` names are `algorithm_catalog()` names, the table
+        // `ALGORITHMS.md` is pinned to: every row builds with a speed
+        // threshold, only the speed-blended rows need one, and nothing
+        // outside the catalog builds.
         for meta in traj_eval::algorithm_catalog() {
-            let ok = make_compressor(meta.cli_name, 10.0, None).is_ok()
-                || make_compressor(meta.cli_name, 10.0, Some(5.0)).is_ok();
-            assert!(ok, "catalog entry {:?} not accepted by --algo", meta.cli_name);
+            let name = meta.cli_name;
+            assert!(make_compressor(name, 10.0, Some(5.0)).is_ok(), "{name}");
+            let needs_speed = matches!(name, "td-sp" | "opw-sp");
+            assert_eq!(make_compressor(name, 10.0, None).is_err(), needs_speed, "{name}");
         }
+        assert!(make_compressor("td-sp", 10.0, Some(0.0)).is_err(), "td-sp needs speed > 0");
+        let err = make_compressor("nope", 10.0, None).err().unwrap_or_default();
+        assert!(err.contains("unknown algorithm") && err.contains("nope"), "{err}");
     }
 
     #[test]
@@ -1066,7 +1008,6 @@ mod tests {
             out: Some(output.clone()),
             stats: false,
             metrics_out: None,
-            metrics_format: MetricsFormat::Json,
             trace_out: None,
         };
         let report = run(&compress).unwrap();
@@ -1098,7 +1039,6 @@ mod tests {
             out: None,
             stats: true,
             metrics_out: Some(metrics_json.clone()),
-            metrics_format: MetricsFormat::Json,
             trace_out: None,
         })
         .unwrap();
@@ -1134,7 +1074,6 @@ mod tests {
             out: None,
             stats: false,
             metrics_out: Some(metrics_csv.clone()),
-            metrics_format: MetricsFormat::Csv,
             trace_out: None,
         })
         .unwrap();
@@ -1227,9 +1166,7 @@ mod tests {
         run(&Command::Generate { seed: 42, trip: 2, out: input.clone() }).unwrap();
         let json_sidecar = dir.join("a.json");
         let csv_sidecar = dir.join("b.csv");
-        for (path, format) in
-            [(&json_sidecar, MetricsFormat::Json), (&csv_sidecar, MetricsFormat::Csv)]
-        {
+        for path in [&json_sidecar, &csv_sidecar] {
             run(&Command::Compress {
                 file: input.clone(),
                 algo: "td-tr".into(),
@@ -1238,7 +1175,6 @@ mod tests {
                 out: None,
                 stats: false,
                 metrics_out: Some(path.clone()),
-                metrics_format: format,
                 trace_out: None,
             })
             .unwrap();
@@ -1284,7 +1220,6 @@ mod tests {
             out: None,
             stats: false,
             metrics_out: None,
-            metrics_format: MetricsFormat::Json,
             trace_out: Some(trace_json.clone()),
         })
         .unwrap();
@@ -1318,7 +1253,6 @@ mod tests {
             out: None,
             stats: false,
             metrics_out: None,
-            metrics_format: MetricsFormat::Json,
             trace_out: Some(trace_folded.clone()),
         })
         .unwrap();
@@ -1410,7 +1344,7 @@ mod tests {
         let Command::Serve(a) = parse(&args(
             "serve db --shards 4 --algo opw-sp --eps 25 --speed-eps 5 \
              --max-batch 64 --max-delay-us 200 --queue-cap 512 \
-             --metrics-out m.json --metrics-format csv --trace-out t.json",
+             --metrics-out m.json --trace-out t.json",
         ))
         .unwrap() else {
             panic!("expected serve") // lint: allow(panic) test assertion
@@ -1419,7 +1353,6 @@ mod tests {
         assert_eq!(a.codec, CodecSpec::OpwSp { eps: 25.0, speed_eps: 5.0 });
         assert_eq!((a.max_batch, a.max_delay_us, a.queue_cap), (64, 200, 512));
         assert_eq!(a.metrics_out, Some(PathBuf::from("m.json")));
-        assert_eq!(a.metrics_format, MetricsFormat::Csv);
         assert_eq!(a.trace_out, Some(PathBuf::from("t.json")));
     }
 
@@ -1429,8 +1362,9 @@ mod tests {
         assert!(parse(&args("serve db --algo dp")).is_err(), "batch algo in a session");
         assert!(parse(&args("serve db --shards 0")).is_err(), "zero shards");
         assert!(parse(&args("serve db --wat")).is_err(), "unknown flag");
-        // The in-binary load generator and its report are gone: their
-        // flags are unknown, not silently ignored.
+        // The in-binary load generator, its report and the sidecar
+        // format flag are gone: their flags are unknown, not silently
+        // ignored.
         for flag in [
             "--load-gen",
             "--sync every-append",
@@ -1440,6 +1374,7 @@ mod tests {
             "--seed 7",
             "--threads 2",
             "--report-json r.json",
+            "--metrics-format csv",
         ] {
             let err = parse(&args(&format!("serve db {flag}"))).unwrap_err();
             let name = flag.split(' ').next().unwrap_or_default();
@@ -1456,7 +1391,6 @@ mod tests {
             max_delay_us: 200,
             queue_cap: 4096,
             metrics_out: None,
-            metrics_format: MetricsFormat::Json,
             trace_out: None,
         }
     }

@@ -5,7 +5,7 @@
 //! the offending file and line, and never panic.
 
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 fn trajc(args: &[&str]) -> Output {
@@ -80,6 +80,45 @@ fn store_recover_rejects_a_non_directory_with_its_path() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("not_a_dir.csv"), "stderr: {stderr}");
     assert!(stderr.contains("not a directory"), "stderr: {stderr}");
+}
+
+/// The sorted paths directly inside `dir`.
+fn entries(dir: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    paths.sort();
+    paths
+}
+
+#[test]
+fn store_recover_refuses_a_directory_that_is_not_a_store() {
+    let root = std::env::temp_dir().join("trajc_cli_error_tests");
+    let (empty, served) = (root.join("recover_empty"), root.join("recover_served"));
+    for dir in [&empty, &served] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    std::fs::create_dir_all(&empty).expect("create empty dir");
+    // A `trajc serve` root holds one store per shard, none at its top.
+    let fleet = tmp_file("recover_fleet.csv", "id,t,x,y\n1,0,0,0\n2,0,5,5\n");
+    let out = Command::new(env!("CARGO_BIN_EXE_trajc"))
+        .args(["serve", served.to_str().expect("utf-8 temp path")])
+        .stdin(std::fs::File::open(&fleet).expect("open fleet file"))
+        .output()
+        .expect("spawn trajc binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    for (dir, serve_root) in [(&empty, false), (&served, true)] {
+        let before = entries(dir);
+        let out = trajc(&["store", "recover", dir.to_str().expect("utf-8 temp path")]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("not a durable store"), "{stderr}");
+        assert!(stderr.contains("expected wal/ or snapshot/"), "{stderr}");
+        assert_eq!(stderr.contains("shard-K"), serve_root, "{stderr}");
+        assert_eq!(entries(dir), before, "{}: left untouched", dir.display());
+    }
 }
 
 #[test]

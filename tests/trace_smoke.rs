@@ -177,16 +177,23 @@ fn obs_merge_round_trips_metrics_sidecars() {
     let json_sidecar = dir.join("run1.json");
     let csv_sidecar = dir.join("run2.csv");
 
-    for (path, fmt) in [(&json_sidecar, "json"), (&csv_sidecar, "csv")] {
+    // The sidecar path picks the format: CSV for `.csv`, JSON lines
+    // for anything else.
+    for path in [&json_sidecar, &csv_sidecar] {
         let out = Command::new(env!("CARGO_BIN_EXE_trajc"))
             .arg("compress")
             .arg(&input)
-            .args(["--algo", "td-tr", "--eps", "30", "--metrics-format", fmt, "--metrics-out"])
+            .args(["--algo", "td-tr", "--eps", "30", "--metrics-out"])
             .arg(path)
             .output()
             .expect("trajc must run");
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     }
+    let csv_body = std::fs::read_to_string(&csv_sidecar).expect("CSV sidecar written");
+    let header = trajc::obs::sink::CSV_HEADER;
+    assert!(csv_body.starts_with(header), "{csv_body}");
+    let json_body = std::fs::read_to_string(&json_sidecar).expect("JSON sidecar written");
+    assert!(json_body.lines().all(|l| l.starts_with('{')), "{json_body}");
 
     let merged = dir.join("merged.csv");
     let out = Command::new(env!("CARGO_BIN_EXE_trajc"))
