@@ -23,7 +23,22 @@
 //! * `k = 0` (paper: `c₂² − 4c₁c₃ = 0`, i.e. `δ₀ ∥ δ₁`, covering the
 //!   shared-start, shared-end and δ-ratio subcases) — the distance is
 //!   `√A·|u|`, integrated piecewise;
-//! * otherwise (paper: determinant < 0) — the general `asinh` form.
+//! * otherwise (paper: determinant < 0) — the general form.
+//!
+//! The general form is evaluated with one logarithm and no catastrophic
+//! cancellation. With `u₁ = u₀ + 1` and `rᵢ = √(uᵢ² + k²)`, the algebraic
+//! part is `u₁r₁ − u₀r₀ = r₁ + u₀·(r₁ − r₀)` with
+//! `r₁ − r₀ = (u₀ + u₁)/(r₀ + r₁)`, and the two arcsines collapse into
+//! `asinh(u₁/k) − asinh(u₀/k) = ln(g(u₁)/g(u₀))` for `g(u) = u + r`,
+//! written as `k²/(r − u)` where `u < 0`. The logarithm takes
+//! `x = g(u₁)/g(u₀) − 1`, formed from those pieces without cancellation,
+//! through `ln_1p` when `x` is small. When `k²` is below the smallest
+//! normal float (it would be divided by), the parallel formula applies
+//! instead; the term it drops is below 1e-305. On general intervals the
+//! result is within 1e-12 (relative) of the two-`asinh` form, which the
+//! tests keep as an oracle; just above the translation threshold it stays
+//! within 1e-12 of a three-term Taylor expansion, where the difference of
+//! two arcsines was off by up to 6e-7.
 //!
 //! Compression never invents data points, so the approximation's vertices
 //! are a subset of the original's and the elementary intervals are simply
@@ -56,27 +71,43 @@ pub(crate) fn mean_linear_displacement(d0: Vec2, d1: Vec2) -> f64 {
     let u0 = d0.dot(w) / a;
     let u1 = u0 + 1.0;
     let k = d0.cross(w).abs() / a;
-    // Which branch of the paper's case analysis fires, counted once per
-    // elementary interval (the antiderivative below is evaluated twice).
-    #[cfg(feature = "obs")]
-    if k > 0.0 {
-        traj_obs::counter!("error", "alpha_case_general").inc();
-    } else {
-        traj_obs::counter!("error", "alpha_case_parallel").inc();
-    }
+    let k2 = k * k;
     let sqrt_a = a.sqrt();
-
-    // Antiderivative of √(u² + k²).
-    fn antideriv(u: f64, k: f64) -> f64 {
-        if k > 0.0 {
-            let r = (u * u + k * k).sqrt();
-            0.5 * (u * r + k * k * (u / k).asinh())
+    // Which branch of the paper's case analysis fires, counted once per
+    // elementary interval.
+    if k2 >= f64::MIN_POSITIVE {
+        #[cfg(feature = "obs")]
+        traj_obs::counter!("error", "alpha_case_general").inc();
+        let r0 = (u0 * u0 + k2).sqrt();
+        let r1 = (u1 * u1 + k2).sqrt();
+        // r₁ − r₀ and u₁r₁ − u₀r₀, rewritten through u₁ − u₀ = 1 so that
+        // neither subtracts two nearly equal terms.
+        let dr = (u0 + u1) / (r0 + r1);
+        let ur = r1 + u0 * dr;
+        // x = g(u₁)/g(u₀) − 1 for g(u) = u + r = k²/(r − u), using on each
+        // side of u = 0 the form of g that does not cancel.
+        let x = if u0 >= 0.0 {
+            (1.0 + dr) / (u0 + r0)
+        } else if u1 < 0.0 {
+            (1.0 - dr) / (r1 - u1)
+        } else if k >= 1.0 {
+            (1.0 + dr) * (r0 - u0) / k2
         } else {
-            // Paper case det = 0 (δ₀ ∥ δ₁): |u| integrated piecewise.
-            0.5 * u * u.abs()
-        }
+            (u1 + r1) * (r0 - u0) / k2 - 1.0
+        };
+        // asinh(u₁/k) − asinh(u₀/k) = ln(g(u₁)/g(u₀)). `ln_1p` keeps the
+        // digits of a small x; from x = 0.5 up, rounding 1 + x moves the
+        // logarithm by less than 3e-16 relative.
+        let log = if x < 0.5 { x.ln_1p() } else { (1.0 + x).ln() };
+        0.5 * sqrt_a * (ur + k2 * log)
+    } else {
+        // Paper case det = 0 (δ₀ ∥ δ₁): |u| integrated piecewise. A k²
+        // below the smallest normal float lands here too; the k² term it
+        // drops is below 1e-305.
+        #[cfg(feature = "obs")]
+        traj_obs::counter!("error", "alpha_case_parallel").inc();
+        0.5 * sqrt_a * (u1 * u1.abs() - u0 * u0.abs())
     }
-    sqrt_a * (antideriv(u1, k) - antideriv(u0, k))
 }
 
 /// Elementary time intervals: the merged, deduplicated vertex instants of
@@ -281,10 +312,95 @@ pub fn sed_at_samples(p: &Trajectory, a: &Trajectory) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use traj_geom::numeric::approx_eq;
 
     fn t(triples: &[(f64, f64, f64)]) -> Trajectory {
         Trajectory::from_triples(triples.iter().copied()).unwrap()
+    }
+
+    /// The two-`asinh` antiderivative that [`mean_linear_displacement`]
+    /// replaced, kept as its oracle: it loses digits near the translation
+    /// threshold but is accurate on general intervals.
+    fn two_asinh_oracle(d0: Vec2, d1: Vec2) -> f64 {
+        let w = d1 - d0;
+        let a = w.norm_sq();
+        if a <= 1e-24 * (d0.norm_sq() + d1.norm_sq() + 1.0) {
+            return 0.5 * (d0.norm() + d1.norm());
+        }
+        let u0 = d0.dot(w) / a;
+        let u1 = u0 + 1.0;
+        let k = d0.cross(w).abs() / a;
+        let sqrt_a = a.sqrt();
+
+        // Antiderivative of √(u² + k²).
+        fn antideriv(u: f64, k: f64) -> f64 {
+            if k > 0.0 {
+                let r = (u * u + k * k).sqrt();
+                0.5 * (u * r + k * k * (u / k).asinh())
+            } else {
+                // Paper case det = 0 (δ₀ ∥ δ₁): |u| integrated piecewise.
+                0.5 * u * u.abs()
+            }
+        }
+        sqrt_a * (antideriv(u1, k) - antideriv(u0, k))
+    }
+
+    proptest! {
+        /// The one-logarithm kernel agrees with the two-`asinh` oracle
+        /// on displacements from millimetres to kilometres.
+        #[test]
+        fn kernel_matches_two_asinh_oracle(
+            c in (-1.0..1.0f64, -1.0..1.0f64, -1.0..1.0f64, -1.0..1.0f64),
+            e in (-3.0..3.0f64, -3.0..3.0f64),
+        ) {
+            let (s0, s1) = (10f64.powf(e.0), 10f64.powf(e.1));
+            let (d0, d1) = (Vec2::new(c.0 * s0, c.1 * s0), Vec2::new(c.2 * s1, c.3 * s1));
+            let got = mean_linear_displacement(d0, d1);
+            let want = two_asinh_oracle(d0, d1);
+            prop_assert!(
+                (got - want).abs() <= 1e-12 * want,
+                "kernel={got} oracle={want} d0={d0:?} d1={d1:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn near_parallel_underflow_stays_finite() {
+        // k² underflows (to 0 in the first pair, to a subnormal in the
+        // second) on straddling intervals: dividing by it would give NaN
+        // and inf; the parallel formula gives the exact mean of the vee.
+        for (d0, d1, want) in [
+            (Vec2::new(-1.0, 1e-170), Vec2::new(1.0, 1e-170), 0.5),
+            (Vec2::new(-0.3, 1e-160), Vec2::new(0.7, 1e-160), 0.29),
+        ] {
+            let got = mean_linear_displacement(d0, d1);
+            assert!(approx_eq(got, want, 0.0, 1e-15), "{d0:?} → {d1:?}: {got}");
+        }
+    }
+
+    #[test]
+    fn near_translation_matches_taylor() {
+        // |w|/|δ₀| ≈ 1e-10, just above the translation threshold. The
+        // three-term expansion of ∫₀¹ |δ₀ + s·w| ds in w truncates at about
+        // (|w|/|δ₀|)³ relative.
+        for (d0, w) in [
+            (Vec2::new(300.0, 400.0), Vec2::new(4e-8, 3e-8)),
+            (Vec2::new(3.0, 4.0), Vec2::new(2e-10, 1e-10)),
+            (Vec2::new(-700.0, 250.0), Vec2::new(1e-8, 5e-8)),
+        ] {
+            let d1 = d0 + w;
+            // The kernel sees the rounded difference.
+            let w = d1 - d0;
+            let (n, dw) = (d0.norm(), d0.dot(w));
+            let taylor =
+                n + dw / (2.0 * n) + (n * n * w.norm_sq() - dw * dw) / (6.0 * n * n * n);
+            let got = mean_linear_displacement(d0, d1);
+            assert!(
+                approx_eq(got, taylor, 0.0, 1e-12),
+                "{d0:?} + {w:?}: kernel={got} taylor={taylor}"
+            );
+        }
     }
 
     #[test]
@@ -528,7 +644,13 @@ mod tests {
         let _ = average_synchronous_error(&p, &a);
         assert!(parallel.get() > p0, "parallel chords are the det=0 case");
 
-        // Non-degenerate displacement pair → the general asinh case.
+        // Nearly parallel, with k² below the smallest normal float: the
+        // kernel takes the parallel formula.
+        let p0 = parallel.get();
+        let _ = mean_linear_displacement(Vec2::new(-0.3, 1e-160), Vec2::new(0.7, 1e-160));
+        assert!(parallel.get() > p0, "an underflowing k² is the det=0 case");
+
+        // Non-degenerate displacement pair → the general case.
         let g0 = general.get();
         let p = t(&[(0.0, 0.0, 5.0), (10.0, 10.0, 0.0)]);
         let a = t(&[(0.0, 4.0, 0.0), (10.0, 10.0, 7.0)]);

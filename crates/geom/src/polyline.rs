@@ -5,9 +5,11 @@ use crate::point::Point2;
 
 /// Total length of the piecewise-linear path through `points`, in metres.
 ///
-/// Zero for fewer than two points.
+/// `+0.0` for fewer than two points.
 pub fn polyline_length(points: &[Point2]) -> f64 {
-    points.windows(2).map(|w| w[0].distance(w[1])).sum()
+    // Folded from `+0.0`: an empty `f64` sum is `-0.0`, which prints as
+    // "-0.000". Every distance is `≥ 0`, so the seed changes no other sum.
+    points.windows(2).fold(0.0, |acc, w| acc + w[0].distance(w[1]))
 }
 
 /// Cumulative arc length at every vertex: `out[0] = 0`,
@@ -61,8 +63,9 @@ mod tests {
     #[test]
     fn length_of_l_shape() {
         assert_eq!(polyline_length(&l_path()), 7.0);
-        assert_eq!(polyline_length(&[]), 0.0);
-        assert_eq!(polyline_length(&[Point2::ORIGIN]), 0.0);
+        // `+0.0` bit for bit, not the `-0.0` of an empty `f64` sum.
+        assert_eq!(polyline_length(&[]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(polyline_length(&[Point2::ORIGIN]).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use trajc::compress::{evaluate, Compressor, OpeningWindow, TdTr};
+use trajc::compress::{evaluate_with, Compressor, EvalWorkspace, OpeningWindow, TdTr};
 use trajc::gen::{animal_track, AnimalParams};
 use trajc::model::stats::TrajectoryStats;
 use trajc::store::{save_dir, IngestMode, MovingObjectStore};
@@ -34,9 +34,10 @@ fn main() {
 
     // Threshold guidance per the paper: sweep and look at the knee.
     println!("\n{:>8} {:>22} {:>22}", "ε (m)", "TD-TR comp%/err", "OPW-SP comp%/err");
+    let mut ws = EvalWorkspace::new();
     for eps in [5.0, 10.0, 25.0, 50.0] {
-        let td = evaluate(&track, &TdTr::new(eps).compress(&track));
-        let ow = evaluate(&track, &OpeningWindow::opw_sp(eps, 1.0).compress(&track));
+        let td = evaluate_with(&track, &TdTr::new(eps).compress(&track), &mut ws);
+        let ow = evaluate_with(&track, &OpeningWindow::opw_sp(eps, 1.0).compress(&track), &mut ws);
         println!(
             "{:>8.0} {:>13.1}% {:>6.2}m {:>13.1}% {:>6.2}m",
             eps, td.compression_pct, td.avg_sync_err_m, ow.compression_pct, ow.avg_sync_err_m

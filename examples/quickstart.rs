@@ -6,7 +6,9 @@
 
 use trajc::compress::error::average_synchronous_error;
 use trajc::compress::streaming::{OwStream, StreamingCompressor};
-use trajc::compress::{evaluate, Compressor, DouglasPeucker, OpeningWindow, TdTr};
+use trajc::compress::{
+    evaluate_with, Compressor, DouglasPeucker, EvalWorkspace, OpeningWindow, TdTr,
+};
 use trajc::model::stats::TrajectoryStats;
 
 fn main() {
@@ -25,13 +27,14 @@ fn main() {
 
     // 2. Compress with a 30 m error budget, three ways.
     let budget_m = 30.0;
+    let mut ws = EvalWorkspace::new();
     for compressor in [
         Box::new(DouglasPeucker::new(budget_m)) as Box<dyn Compressor>,
         Box::new(TdTr::new(budget_m)),
         Box::new(OpeningWindow::opw_tr(budget_m)),
     ] {
         let result = compressor.compress(&trip);
-        let eval = evaluate(&trip, &result);
+        let eval = evaluate_with(&trip, &result, &mut ws);
         println!(
             "{:<28} kept {:>4}/{} fixes ({:>5.1}% compression), avg sync error {:>7.2} m",
             compressor.name(),

@@ -11,7 +11,7 @@
 //! cargo run --release --example threshold_tuning [tolerance_m]
 //! ```
 
-use trajc::compress::{evaluate, Compressor, TdTr};
+use trajc::compress::{evaluate_with, Compressor, EvalWorkspace, TdTr};
 
 fn main() {
     let tolerance_m: f64 = std::env::args()
@@ -24,10 +24,11 @@ fn main() {
     println!("{:>11} {:>12} {:>14}", "threshold m", "compression%", "avg sync err m");
 
     let mut best: Option<(f64, f64, f64)> = None;
+    let mut ws = EvalWorkspace::new();
     for i in 0..=20 {
         let eps = 10.0 + 10.0 * i as f64; // 10–210 m
         let result = TdTr::new(eps).compress(&trip);
-        let e = evaluate(&trip, &result);
+        let e = evaluate_with(&trip, &result, &mut ws);
         println!("{:>11.0} {:>12.1} {:>14.2}", eps, e.compression_pct, e.avg_sync_err_m);
         if e.avg_sync_err_m <= tolerance_m {
             best = Some((eps, e.compression_pct, e.avg_sync_err_m));

@@ -49,6 +49,15 @@ fn non_monotone_timestamps_fail_with_context() {
 }
 
 #[test]
+fn info_on_a_single_fix_prints_a_positive_zero_length() {
+    let path = tmp_file("one_fix.csv", "t,x,y\n5,0,0\n");
+    let out = trajc(&["info", path.to_str().expect("utf-8 temp path")]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("length:        0.000 km\n"), "stdout: {stdout}");
+}
+
+#[test]
 fn missing_file_reports_the_path() {
     let out = trajc(&["info", "/definitely/not/here.csv"]);
     assert!(!out.status.success());

@@ -268,7 +268,7 @@ const BUILTIN: &[(&str, u8)] = &[
     ("is_ascii_digit", 0), ("is_ascii_alphabetic", 0),
     ("is_ascii_alphanumeric", 0), ("is_uppercase", 0),
     ("size_of", 0), ("align_of", 0), ("drop", 0), ("min_positive", 0),
-    ("asinh", 0), ("sinh", 0), ("cosh", 0), ("tanh", 0), ("cbrt", 0),
+    ("asinh", 0), ("sinh", 0), ("cosh", 0), ("tanh", 0), ("cbrt", 0), ("ln_1p", 0),
     // Atomics: lock-free reads/writes/RMWs neither panic nor allocate.
     ("load", 0), ("store", 0), ("fetch_add", 0), ("fetch_sub", 0),
     ("fetch_or", 0), ("fetch_and", 0), ("fetch_xor", 0),
