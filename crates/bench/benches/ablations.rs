@@ -29,13 +29,9 @@ fn bench(c: &mut Criterion) {
     g.bench_function("keep_best_n", |b| {
         b.iter(|| black_box(td.compress_to_count(black_box(trip), target)))
     });
-    let hull = traj_compress::HullDouglasPeucker::new(50.0);
     let textbook = traj_compress::DouglasPeucker::new(50.0);
     g.bench_function("perp_textbook", |b| {
         b.iter(|| black_box(textbook.compress(black_box(trip))))
-    });
-    g.bench_function("perp_hull_accelerated", |b| {
-        b.iter(|| black_box(hull.compress(black_box(trip))))
     });
     g.finish();
 

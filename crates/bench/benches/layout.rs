@@ -8,7 +8,7 @@
 //!   inner loop of every top-down split. The AoS side is the
 //!   pre-refactor kernel verbatim (`split_value` per index, endpoint
 //!   fixes re-loaded each element); the SoA side is
-//!   `SegmentCriterion::scan_segment` over a [`TrajColumns`] view.
+//!   `Criterion::scan_segment` over a [`TrajColumns`] view.
 //! * `eval_grid` — the full 15-threshold evaluation grid on the same
 //!   track via `evaluate_sweep`. The pre-refactor baseline for this id
 //!   is in `EXPERIMENTS.md`, "Benchmark history" (the old interleaved
@@ -23,8 +23,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use traj_compress::{
-    evaluate_sweep, Compressor, EvalWorkspace, OnePassCone, OnePassStream, SegmentCriterion,
-    StreamingCompressor, TimeRatio, TopDown, Workspace,
+    evaluate_sweep, Compressor, EvalWorkspace, OnePassCone, OnePassStream, StreamingCompressor,
+    TopDown, Workspace,
 };
 use traj_eval::PAPER_THRESHOLDS;
 use traj_model::{TrajColumns, Trajectory};
@@ -47,7 +47,7 @@ fn bench(c: &mut Criterion) {
     let n = t.len();
     let cols = TrajColumns::from_fixes(fixes);
     let v = cols.view();
-    let crit = TimeRatio { epsilon: 50.0 };
+    let crit = traj_compress::Criterion::TimeRatio { epsilon: 50.0 };
 
     let mut g = c.benchmark_group("layout");
 

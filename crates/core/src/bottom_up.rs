@@ -22,7 +22,7 @@
 
 use std::collections::BinaryHeap;
 
-use crate::criterion::{max_split_value_view, Criterion, SegmentCriterion};
+use crate::criterion::{max_split_value_view, Criterion};
 use crate::obs::AlgoRun;
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::{MergeCand, Workspace};

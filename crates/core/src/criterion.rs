@@ -1,36 +1,37 @@
-//! The unified discarding-criterion layer.
+//! The discarding criterion: one type, [`Criterion`], for every
+//! compressor in this crate.
 //!
-//! Every compressor in this crate answers the same two questions about a
-//! candidate approximation segment `anchor → float`:
+//! Every compressor answers the same two questions about a candidate
+//! approximation segment `anchor → float` — the *chord scan*:
 //!
 //! 1. **Violation** — does intermediate point `i` deviate beyond the
 //!    configured threshold(s)? (The opening-window, sliding-window and
 //!    streaming families stop growing a segment on the first violation.)
 //! 2. **Split ranking** — *how badly* does point `i` deviate, on a scale
-//!    where exceeding [`SegmentCriterion::split_threshold`] means the
-//!    point must be kept? (The top-down and bottom-up families pick the
+//!    where exceeding [`Criterion::split_threshold`] means the point must
+//!    be kept? (The top-down and bottom-up families pick the
 //!    worst-ranked point.)
 //!
-//! [`SegmentCriterion`] captures both; the three implementations —
-//! [`Perpendicular`], [`TimeRatio`] and [`TimeRatioSpeed`] — cover the
-//! paper's whole algorithm matrix (§2 line-generalization baselines, §3.2
-//! time-ratio, §3.3 spatiotemporal). The [`Criterion`] enum is the
-//! value-level form carried by compressor structs and dispatches to the
-//! same implementations, so there is exactly one copy of each distance
-//! decision in the crate.
+//! The three variants — perpendicular distance, synchronized time-ratio
+//! distance, and SED blended with the derived speed difference
+//! ([`Criterion::TimeRatioSpeed`]) — cover the paper's whole algorithm
+//! matrix (§2 line-generalization baselines, §3.2 time-ratio, §3.3
+//! spatiotemporal). Each method `match`es on the variant once, so there
+//! is exactly one copy of each distance decision in the crate.
 //!
 //! The scalar methods take a *slice* of fixes with indices relative to
 //! that slice: the recursive top-down reference passes the full
 //! trajectory, while [`crate::streaming::OwStream`] passes its buffered
 //! window — the decisions are identical because a window always contains
 //! the anchor and the scanned point's immediate neighbours. The batch
-//! kernels read trajectory columns instead:
-//! [`SegmentCriterion::scan_segment`] ranks splits for the top-down
-//! family, and the opening-window engine (`crate::opening_window`, which
-//! also serves the sliding window) answers the violation question from
-//! one column of window distances, compared against each threshold, plus
-//! the point-local speed difference. The scalar methods stay the
-//! reference both batch paths are pinned against.
+//! kernels read trajectory columns instead: [`Criterion::scan_segment`]
+//! ranks splits for the top-down family, and the opening-window engine
+//! (`crate::opening_window`, which also serves the sliding window)
+//! answers the violation question from one column of window distances,
+//! compared against each threshold, plus the point-local speed
+//! difference. Both read the one distance kernel per distance in
+//! `traj_geom::soa`. The scalar methods stay the reference both batch
+//! paths are pinned against.
 
 use crate::distance::{perpendicular_distance, sed};
 use traj_geom::numeric::approx_zero;
@@ -43,7 +44,7 @@ use traj_model::Fix;
 /// enough for the batched kernels in `traj-geom` to vectorize.
 const SCAN_CHUNK: usize = 64;
 
-/// Result of a batched [`SegmentCriterion::scan_segment`] over the
+/// Result of a batched [`Criterion::scan_segment`] over the
 /// interior points `lo+1 .. hi` of one candidate segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitDecision {
@@ -51,7 +52,7 @@ pub struct SplitDecision {
     /// farthest-point selection of the top-down kernels (`lo + 1` when
     /// the segment has no interior points).
     pub split: usize,
-    /// The maximum split value, in [`SegmentCriterion::split_threshold`]
+    /// The maximum split value, in [`Criterion::split_threshold`]
     /// units (`f64::NEG_INFINITY` when the segment has no interior).
     pub value: f64,
 }
@@ -96,9 +97,10 @@ fn speed_between(v: TrajView<'_>, a: usize, b: usize) -> Option<f64> {
     Some((dx * dx + dy * dy).sqrt() / dt.abs())
 }
 
-/// The dimensionless [`TimeRatioSpeed`] blend for one interior point,
-/// given its already-computed SED — the columnar twin of
-/// `TimeRatioSpeed::split_value` past the distance lookup.
+/// The dimensionless [`Criterion::TimeRatioSpeed`] blend
+/// `max(d/epsilon, dv/speed_epsilon)` for one interior point, given its
+/// SED `d` and derived speed difference `dv` — shared by the scalar
+/// [`Criterion::split_value`] and the batched scans.
 #[inline]
 fn trs_blend(d: f64, dv: Option<f64>, epsilon: f64, speed_epsilon: f64) -> f64 {
     let ds = if epsilon > 0.0 {
@@ -144,6 +146,38 @@ fn scan_dists(
             // never exceed `best.1`, exactly as in the scalar loop.
             let k = chunk.iter().position(|&d| d == m).unwrap_or(0);
             best = (i + k, m);
+        }
+        i += len;
+    }
+    SplitDecision { split: best.0, value: best.1 }
+}
+
+/// The [`Criterion::TimeRatioSpeed`] scan: the SEDs batch as in
+/// [`scan_dists`], while the speed-difference term is inherently
+/// point-local (three neighbours), so it stays scalar per element.
+fn scan_blend(
+    v: TrajView<'_>,
+    lo: usize,
+    hi: usize,
+    epsilon: f64,
+    speed_epsilon: f64,
+) -> SplitDecision {
+    let mut best = (lo + 1, f64::NEG_INFINITY);
+    let mut buf = [0.0f64; SCAN_CHUNK];
+    let mut i = lo + 1;
+    while i < hi {
+        let len = SCAN_CHUNK.min(hi - i);
+        // Checked reborrow, as in `scan_dists`: it always succeeds.
+        let Some(chunk) = buf.get_mut(..len) else {
+            break;
+        };
+        sed_dists_into(v, lo, hi, i, chunk);
+        for (k, &d) in chunk.iter().enumerate() {
+            let dv = speed_difference_view(v, i + k);
+            let val = trs_blend(d, dv, epsilon, speed_epsilon);
+            if val > best.1 {
+                best = (i + k, val);
+            }
         }
         i += len;
     }
@@ -199,227 +233,45 @@ pub(crate) fn window_dists_into(
     chunk_max(out)
 }
 
-/// A discarding criterion for one approximation segment.
-///
-/// Implementations decide whether intermediate points of a candidate
-/// segment `fixes[anchor] → fixes[float]` are representable by that
-/// segment. See the [module docs](self) for the two query families.
+/// The discarding criterion carried by the compressor structs, evaluated
+/// for every intermediate point of a candidate segment `anchor → float`.
+/// See the [module docs](self) for the two query families.
 ///
 /// ```
-/// use traj_compress::criterion::{SegmentCriterion, TimeRatio};
+/// use traj_compress::Criterion;
 /// use traj_model::Fix;
 ///
 /// // A straight constant-speed run: no point violates a 1 m SED budget.
 /// let fixes: Vec<Fix> = (0..5)
 ///     .map(|i| Fix::from_parts(i as f64 * 10.0, i as f64 * 100.0, 0.0))
 ///     .collect();
-/// let c = TimeRatio { epsilon: 1.0 };
+/// let c = Criterion::TimeRatio { epsilon: 1.0 };
 /// assert_eq!(c.first_violation(&fixes, 0, 4), None);
 /// assert!(c.split_value(&fixes, 0, 4, 2) <= c.split_threshold());
 /// ```
-pub trait SegmentCriterion {
-    /// Report label fragment, e.g. `"tr,30m"`.
-    fn label(&self) -> String;
-
-    /// Whether intermediate point `i` of the window `anchor..float`
-    /// violates the criterion.
-    fn violates(&self, fixes: &[Fix], anchor: usize, float: usize, i: usize) -> bool;
-
-    /// Split-ranking value of interior point `i` for the segment
-    /// `lo → hi`: comparable across points, in the units fixed by
-    /// [`SegmentCriterion::split_threshold`]. A value strictly above the
-    /// threshold means the point violates.
-    fn split_value(&self, fixes: &[Fix], lo: usize, hi: usize, i: usize) -> f64;
-
-    /// The threshold [`SegmentCriterion::split_value`] is compared
-    /// against (the distance epsilon for single-threshold criteria, `1`
-    /// for the dimensionless blended score of [`TimeRatioSpeed`]).
-    fn split_threshold(&self) -> f64;
-
-    /// First intermediate index violating the criterion for the window
-    /// `anchor..float`, scanning forward (the paper's inner loop order).
-    #[inline]
-    fn first_violation(&self, fixes: &[Fix], anchor: usize, float: usize) -> Option<usize> {
-        (anchor + 1..float).find(|&i| self.violates(fixes, anchor, float, i))
-    }
-
-    /// Batched scan of every interior point of the segment `lo → hi`
-    /// over trajectory columns: one call replaces the per-point
-    /// [`SegmentCriterion::split_value`] /
-    /// [`SegmentCriterion::violates`] loop of the scalar kernels, with
-    /// the criterion dispatched **once per segment** instead of once per
-    /// point and distances computed by the chunk-vectorized kernels in
-    /// `traj_geom::soa`.
-    ///
-    /// The view must hold the same series the scalar methods would see
-    /// as `fixes`; results are then bitwise identical to the scalar
-    /// loop (pinned by the layout-equivalence proptests).
-    fn scan_segment(&self, v: TrajView<'_>, lo: usize, hi: usize) -> SplitDecision;
-}
-
-/// Perpendicular distance to the anchor–float line — the classic
-/// line-generalization criterion (paper §2).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Perpendicular {
-    /// Distance threshold, metres.
-    pub epsilon: f64,
-}
-
-impl SegmentCriterion for Perpendicular {
-    fn label(&self) -> String {
-        format!("perp,{}m", self.epsilon)
-    }
-
-    #[inline]
-    fn violates(&self, fixes: &[Fix], anchor: usize, float: usize, i: usize) -> bool {
-        debug_assert!(anchor < i && i < float);
-        perpendicular_distance(&fixes[anchor], &fixes[float], &fixes[i]) > self.epsilon
-    }
-
-    #[inline]
-    fn split_value(&self, fixes: &[Fix], lo: usize, hi: usize, i: usize) -> f64 {
-        perpendicular_distance(&fixes[lo], &fixes[hi], &fixes[i])
-    }
-
-    #[inline]
-    fn split_threshold(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn scan_segment(&self, v: TrajView<'_>, lo: usize, hi: usize) -> SplitDecision {
-        scan_dists(v, lo, hi, perp_dists_into)
-    }
-}
-
-/// Synchronized (time-ratio) Euclidean distance — the spatiotemporal
-/// criterion of §3.2, equations (1)–(2).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeRatio {
-    /// Distance threshold, metres.
-    pub epsilon: f64,
-}
-
-impl SegmentCriterion for TimeRatio {
-    fn label(&self) -> String {
-        format!("tr,{}m", self.epsilon)
-    }
-
-    #[inline]
-    fn violates(&self, fixes: &[Fix], anchor: usize, float: usize, i: usize) -> bool {
-        debug_assert!(anchor < i && i < float);
-        sed(&fixes[anchor], &fixes[float], &fixes[i]) > self.epsilon
-    }
-
-    #[inline]
-    fn split_value(&self, fixes: &[Fix], lo: usize, hi: usize, i: usize) -> f64 {
-        sed(&fixes[lo], &fixes[hi], &fixes[i])
-    }
-
-    #[inline]
-    fn split_threshold(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn scan_segment(&self, v: TrajView<'_>, lo: usize, hi: usize) -> SplitDecision {
-        scan_dists(v, lo, hi, sed_dists_into)
-    }
-}
-
-/// Synchronized distance **or** derived speed difference — the paper's
-/// §3.3 spatiotemporal criteria (SPT / OPW-SP / TD-SP).
-///
-/// A point violates when its SED exceeds `epsilon` or its derived speed
-/// difference exceeds `speed_epsilon`. The split-ranking value is the
-/// dimensionless blend `max(sed/epsilon, |Δv|/speed_epsilon)` (threshold
-/// `1`), which reduces to plain time-ratio ranking when `speed_epsilon`
-/// is infinite; the design rationale is recorded in `DESIGN.md`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeRatioSpeed {
-    /// Distance threshold, metres.
-    pub epsilon: f64,
-    /// Speed-difference threshold, metres/second.
-    pub speed_epsilon: f64,
-}
-
-impl SegmentCriterion for TimeRatioSpeed {
-    fn label(&self) -> String {
-        format!("tr,{}m,{}m/s", self.epsilon, self.speed_epsilon)
-    }
-
-    #[inline]
-    fn violates(&self, fixes: &[Fix], anchor: usize, float: usize, i: usize) -> bool {
-        debug_assert!(anchor < i && i < float);
-        sed(&fixes[anchor], &fixes[float], &fixes[i]) > self.epsilon
-            || speed_difference_at(fixes, i).is_some_and(|dv| dv > self.speed_epsilon)
-    }
-
-    #[inline]
-    fn split_value(&self, fixes: &[Fix], lo: usize, hi: usize, i: usize) -> f64 {
-        let d = sed(&fixes[lo], &fixes[hi], &fixes[i]);
-        let ds = if self.epsilon > 0.0 {
-            d / self.epsilon
-        } else if d > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        };
-        let vs = speed_difference_at(fixes, i)
-            .map(|dv| dv / self.speed_epsilon)
-            .unwrap_or(0.0);
-        ds.max(vs)
-    }
-
-    #[inline]
-    fn split_threshold(&self) -> f64 {
-        1.0
-    }
-
-    fn scan_segment(&self, v: TrajView<'_>, lo: usize, hi: usize) -> SplitDecision {
-        // The SEDs batch; the speed-difference term is inherently
-        // point-local (three neighbours), so it stays scalar per
-        // element.
-        let mut best = (lo + 1, f64::NEG_INFINITY);
-        let mut buf = [0.0f64; SCAN_CHUNK];
-        let mut i = lo + 1;
-        while i < hi {
-            let len = SCAN_CHUNK.min(hi - i);
-            let chunk = &mut buf[..len];
-            sed_dists_into(v, lo, hi, i, chunk);
-            for (k, &d) in chunk.iter().enumerate() {
-                let dv = speed_difference_view(v, i + k);
-                let val = trs_blend(d, dv, self.epsilon, self.speed_epsilon);
-                if val > best.1 {
-                    best = (i + k, val);
-                }
-            }
-            i += len;
-        }
-        SplitDecision { split: best.0, value: best.1 }
-    }
-}
-
-/// The discarding criterion carried by the compressor structs, evaluated
-/// for every intermediate point of a candidate segment.
-///
-/// This is the value-level (enum) form of the three
-/// [`SegmentCriterion`] implementations; it implements the trait by
-/// dispatch, so enum-carrying compressors and trait-generic code share
-/// the same distance decisions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Criterion {
     /// Perpendicular distance to the anchor–float line exceeds `epsilon`
-    /// (classic line generalization; NOPW/BOPW baselines).
+    /// (classic line generalization, paper §2; NDP and the NOPW/BOPW
+    /// baselines).
     Perpendicular {
         /// Distance threshold, metres.
         epsilon: f64,
     },
-    /// Synchronized (time-ratio) distance exceeds `epsilon` (OPW-TR).
+    /// Synchronized (time-ratio) distance exceeds `epsilon` (paper §3.2,
+    /// equations (1)–(2); TD-TR and OPW-TR).
     TimeRatio {
         /// Distance threshold, metres.
         epsilon: f64,
     },
     /// Synchronized distance exceeds `epsilon` **or** the derived speed
-    /// difference at the point exceeds `speed_epsilon` (OPW-SP / SPT).
+    /// difference at the point exceeds `speed_epsilon` (paper §3.3;
+    /// OPW-SP / SPT / TD-SP).
+    ///
+    /// The split-ranking value is the dimensionless blend
+    /// `max(sed/epsilon, |Δv|/speed_epsilon)` (threshold `1`), which
+    /// reduces to plain time-ratio ranking when `speed_epsilon` is
+    /// infinite; the design rationale is recorded in `DESIGN.md`.
     TimeRatioSpeed {
         /// Distance threshold, metres.
         epsilon: f64,
@@ -480,66 +332,91 @@ impl Criterion {
             }
         }
     }
-}
 
-impl SegmentCriterion for Criterion {
-    fn label(&self) -> String {
+    /// Report label fragment, e.g. `"tr,30m"`.
+    pub fn label(&self) -> String {
         match *self {
-            Criterion::Perpendicular { epsilon } => Perpendicular { epsilon }.label(),
-            Criterion::TimeRatio { epsilon } => TimeRatio { epsilon }.label(),
+            Criterion::Perpendicular { epsilon } => format!("perp,{epsilon}m"),
+            Criterion::TimeRatio { epsilon } => format!("tr,{epsilon}m"),
             Criterion::TimeRatioSpeed { epsilon, speed_epsilon } => {
-                TimeRatioSpeed { epsilon, speed_epsilon }.label()
+                format!("tr,{epsilon}m,{speed_epsilon}m/s")
             }
         }
     }
 
+    /// Whether intermediate point `i` of the window `anchor..float`
+    /// violates the criterion.
     #[inline]
-    fn violates(&self, fixes: &[Fix], anchor: usize, float: usize, i: usize) -> bool {
-        match *self {
-            Criterion::Perpendicular { epsilon } => {
-                Perpendicular { epsilon }.violates(fixes, anchor, float, i)
-            }
-            Criterion::TimeRatio { epsilon } => {
-                TimeRatio { epsilon }.violates(fixes, anchor, float, i)
-            }
-            Criterion::TimeRatioSpeed { epsilon, speed_epsilon } => {
-                TimeRatioSpeed { epsilon, speed_epsilon }.violates(fixes, anchor, float, i)
-            }
-        }
-    }
-
-    #[inline]
-    fn split_value(&self, fixes: &[Fix], lo: usize, hi: usize, i: usize) -> f64 {
+    pub fn violates(&self, fixes: &[Fix], anchor: usize, float: usize, i: usize) -> bool {
+        debug_assert!(anchor < i && i < float);
         match *self {
             Criterion::Perpendicular { epsilon } => {
-                Perpendicular { epsilon }.split_value(fixes, lo, hi, i)
+                perpendicular_distance(&fixes[anchor], &fixes[float], &fixes[i]) > epsilon
             }
             Criterion::TimeRatio { epsilon } => {
-                TimeRatio { epsilon }.split_value(fixes, lo, hi, i)
+                sed(&fixes[anchor], &fixes[float], &fixes[i]) > epsilon
             }
             Criterion::TimeRatioSpeed { epsilon, speed_epsilon } => {
-                TimeRatioSpeed { epsilon, speed_epsilon }.split_value(fixes, lo, hi, i)
+                sed(&fixes[anchor], &fixes[float], &fixes[i]) > epsilon
+                    || speed_difference_at(fixes, i).is_some_and(|dv| dv > speed_epsilon)
             }
         }
     }
 
+    /// Split-ranking value of interior point `i` for the segment
+    /// `lo → hi`: comparable across points, in the units fixed by
+    /// [`Criterion::split_threshold`]. A value strictly above the
+    /// threshold means the point violates.
     #[inline]
-    fn split_threshold(&self) -> f64 {
+    pub fn split_value(&self, fixes: &[Fix], lo: usize, hi: usize, i: usize) -> f64 {
+        match *self {
+            Criterion::Perpendicular { .. } => {
+                perpendicular_distance(&fixes[lo], &fixes[hi], &fixes[i])
+            }
+            Criterion::TimeRatio { .. } => sed(&fixes[lo], &fixes[hi], &fixes[i]),
+            Criterion::TimeRatioSpeed { epsilon, speed_epsilon } => trs_blend(
+                sed(&fixes[lo], &fixes[hi], &fixes[i]),
+                speed_difference_at(fixes, i),
+                epsilon,
+                speed_epsilon,
+            ),
+        }
+    }
+
+    /// The threshold [`Criterion::split_value`] is compared against (the
+    /// distance epsilon for the single-distance criteria, `1` for the
+    /// dimensionless blended score of [`Criterion::TimeRatioSpeed`]).
+    #[inline]
+    pub fn split_threshold(&self) -> f64 {
         match *self {
             Criterion::Perpendicular { epsilon } | Criterion::TimeRatio { epsilon } => epsilon,
             Criterion::TimeRatioSpeed { .. } => 1.0,
         }
     }
 
-    fn scan_segment(&self, v: TrajView<'_>, lo: usize, hi: usize) -> SplitDecision {
-        // One dispatch per *segment*; the struct impls loop.
+    /// First intermediate index violating the criterion for the window
+    /// `anchor..float`, scanning forward (the paper's inner loop order).
+    #[inline]
+    pub fn first_violation(&self, fixes: &[Fix], anchor: usize, float: usize) -> Option<usize> {
+        (anchor + 1..float).find(|&i| self.violates(fixes, anchor, float, i))
+    }
+
+    /// Batched scan of every interior point of the segment `lo → hi`
+    /// over trajectory columns: one call replaces the per-point
+    /// [`Criterion::split_value`] loop of the scalar kernels, with the
+    /// criterion dispatched **once per segment** instead of once per
+    /// point and distances computed by the chunked kernels in
+    /// `traj_geom::soa`.
+    ///
+    /// The view must hold the same series the scalar methods would see
+    /// as `fixes`; results are then bitwise identical to the scalar
+    /// loop (pinned by the layout-equivalence proptests).
+    pub fn scan_segment(&self, v: TrajView<'_>, lo: usize, hi: usize) -> SplitDecision {
         match *self {
-            Criterion::Perpendicular { epsilon } => {
-                Perpendicular { epsilon }.scan_segment(v, lo, hi)
-            }
-            Criterion::TimeRatio { epsilon } => TimeRatio { epsilon }.scan_segment(v, lo, hi),
+            Criterion::Perpendicular { .. } => scan_dists(v, lo, hi, perp_dists_into),
+            Criterion::TimeRatio { .. } => scan_dists(v, lo, hi, sed_dists_into),
             Criterion::TimeRatioSpeed { epsilon, speed_epsilon } => {
-                TimeRatioSpeed { epsilon, speed_epsilon }.scan_segment(v, lo, hi)
+                scan_blend(v, lo, hi, epsilon, speed_epsilon)
             }
         }
     }
@@ -555,7 +432,9 @@ pub(crate) fn max_split_value_view(c: &Criterion, v: TrajView<'_>, lo: usize, hi
     let mut i = lo + 1;
     while i < hi {
         let len = SCAN_CHUNK.min(hi - i);
-        let chunk = &mut buf[..len];
+        let Some(chunk) = buf.get_mut(..len) else {
+            break;
+        };
         match *c {
             Criterion::Perpendicular { .. } => {
                 perp_dists_into(v, lo, hi, i, chunk);
@@ -602,36 +481,16 @@ mod tests {
     #[test]
     fn perpendicular_ignores_time_time_ratio_does_not() {
         let f = temporal_outlier();
-        assert!(!Perpendicular { epsilon: 1.0 }.violates(&f, 0, 2, 1));
-        assert!(TimeRatio { epsilon: 1.0 }.violates(&f, 0, 2, 1));
-        assert_eq!(TimeRatio { epsilon: 1.0 }.split_value(&f, 0, 2, 1), 6.0);
-    }
-
-    #[test]
-    fn enum_dispatch_matches_struct_impls() {
-        let f = temporal_outlier();
-        let cases: [(Criterion, bool); 3] = [
-            (Criterion::Perpendicular { epsilon: 1.0 }, false),
-            (Criterion::TimeRatio { epsilon: 1.0 }, true),
-            (
-                Criterion::TimeRatioSpeed { epsilon: 1.0, speed_epsilon: 1e9 },
-                true,
-            ),
-        ];
-        for (c, expect) in cases {
-            assert_eq!(c.violates(&f, 0, 2, 1), expect, "{c:?}");
-        }
-        assert_eq!(
-            Criterion::TimeRatio { epsilon: 1.0 }.split_value(&f, 0, 2, 1),
-            TimeRatio { epsilon: 1.0 }.split_value(&f, 0, 2, 1),
-        );
+        assert!(!Criterion::Perpendicular { epsilon: 1.0 }.violates(&f, 0, 2, 1));
+        assert!(Criterion::TimeRatio { epsilon: 1.0 }.violates(&f, 0, 2, 1));
+        assert_eq!(Criterion::TimeRatio { epsilon: 1.0 }.split_value(&f, 0, 2, 1), 6.0);
     }
 
     #[test]
     fn speed_blend_reduces_to_time_ratio_at_infinite_speed_threshold() {
         let f = temporal_outlier();
-        let trs = TimeRatioSpeed { epsilon: 3.0, speed_epsilon: f64::INFINITY };
-        let tr = TimeRatio { epsilon: 3.0 };
+        let trs = Criterion::TimeRatioSpeed { epsilon: 3.0, speed_epsilon: f64::INFINITY };
+        let tr = Criterion::TimeRatio { epsilon: 3.0 };
         assert_eq!(
             trs.split_value(&f, 0, 2, 1),
             tr.split_value(&f, 0, 2, 1) / 3.0,
@@ -694,14 +553,9 @@ mod tests {
         Criterion::TimeRatioSpeed { epsilon: 1.0, speed_epsilon: f64::INFINITY }.validate();
     }
 
-    /// The scalar reference for [`SegmentCriterion::scan_segment`]: the
-    /// exact per-point loops the batched path replaced.
-    fn scalar_scan<C: SegmentCriterion>(
-        c: &C,
-        fixes: &[Fix],
-        lo: usize,
-        hi: usize,
-    ) -> SplitDecision {
+    /// The scalar reference for [`Criterion::scan_segment`]: the exact
+    /// per-point loops the batched path replaced.
+    fn scalar_scan(c: &Criterion, fixes: &[Fix], lo: usize, hi: usize) -> SplitDecision {
         let mut best = (lo + 1, f64::NEG_INFINITY);
         for i in lo + 1..hi {
             let d = c.split_value(fixes, lo, hi, i);

@@ -32,7 +32,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::criterion::{Criterion, SegmentCriterion};
+use crate::criterion::Criterion;
 use crate::obs::AlgoRun;
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::Workspace;
@@ -133,7 +133,7 @@ impl TopDown {
     }
 
     /// Columnar [`TopDown::farthest`]: one batched
-    /// [`SegmentCriterion::scan_segment`] over the structure-of-arrays
+    /// [`Criterion::scan_segment`] over the structure-of-arrays
     /// view instead of a per-point dispatch loop. Bit-identical to the
     /// scalar form (same seed, same strict `>` first-maximum rule).
     pub(crate) fn farthest_view(&self, v: TrajView<'_>, lo: usize, hi: usize) -> Option<(usize, f64)> {

@@ -88,7 +88,6 @@ pub(crate) mod obs;
 pub mod distance;
 pub mod douglas_peucker;
 pub mod error;
-pub mod hull_dp;
 pub mod one_pass;
 pub mod opening_window;
 pub mod result;
@@ -102,9 +101,7 @@ pub mod td_sp;
 pub mod workspace;
 
 pub use bottom_up::BottomUp;
-pub use criterion::{
-    Criterion, Perpendicular, SegmentCriterion, SplitDecision, TimeRatio, TimeRatioSpeed,
-};
+pub use criterion::{Criterion, SplitDecision};
 pub use dead_reckoning::DeadReckoning;
 pub use distance::{perpendicular_distance, sed, speed_difference};
 pub use douglas_peucker::{DouglasPeucker, TdTr, TopDown};
@@ -112,7 +109,6 @@ pub use error::{
     average_synchronous_error, evaluate, evaluate_sweep, evaluate_with, ErrorEval, EvalWorkspace,
     Evaluation,
 };
-pub use hull_dp::HullDouglasPeucker;
 pub use one_pass::{OnePassCone, OnePassFit, CONE_DIRECTIONS};
 pub use opening_window::{BreakStrategy, OpeningWindow};
 pub use result::{CompressionResult, CompressionResultBuf, Compressor, InvalidResult};

@@ -26,14 +26,14 @@
 //! [`OpeningWindow`]'s `compress_into`, for the threshold sweep
 //! ([`OpeningWindow::sweep`]) and for [`crate::SlidingWindow`].
 //! [`crate::streaming::OwStream`] makes the same decisions fix by fix
-//! through the scalar [`SegmentCriterion::first_violation`]; it is a
+//! through the scalar [`Criterion::first_violation`]; it is a
 //! separate implementation, and the engine is pinned against it.
 //!
 //! The paper notes OW algorithms "may lose the last few data points";
 //! as countermeasure the final data point is always emitted.
 
 pub use crate::criterion::Criterion;
-use crate::criterion::{speed_difference_view, window_dists_into, SegmentCriterion};
+use crate::criterion::{speed_difference_view, window_dists_into};
 use crate::obs::AlgoRun;
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::Workspace;

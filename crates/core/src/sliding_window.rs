@@ -17,7 +17,7 @@
 //! covers at most `window + 1` fixes), capping the achievable
 //! compression.
 
-use crate::criterion::{Criterion, SegmentCriterion};
+use crate::criterion::Criterion;
 use crate::opening_window::{open_windows, BreakStrategy};
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::Workspace;

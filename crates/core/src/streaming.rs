@@ -20,7 +20,6 @@
 //! equivalence tests and proptests, boxed (`Box<dyn
 //! StreamingCompressor>`) or not.
 
-use crate::criterion::SegmentCriterion;
 use crate::obs::AlgoRun;
 use crate::one_pass::{
     cone_apothem, cone_directions, one_pass_step, ConeRegion, FitRegion, Region,
@@ -298,8 +297,8 @@ impl OwStream {
     }
 
     /// First intermediate (window-relative) index violating the criterion
-    /// for float `e` — the shared [`SegmentCriterion`] scan with the
-    /// buffered window as the slice and the anchor at relative index 0.
+    /// for float `e` — the scalar [`Criterion::first_violation`] scan with
+    /// the buffered window as the slice and the anchor at relative index 0.
     /// (For the speed criterion, `i + 1 <= e` keeps both derived-speed
     /// neighbours inside the window.)
     fn first_violation(&self, e: usize) -> Option<usize> {

@@ -15,7 +15,7 @@
 //!   threshold is infinite;
 //! * the recursion stops when no interior point violates.
 //!
-//! Both rules live in [`crate::criterion::TimeRatioSpeed`]; this type is
+//! Both rules live in [`crate::Criterion::TimeRatioSpeed`]; this type is
 //! a thin wrapper over the shared [`TopDown`] kernel, exactly like
 //! [`crate::DouglasPeucker`] and [`crate::TdTr`].
 //!

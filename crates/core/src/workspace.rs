@@ -1,8 +1,8 @@
 //! Reusable scratch memory for the compression kernels.
 //!
 //! Every kernel in this crate is an explicit-stack loop whose working
-//! state — keep masks, split stacks, linked lists, merge heaps, hull
-//! buffers — is borrowed from a [`Workspace`] instead of allocated per
+//! state — keep masks, split stacks, linked lists, merge heaps, window
+//! distances — is borrowed from a [`Workspace`] instead of allocated per
 //! call. A workspace that has processed one trajectory re-serves its
 //! buffers to the next [`crate::Compressor::compress_into`] call at zero
 //! allocation cost; the convenience [`crate::Compressor::compress`]
@@ -16,7 +16,6 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
-use traj_geom::Point2;
 use traj_model::{TrajColumns, Trajectory};
 
 /// Min-heap candidate for bottom-up merging: removing `idx` (currently
@@ -115,10 +114,6 @@ pub struct Workspace {
     pub(crate) next: Vec<usize>,
     /// Lazy merge-candidate heap (bottom-up).
     pub(crate) merge_heap: BinaryHeap<MergeCand>,
-    /// `(original_index, position)` pairs for hull construction.
-    pub(crate) pts: Vec<(usize, Point2)>,
-    /// Hull vertex output buffer (original indices).
-    pub(crate) hull: Vec<usize>,
     /// Memoized per-interval statistics for the TD-SP sweep.
     pub(crate) sp_stats: HashMap<(usize, usize), SpStats>,
     /// Opening-window engine (every window family, one threshold or a
@@ -162,8 +157,6 @@ impl Workspace {
         self.prev.clear();
         self.next.clear();
         self.merge_heap.clear();
-        self.pts.clear();
-        self.hull.clear();
         self.sp_stats.clear();
         self.ow_dists.clear();
         self.cone_dirs.clear();
@@ -216,8 +209,6 @@ impl Workspace {
             + warm::<usize>(self.prev.capacity(), n)
             + warm::<usize>(self.next.capacity(), n)
             + warm::<MergeCand>(self.merge_heap.capacity(), n)
-            + warm::<(usize, Point2)>(self.pts.capacity(), n)
-            + warm::<usize>(self.hull.capacity(), n)
             + warm::<((usize, usize), SpStats)>(self.sp_stats.capacity(), n)
             + warm::<f64>(self.ow_dists.capacity(), n)
             + warm::<(f64, f64)>(self.cone_dirs.capacity(), n)
@@ -239,8 +230,6 @@ mod tests {
         ws.prev.extend(0..8);
         ws.next.extend(0..8);
         ws.merge_heap.push(MergeCand { cost: 1.0, idx: 1, left: 0, right: 2 });
-        ws.pts.push((0, Point2::new(0.0, 0.0)));
-        ws.hull.push(0);
         ws.sp_stats.insert(
             (0, 7),
             SpStats { i_s: 1, s: 2.0, i_pos: Some(1), i_v: 1, v: 0.5 },
@@ -256,8 +245,6 @@ mod tests {
         assert!(ws.prev.is_empty());
         assert!(ws.next.is_empty());
         assert!(ws.merge_heap.is_empty());
-        assert!(ws.pts.is_empty());
-        assert!(ws.hull.is_empty());
         assert!(ws.sp_stats.is_empty());
         assert!(ws.ow_dists.is_empty());
         assert!(ws.cone_dirs.is_empty());

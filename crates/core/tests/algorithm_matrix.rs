@@ -10,8 +10,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use traj_compress::{
-    evaluate, BottomUp, Compressor, DeadReckoning, DouglasPeucker, HullDouglasPeucker,
-    OpeningWindow, SlidingWindow, TdSp, TdTr,
+    evaluate, BottomUp, Compressor, DeadReckoning, DouglasPeucker, OpeningWindow, SlidingWindow,
+    TdSp, TdTr,
 };
 use traj_gen::simple::{circle, random_walk, stop_and_go, straight};
 use traj_model::Trajectory;
@@ -19,7 +19,6 @@ use traj_model::Trajectory;
 fn algorithms(eps: f64) -> Vec<Box<dyn Compressor>> {
     vec![
         Box::new(DouglasPeucker::new(eps)),
-        Box::new(HullDouglasPeucker::new(eps)),
         Box::new(TdTr::new(eps)),
         Box::new(TdSp::new(eps, 5.0)),
         Box::new(OpeningWindow::nopw(eps)),

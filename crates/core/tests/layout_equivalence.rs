@@ -2,15 +2,11 @@
 //!
 //! Every kernel that now scans a [`TrajColumns`] view is held
 //! **bit-identical** to the pre-refactor array-of-structs path. The
-//! scalar side of each pin is either the still-compiled scalar trait
-//! method (`split_value` / `first_violation` — unchanged since before
-//! the refactor) or a verbatim test-local replica of the old kernel
-//! driving those methods. Comparisons are `prop_assert_eq!` on kept
-//! indices and on raw `f64`s — no tolerances anywhere.
-//!
-//! Compiled both with and without `--features simd` in CI: with the
-//! feature on, these same pins hold the unrolled 4-lane kernels to the
-//! scalar reference end-to-end across every catalog algorithm.
+//! scalar side of each pin is either the still-compiled scalar
+//! `Criterion` method (`split_value` / `first_violation` — unchanged
+//! since before the refactor) or a verbatim test-local replica of the
+//! old kernel driving those methods. Comparisons are `prop_assert_eq!`
+//! on kept indices and on raw `f64`s — no tolerances anywhere.
 
 #![recursion_limit = "1024"]
 
@@ -19,8 +15,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use traj_compress::{
     BottomUp, CompressionResultBuf, Compressor, Criterion, DeadReckoning, DistanceThreshold,
-    DouglasPeucker, HullDouglasPeucker, OnePassCone, OnePassFit, OpeningWindow, SegmentCriterion,
-    SlidingWindow, TdSp, TdTr, UniformSample, Workspace,
+    DouglasPeucker, OnePassCone, OnePassFit, OpeningWindow, SlidingWindow, TdSp, TdTr,
+    UniformSample, Workspace,
 };
 use traj_model::{TrajColumns, Trajectory};
 
@@ -44,14 +40,13 @@ fn trajectory() -> impl Strategy<Value = Trajectory> {
         })
 }
 
-/// The full 15-algorithm catalog (mirrors `traj-eval`'s registry, which
+/// The full 14-algorithm catalog (mirrors `traj-eval`'s registry, which
 /// cannot be imported here without a dev-dependency cycle).
 fn catalog(eps: f64, veps: f64) -> Vec<Box<dyn Compressor>> {
     vec![
         Box::new(UniformSample::new(eps.round().max(1.0) as usize)),
         Box::new(DistanceThreshold::new(eps)),
         Box::new(DouglasPeucker::new(eps)),
-        Box::new(HullDouglasPeucker::new(eps)),
         Box::new(TdTr::new(eps)),
         Box::new(TdSp::new(eps, veps)),
         Box::new(OpeningWindow::nopw(eps)),
@@ -221,8 +216,7 @@ fn scalar_bottom_up(bu: &BottomUp, t: &Trajectory) -> Vec<usize> {
 proptest! {
     /// `scan_segment` == the scalar first-argmax loop, split index and
     /// split value both, for all three criteria over arbitrary
-    /// sub-segments. Covers the batched SED and perpendicular kernels
-    /// (and their unrolled variants when `simd` is on).
+    /// sub-segments. Covers the batched SED and perpendicular kernels.
     #[test]
     fn scan_segment_matches_scalar_argmax(
         t in trajectory(),
@@ -262,15 +256,6 @@ proptest! {
         prop_assert_eq!(tdtr.compress(&t), tdtr.inner().compress_recursive(&t));
         let tdsp = TdSp::new(eps, veps);
         prop_assert_eq!(tdsp.compress(&t), tdsp.inner().compress_recursive(&t));
-    }
-
-    /// The hull-accelerated splitter (columnar) == scalar recursive NDP.
-    #[test]
-    fn hull_dp_matches_scalar_recursive_ndp(t in trajectory(), eps in 0.0..200.0f64) {
-        prop_assert_eq!(
-            HullDouglasPeucker::new(eps).compress(&t),
-            DouglasPeucker::new(eps).inner().compress_recursive(&t)
-        );
     }
 
 }

@@ -9,8 +9,8 @@ use traj_compress::error::{
 use traj_compress::streaming::{OnePassStream, OwStream, StreamingCompressor};
 use traj_compress::{
     sed, spt, BottomUp, BreakStrategy, CompressionResultBuf, Compressor, Criterion,
-    DouglasPeucker, HullDouglasPeucker, OnePassCone, OnePassFit, OpeningWindow,
-    SegmentCriterion, SlidingWindow, TdSp, TdTr, TopDown, UniformSample, Workspace,
+    DouglasPeucker, OnePassCone, OnePassFit, OpeningWindow, SlidingWindow, TdSp, TdTr, TopDown,
+    UniformSample, Workspace,
 };
 use traj_model::{Fix, Trajectory};
 
@@ -113,7 +113,6 @@ fn all_compressors(eps: f64, veps: f64) -> Vec<Box<dyn Compressor>> {
         Box::new(BottomUp::time_ratio(eps)),
         Box::new(BottomUp::perpendicular(eps)),
         Box::new(SlidingWindow::time_ratio(eps, 12)),
-        Box::new(HullDouglasPeucker::new(eps)),
         Box::new(OnePassFit::new(eps)),
         Box::new(OnePassCone::new(eps)),
     ]

@@ -29,8 +29,13 @@
 //! for `.folded` paths, Chrome Trace Event JSON otherwise (load it at
 //! `ui.perfetto.dev` or `chrome://tracing`). Requires the `obs`
 //! feature; without it the file holds an empty trace.
+//!
+//! Exit status 1 on any failure: a bad argument (rejected before any
+//! work starts — one experiment per run), a failed paper-shape check,
+//! or an output file (`--csv`, `--metrics-out`, `--trace-out`) that
+//! cannot be written; the message names the path.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use traj_eval::{
@@ -38,6 +43,11 @@ use traj_eval::{
     fig9_threaded, fig_onepass_threaded, figure_to_csv, format_figure, format_table2,
     onepass_algos, sweep_algo_parallel, table2, FigureData, PAPER_THRESHOLDS,
 };
+
+/// The experiments `repro` runs, one per invocation.
+const EXPERIMENTS: [&str; 10] = [
+    "all", "table2", "fig7", "fig8", "fig9", "fig10", "fig11", "onepass", "check", "ext",
+];
 
 struct Args {
     what: String,
@@ -50,7 +60,7 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut what = "all".to_string();
+    let mut what = None;
     let mut seed = 42u64;
     let mut csv_dir = None;
     let mut metrics_out = None;
@@ -91,9 +101,28 @@ fn parse_args() -> Result<Args, String> {
                         .to_string(),
                 )
             }
-            other if !other.starts_with('-') => what = other.to_string(),
+            other if !other.starts_with('-') => {
+                if let Some(first) = &what {
+                    return Err(format!(
+                        "unexpected argument {other:?}: one experiment per run (got {first:?})"
+                    ));
+                }
+                if !EXPERIMENTS.contains(&other) {
+                    return Err(format!(
+                        "unknown experiment {other:?} (expected one of {})",
+                        EXPERIMENTS.join(", ")
+                    ));
+                }
+                what = Some(other.to_string());
+            }
             other => return Err(format!("unknown flag {other:?}")),
         }
+    }
+    let what = what.unwrap_or_else(|| "all".to_string());
+    if fast && (what == "check" || what == "all") {
+        return Err(
+            "--fast changes the protocol; the paper-shape check would be meaningless".to_string(),
+        );
     }
     Ok(Args {
         what,
@@ -106,51 +135,50 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Writes the instrumentation snapshot of the whole run: to
-/// `--metrics-out` when given, else to `DIR/metrics.csv` next to the
-/// figure CSVs. CSV for `.csv` paths, JSON lines otherwise.
-fn write_metrics(args: &Args) {
-    let path = match (&args.metrics_out, &args.csv_dir) {
-        (Some(p), _) => p.clone(),
-        (None, Some(dir)) => dir.join("metrics.csv"),
-        (None, None) => return,
-    };
-    let body = traj_obs::sink::to_sidecar(&path, &traj_obs::registry().snapshot());
+/// Writes `body` to `path`, creating its parent directory; the error
+/// names the path.
+fn write_output(what: &str, path: &Path, body: String) -> Result<(), String> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).ok();
     }
-    match std::fs::write(&path, body) {
-        Ok(()) => eprintln!("(metrics → {})", path.display()),
-        Err(e) => eprintln!(
-            "warning: could not write metrics to {}: {e}",
-            path.display()
-        ),
-    }
+    std::fs::write(path, body)
+        .map_err(|e| format!("error: could not write {what} to {}: {e}", path.display()))
+}
+
+/// Writes the instrumentation snapshot of the whole run: to
+/// `--metrics-out` when given, else to `DIR/metrics.csv` next to the
+/// figure CSVs. CSV for `.csv` paths, JSON lines otherwise.
+fn write_metrics(args: &Args) -> Result<(), String> {
+    let path = match (&args.metrics_out, &args.csv_dir) {
+        (Some(p), _) => p.clone(),
+        (None, Some(dir)) => dir.join("metrics.csv"),
+        (None, None) => return Ok(()),
+    };
+    let body = traj_obs::sink::to_sidecar(&path, &traj_obs::registry().snapshot());
+    write_output("metrics", &path, body)?;
+    eprintln!("(metrics → {})", path.display());
+    Ok(())
 }
 
 /// Stops the trace session and writes it to `--trace-out`: folded
 /// stacks for `.folded` paths, Chrome Trace Event JSON otherwise.
-fn write_trace(args: &Args) {
-    let Some(path) = &args.trace_out else { return };
+fn write_trace(args: &Args) -> Result<(), String> {
+    let Some(path) = &args.trace_out else { return Ok(()) };
     let trace = traj_obs::trace::stop();
     let body = if path.extension().is_some_and(|e| e == "folded") {
         trace.to_folded()
     } else {
         trace.to_chrome_json()
     };
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match std::fs::write(path, body) {
-        Ok(()) => eprintln!(
-            "(trace → {}: {} events on {} tracks, {} dropped)",
-            path.display(),
-            trace.event_count(),
-            trace.tracks.len(),
-            trace.dropped_total()
-        ),
-        Err(e) => eprintln!("warning: could not write trace to {}: {e}", path.display()),
-    }
+    write_output("trace", path, body)?;
+    eprintln!(
+        "(trace → {}: {} events on {} tracks, {} dropped)",
+        path.display(),
+        trace.event_count(),
+        trace.tracks.len(),
+        trace.dropped_total()
+    );
+    Ok(())
 }
 
 fn emit(fig: &FigureData, csv_dir: &Option<PathBuf>) {
@@ -298,12 +326,6 @@ fn main() -> ExitCode {
             run_onepass_throughput(&dataset, grid, threads);
         }
         "check" | "all" => {
-            if args.fast {
-                eprintln!(
-                    "--fast changes the protocol; the paper-shape check would be meaningless"
-                );
-                return ExitCode::FAILURE;
-            }
             let f7 = fig7_threaded(&dataset, grid, threads);
             let f8 = fig8_threaded(&dataset, grid, threads);
             let f9 = fig9_threaded(&dataset, grid, threads);
@@ -331,12 +353,19 @@ fn main() -> ExitCode {
             }
         }
         "ext" => run_extensions(args.seed),
+        // `parse_args` admits only the names in `EXPERIMENTS`.
         other => {
             eprintln!("unknown experiment {other:?}");
             return ExitCode::FAILURE;
         }
     }
-    write_metrics(&args);
-    write_trace(&args);
-    ExitCode::SUCCESS
+    // Both outputs are attempted; either failing fails the run.
+    let mut status = ExitCode::SUCCESS;
+    for written in [write_metrics(&args), write_trace(&args)] {
+        if let Err(msg) = written {
+            eprintln!("{msg}");
+            status = ExitCode::FAILURE;
+        }
+    }
+    status
 }

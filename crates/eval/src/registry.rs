@@ -95,8 +95,8 @@ fn need_speed(name: &str, speed: Option<f64>) -> Result<f64, String> {
 /// diffs `cli_name`s against the documentation table.
 pub fn algorithm_catalog() -> &'static [AlgoMeta] {
     use traj_compress::{
-        BottomUp, DeadReckoning, DistanceThreshold, DouglasPeucker, HullDouglasPeucker,
-        OnePassCone, OnePassFit, OpeningWindow, SlidingWindow, TdSp, TdTr, UniformSample,
+        BottomUp, DeadReckoning, DistanceThreshold, DouglasPeucker, OnePassCone, OnePassFit,
+        OpeningWindow, SlidingWindow, TdSp, TdTr, UniformSample,
     };
     const CATALOG: &[AlgoMeta] = &[
         AlgoMeta {
@@ -125,15 +125,6 @@ pub fn algorithm_catalog() -> &'static [AlgoMeta] {
             streaming: false,
             reference: "Douglas & Peucker; paper §2.1",
             make: |eps, _| Ok(Box::new(DouglasPeucker::new(eps))),
-        },
-        AlgoMeta {
-            cli_name: "ndp-hull",
-            criterion: "perpendicular distance (hull-accelerated split)",
-            bound: ErrorBound::Strict,
-            complexity: "O(n log n) expected",
-            streaming: false,
-            reference: "Hershberger & Snoeyink [17]",
-            make: |eps, _| Ok(Box::new(HullDouglasPeucker::new(eps))),
         },
         AlgoMeta {
             cli_name: "td-tr",
@@ -382,13 +373,13 @@ mod tests {
     }
 
     #[test]
-    fn catalog_has_fifteen_unique_live_entries() {
+    fn catalog_has_fourteen_unique_live_entries() {
         let cat = algorithm_catalog();
-        assert_eq!(cat.len(), 15);
+        assert_eq!(cat.len(), 14);
         let mut names: Vec<&str> = cat.iter().map(|m| m.cli_name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 15, "duplicate cli names in catalog");
+        assert_eq!(names.len(), 14, "duplicate cli names in catalog");
         assert!(names.contains(&"op-fit") && names.contains(&"op-cone"));
         // Every constructor actually compresses.
         let t = traj();

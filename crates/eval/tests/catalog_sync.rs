@@ -82,7 +82,7 @@ fn documented_table_matches_live_catalog() {
 #[test]
 fn catalog_covers_the_one_pass_family() {
     let names: Vec<&str> = algorithm_catalog().iter().map(|m| m.cli_name).collect();
-    assert_eq!(names.len(), 15);
+    assert_eq!(names.len(), 14);
     assert!(names.contains(&"op-fit"));
     assert!(names.contains(&"op-cone"));
 }

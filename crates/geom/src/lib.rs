@@ -12,8 +12,8 @@
 //! * [`numeric`] — small numerical helpers (adaptive Simpson quadrature,
 //!   approximate comparisons) used to cross-validate closed-form integrals;
 //! * [`soa`] — a structure-of-arrays trajectory view ([`TrajView`]) with
-//!   batched distance kernels that autovectorize (optionally 4-lane
-//!   unrolled under the `simd` cargo feature, bitwise equal to scalar).
+//!   one batched kernel per distance (SED and perpendicular), bitwise
+//!   equal to the pointwise [`Segment`] reference.
 //!
 //! Everything is `f64`-based and allocation-free; these types are hot-path
 //! values for the compression kernels in `traj-compress`.

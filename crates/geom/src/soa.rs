@@ -23,20 +23,11 @@
 //! equivalence is pinned by proptests here and end-to-end over every
 //! registered compressor in `traj-compress`.
 //!
-//! ## `simd` feature
-//!
-//! With the `simd` cargo feature the dispatching wrappers
-//! ([`sed_dists_into`], [`perp_dists_into`]) run explicitly 4-lane
-//! unrolled variants (stable Rust, no intrinsics: four independent
-//! scalar pipelines the backend maps onto vector registers). The
-//! unrolled loops perform exactly the same per-element operation
-//! sequence, so feature-on output is bitwise equal to feature-off —
-//! pinned by the `simd_matches_scalar` proptests compiled under the
-//! feature. The `*_scalar` functions are always compiled and remain the
-//! reference.
+//! There is one kernel per distance: [`sed_dists_into`] and
+//! [`perp_dists_into`]. Each is a checked, index-free body behind a
+//! wrapper that turns an out-of-bounds range into the documented panic.
 
 use crate::numeric::approx_zero;
-use crate::point::Point2;
 
 /// A borrowed structure-of-arrays view of a trajectory: timestamps and
 /// coordinates as three parallel `f64` columns.
@@ -83,13 +74,6 @@ impl<'a> TrajView<'a> {
     pub fn is_empty(&self) -> bool {
         self.ts.is_empty()
     }
-
-    /// The position of point `i` as a [`Point2`] (same bits as the
-    /// originating fix's position).
-    #[inline]
-    pub fn point(&self, i: usize) -> Point2 {
-        Point2::new(self.xs[i], self.ys[i])
-    }
 }
 
 /// Writes the synchronized Euclidean distance of points
@@ -105,27 +89,18 @@ impl<'a> TrajView<'a> {
 /// out of bounds for the view.
 #[inline]
 pub fn sed_dists_into(v: TrajView<'_>, lo: usize, hi: usize, start: usize, out: &mut [f64]) {
-    #[cfg(feature = "simd")]
-    sed_dists_into_unrolled(v, lo, hi, start, out);
-    #[cfg(not(feature = "simd"))]
-    sed_dists_into_scalar(v, lo, hi, start, out);
-}
-
-/// Scalar reference implementation of [`sed_dists_into`]; always
-/// compiled so the `simd` variant can be pinned against it.
-pub fn sed_dists_into_scalar(v: TrajView<'_>, lo: usize, hi: usize, start: usize, out: &mut [f64]) {
-    sed_scalar_checked(v, lo, hi, start, out)
+    sed_checked(v, lo, hi, start, out)
         // lint: allow(panic) out-of-bounds ranges are caller bugs; the
         // documented panic is the contract, the checked body never panics
         .expect("sed_dists_into: chord or point range out of bounds for the view");
 }
 
-/// Body of [`sed_dists_into_scalar`] with every lookup checked — `None`
+/// Body of [`sed_dists_into`] with every lookup checked — `None`
 /// means an out-of-bounds chord or point range (a caller bug the public
 /// wrapper turns into the documented panic). Keeping the kernel itself
 /// free of indexing makes it provably panic-free under
 /// `cargo xtask reach`.
-fn sed_scalar_checked(
+fn sed_checked(
     v: TrajView<'_>,
     lo: usize,
     hi: usize,
@@ -172,24 +147,15 @@ fn sed_scalar_checked(
 /// out of bounds for the view.
 #[inline]
 pub fn perp_dists_into(v: TrajView<'_>, lo: usize, hi: usize, start: usize, out: &mut [f64]) {
-    #[cfg(feature = "simd")]
-    perp_dists_into_unrolled(v, lo, hi, start, out);
-    #[cfg(not(feature = "simd"))]
-    perp_dists_into_scalar(v, lo, hi, start, out);
-}
-
-/// Scalar reference implementation of [`perp_dists_into`]; always
-/// compiled so the `simd` variant can be pinned against it.
-pub fn perp_dists_into_scalar(v: TrajView<'_>, lo: usize, hi: usize, start: usize, out: &mut [f64]) {
-    perp_scalar_checked(v, lo, hi, start, out)
-        // lint: allow(panic) see sed_dists_into_scalar: the documented
+    perp_checked(v, lo, hi, start, out)
+        // lint: allow(panic) see sed_dists_into: the documented
         // panic is the out-of-bounds contract, the checked body never panics
         .expect("perp_dists_into: chord or point range out of bounds for the view");
 }
 
-/// Checked body of [`perp_dists_into_scalar`]; see
-/// [`sed_scalar_checked`] for the `Option` convention.
-fn perp_scalar_checked(
+/// Checked body of [`perp_dists_into`]; see [`sed_checked`] for the
+/// `Option` convention.
+fn perp_checked(
     v: TrajView<'_>,
     lo: usize,
     hi: usize,
@@ -217,178 +183,6 @@ fn perp_scalar_checked(
     Some(())
 }
 
-/// First strict argmax over `vals`: the smallest index whose value every
-/// later value fails to exceed, with the running best seeded at
-/// `f64::NEG_INFINITY` — exactly the farthest-point selection rule of
-/// the top-down kernels. Returns `(0, f64::NEG_INFINITY)` for an empty
-/// slice (and keeps the seed if every value is NaN, as the scalar scan
-/// does).
-#[inline]
-pub fn argmax_over(vals: &[f64]) -> (usize, f64) {
-    let mut best = (0usize, f64::NEG_INFINITY);
-    for (i, &d) in vals.iter().enumerate() {
-        if d > best.1 {
-            best = (i, d);
-        }
-    }
-    best
-}
-
-/// 4-lane unrolled variant of [`sed_dists_into_scalar`]: four
-/// independent per-element pipelines the backend can keep in vector
-/// registers. Identical per-element operation sequence → identical bits.
-#[cfg(feature = "simd")]
-pub fn sed_dists_into_unrolled(
-    v: TrajView<'_>,
-    lo: usize,
-    hi: usize,
-    start: usize,
-    out: &mut [f64],
-) {
-    sed_unrolled_checked(v, lo, hi, start, out)
-        // lint: allow(panic) see sed_dists_into_scalar: the documented
-        // panic is the out-of-bounds contract, the checked body never panics
-        .expect("sed_dists_into: chord or point range out of bounds for the view");
-}
-
-/// Checked body of [`sed_dists_into_unrolled`]; see
-/// [`sed_scalar_checked`] for the `Option` convention. The quad loop
-/// walks `chunks_exact(4)` of the input columns against a shared output
-/// cursor, so the whole kernel is index-free; the slice-pattern `else`
-/// arms are unreachable (`chunks_exact(4)` yields exact quads).
-#[cfg(feature = "simd")]
-fn sed_unrolled_checked(
-    v: TrajView<'_>,
-    lo: usize,
-    hi: usize,
-    start: usize,
-    out: &mut [f64],
-) -> Option<()> {
-    let (&ta, &ax, &ay) = (v.ts.get(lo)?, v.xs.get(lo)?, v.ys.get(lo)?);
-    let span = *v.ts.get(hi)? - ta;
-    if approx_zero(span, 0.0) {
-        sed_dists_into_scalar(v, lo, hi, start, out);
-        return Some(());
-    }
-    let bax = *v.xs.get(hi)? - ax;
-    let bay = *v.ys.get(hi)? - ay;
-    let end = start.checked_add(out.len())?;
-    let ts = v.ts.get(start..end)?;
-    let xs = v.xs.get(start..end)?;
-    let ys = v.ys.get(start..end)?;
-    let n = out.len();
-    let lanes = n - n % 4;
-    let mut outs = out.iter_mut();
-    for ((tq, xq), yq) in ts
-        .get(..lanes)?
-        .chunks_exact(4)
-        .zip(xs.get(..lanes)?.chunks_exact(4))
-        .zip(ys.get(..lanes)?.chunks_exact(4))
-    {
-        let (&[t0, t1, t2, t3], &[x0, x1, x2, x3], &[y0, y1, y2, y3]) = (tq, xq, yq) else {
-            continue;
-        };
-        let (f0, f1, f2, f3) =
-            ((t0 - ta) / span, (t1 - ta) / span, (t2 - ta) / span, (t3 - ta) / span);
-        let (dx0, dx1, dx2, dx3) = (
-            ax + bax * f0 - x0,
-            ax + bax * f1 - x1,
-            ax + bax * f2 - x2,
-            ax + bax * f3 - x3,
-        );
-        let (dy0, dy1, dy2, dy3) = (
-            ay + bay * f0 - y0,
-            ay + bay * f1 - y1,
-            ay + bay * f2 - y2,
-            ay + bay * f3 - y3,
-        );
-        let ds = [
-            (dx0 * dx0 + dy0 * dy0).sqrt(),
-            (dx1 * dx1 + dy1 * dy1).sqrt(),
-            (dx2 * dx2 + dy2 * dy2).sqrt(),
-            (dx3 * dx3 + dy3 * dy3).sqrt(),
-        ];
-        for (o, d) in outs.by_ref().take(4).zip(ds) {
-            *o = d;
-        }
-    }
-    let tail = ts
-        .get(lanes..)?
-        .iter()
-        .zip(xs.get(lanes..)?.iter().zip(ys.get(lanes..)?));
-    for (o, (&t, (&px, &py))) in outs.zip(tail) {
-        let f = (t - ta) / span;
-        let dx = ax + bax * f - px;
-        let dy = ay + bay * f - py;
-        *o = (dx * dx + dy * dy).sqrt();
-    }
-    Some(())
-}
-
-/// 4-lane unrolled variant of [`perp_dists_into_scalar`]; see
-/// [`sed_dists_into_unrolled`] for the lane discipline.
-#[cfg(feature = "simd")]
-pub fn perp_dists_into_unrolled(
-    v: TrajView<'_>,
-    lo: usize,
-    hi: usize,
-    start: usize,
-    out: &mut [f64],
-) {
-    perp_unrolled_checked(v, lo, hi, start, out)
-        // lint: allow(panic) see sed_dists_into_scalar: the documented
-        // panic is the out-of-bounds contract, the checked body never panics
-        .expect("perp_dists_into: chord or point range out of bounds for the view");
-}
-
-/// Checked body of [`perp_dists_into_unrolled`]; see
-/// [`sed_unrolled_checked`] for the quad-loop discipline.
-#[cfg(feature = "simd")]
-fn perp_unrolled_checked(
-    v: TrajView<'_>,
-    lo: usize,
-    hi: usize,
-    start: usize,
-    out: &mut [f64],
-) -> Option<()> {
-    let (&ax, &ay) = (v.xs.get(lo)?, v.ys.get(lo)?);
-    let dx = *v.xs.get(hi)? - ax;
-    let dy = *v.ys.get(hi)? - ay;
-    let len = (dx * dx + dy * dy).sqrt();
-    if approx_zero(len, 0.0) {
-        perp_dists_into_scalar(v, lo, hi, start, out);
-        return Some(());
-    }
-    let end = start.checked_add(out.len())?;
-    let xs = v.xs.get(start..end)?;
-    let ys = v.ys.get(start..end)?;
-    let n = out.len();
-    let lanes = n - n % 4;
-    let mut outs = out.iter_mut();
-    for (xq, yq) in xs
-        .get(..lanes)?
-        .chunks_exact(4)
-        .zip(ys.get(..lanes)?.chunks_exact(4))
-    {
-        let (&[x0, x1, x2, x3], &[y0, y1, y2, y3]) = (xq, yq) else {
-            continue;
-        };
-        let c0 = dx * (y0 - ay) - dy * (x0 - ax);
-        let c1 = dx * (y1 - ay) - dy * (x1 - ax);
-        let c2 = dx * (y2 - ay) - dy * (x2 - ax);
-        let c3 = dx * (y3 - ay) - dy * (x3 - ax);
-        let ds = [c0.abs() / len, c1.abs() / len, c2.abs() / len, c3.abs() / len];
-        for (o, d) in outs.by_ref().take(4).zip(ds) {
-            *o = d;
-        }
-    }
-    for (o, (&px, &py)) in outs.zip(xs.get(lanes..)?.iter().zip(ys.get(lanes..)?)) {
-        let c = dx * (py - ay) - dy * (px - ax);
-        *o = c.abs() / len;
-    }
-    Some(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,21 +204,26 @@ mod tests {
         (ts, xs, ys)
     }
 
+    /// Point `i` of the view, read straight from the columns.
+    fn pt(v: TrajView<'_>, i: usize) -> Point2 {
+        Point2::new(v.xs[i], v.ys[i])
+    }
+
     /// The scalar reference computed through the AoS code path
     /// (`Segment::line_distance`), point by point.
     fn perp_reference(v: TrajView<'_>, lo: usize, hi: usize, i: usize) -> f64 {
-        Segment::new(v.point(lo), v.point(hi)).line_distance(v.point(i))
+        Segment::new(pt(v, lo), pt(v, hi)).line_distance(pt(v, i))
     }
 
     /// SED through the AoS path: lerp by time ratio, then distance.
     fn sed_reference(v: TrajView<'_>, lo: usize, hi: usize, i: usize) -> f64 {
         let span = v.ts[hi] - v.ts[lo];
         let interp = if approx_zero(span, 0.0) {
-            v.point(lo)
+            pt(v, lo)
         } else {
-            v.point(lo).lerp(v.point(hi), (v.ts[i] - v.ts[lo]) / span)
+            pt(v, lo).lerp(pt(v, hi), (v.ts[i] - v.ts[lo]) / span)
         };
-        interp.distance(v.point(i))
+        interp.distance(pt(v, i))
     }
 
     #[test]
@@ -473,21 +272,11 @@ mod tests {
     }
 
     #[test]
-    fn argmax_is_first_strict_max() {
-        assert_eq!(argmax_over(&[]), (0, f64::NEG_INFINITY));
-        assert_eq!(argmax_over(&[1.0, 3.0, 3.0, 2.0]), (1, 3.0));
-        assert_eq!(argmax_over(&[f64::NAN, 2.0, f64::NAN]), (1, 2.0));
-        // All-NaN keeps the seed, as the scalar scan does.
-        assert_eq!(argmax_over(&[f64::NAN]), (0, f64::NEG_INFINITY));
-    }
-
-    #[test]
     fn view_accessors() {
         let (ts, xs, ys) = columns(5, 1);
         let v = TrajView::new(&ts, &xs, &ys);
         assert_eq!(v.len(), 5);
         assert!(!v.is_empty());
-        assert_eq!(v.point(2), Point2::new(xs[2], ys[2]));
         let empty = TrajView::new(&[], &[], &[]);
         assert!(empty.is_empty());
     }
@@ -525,35 +314,6 @@ mod tests {
                 let i = lo + 1 + k;
                 prop_assert_eq!(sed_out[k].to_bits(), sed_reference(v, lo, hi, i).to_bits());
                 prop_assert_eq!(perp_out[k].to_bits(), perp_reference(v, lo, hi, i).to_bits());
-            }
-        }
-    }
-
-    #[cfg(feature = "simd")]
-    proptest! {
-        /// The unrolled `simd` variants are bitwise equal to the scalar
-        /// reference (same per-element operation sequence).
-        #[test]
-        fn simd_matches_scalar(
-            pts in prop::collection::vec(
-                (0.0f64..1e6, -1e6f64..1e6, -1e6f64..1e6), 3..80),
-        ) {
-            let ts: Vec<f64> = pts.iter().map(|p| p.0).collect();
-            let xs: Vec<f64> = pts.iter().map(|p| p.1).collect();
-            let ys: Vec<f64> = pts.iter().map(|p| p.2).collect();
-            let v = TrajView::new(&ts, &xs, &ys);
-            let n = pts.len();
-            let m = n - 2;
-            let (mut a, mut b) = (vec![0.0; m], vec![0.0; m]);
-            sed_dists_into_unrolled(v, 0, n - 1, 1, &mut a);
-            sed_dists_into_scalar(v, 0, n - 1, 1, &mut b);
-            for k in 0..m {
-                prop_assert_eq!(a[k].to_bits(), b[k].to_bits());
-            }
-            perp_dists_into_unrolled(v, 0, n - 1, 1, &mut a);
-            perp_dists_into_scalar(v, 0, n - 1, 1, &mut b);
-            for k in 0..m {
-                prop_assert_eq!(a[k].to_bits(), b[k].to_bits());
             }
         }
     }

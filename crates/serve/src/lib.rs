@@ -40,7 +40,7 @@ pub mod shard;
 pub mod worker;
 
 pub use queue::SubmitError;
-pub use service::{ServeConfig, Service, ShutdownStats};
+pub use service::{check_shards, ServeConfig, Service, ShutdownStats, MAX_SHARDS};
 pub use session::CodecSpec;
 pub use shard::shard_of;
 pub use worker::ShardStats;

@@ -27,10 +27,27 @@ use crate::session::CodecSpec;
 use crate::shard::shard_of;
 use crate::worker::{self, ShardCore, ShardStats};
 
+/// The most shards a service runs. Each shard is a store directory and
+/// a worker thread, so [`Service::start_with`] checks the count before
+/// any of them exists.
+pub const MAX_SHARDS: usize = 256;
+
+/// Checks a shard count against `1..=MAX_SHARDS`.
+///
+/// # Errors
+/// The count and the bound, as a string.
+pub fn check_shards(shards: usize) -> Result<(), String> {
+    if (1..=MAX_SHARDS).contains(&shards) {
+        Ok(())
+    } else {
+        Err(format!("shard count {shards} is outside 1..={MAX_SHARDS}"))
+    }
+}
+
 /// Service configuration; see field docs for defaults.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Store shards (worker threads); default 2.
+    /// Store shards (worker threads), `1..=`[`MAX_SHARDS`]; default 2.
     pub shards: usize,
     /// Per-shard queue capacity; default 4096 fixes.
     pub queue_cap: usize,
@@ -100,7 +117,7 @@ impl Service {
     /// missing), recovering any existing shard stores in place.
     ///
     /// # Errors
-    /// Shard store open/recovery failures, as strings.
+    /// As [`Service::start_with`].
     pub fn start(dir: &Path, cfg: ServeConfig) -> Result<Self, String> {
         Self::start_with(Arc::new(FsStorage), dir, cfg)
     }
@@ -109,13 +126,15 @@ impl Service {
     /// run entire services against `MemStorage`).
     ///
     /// # Errors
-    /// Shard store open/recovery failures, as strings.
+    /// A shard count outside `1..=`[`MAX_SHARDS`] (before any store
+    /// opens), then shard store open/recovery failures, as strings.
     pub fn start_with(
         storage: Arc<dyn Storage>,
         dir: &Path,
         cfg: ServeConfig,
     ) -> Result<Self, String> {
-        let shards = cfg.shards.max(1);
+        check_shards(cfg.shards)?;
+        let shards = cfg.shards;
         // Open every shard store before spawning anything, so an open
         // failure surfaces synchronously with no threads to unwind.
         let mut stores = Vec::with_capacity(shards);

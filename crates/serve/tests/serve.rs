@@ -8,7 +8,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use traj_gen::fleet::{Fleet, FleetConfig};
-use traj_serve::{shard_of, CodecSpec, ServeConfig, Service, SubmitError};
+use traj_serve::{
+    check_shards, shard_of, CodecSpec, ServeConfig, Service, SubmitError, MAX_SHARDS,
+};
 use traj_store::storage::MemStorage;
 use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, IngestMode};
 
@@ -355,4 +357,20 @@ fn restart_rejects_fixes_older_than_recovered_history() {
     .unwrap();
     let t = store.store().trajectory(3).unwrap();
     assert_eq!((t.fixes()[0].t, t.last().t), (fix_at(0).t, fix_at(30).t));
+}
+
+/// A shard count the service cannot run is refused before any shard
+/// store opens: no directory is created and no worker thread starts. A
+/// count of `usize::MAX` used to reach `Vec::with_capacity` first.
+#[test]
+fn oversized_shard_count_is_refused_before_any_store_opens() {
+    let disk = Arc::new(MemStorage::new());
+    let err = Service::start_with(disk.clone(), Path::new(DIR), raw_config(usize::MAX))
+        .expect_err("usize::MAX shards must be refused");
+    assert!(err.contains("outside 1..=256"), "{err}");
+    assert!(disk.file_paths().is_empty(), "no store opened");
+    assert!(check_shards(0).is_err());
+    assert!(check_shards(1).is_ok());
+    assert!(check_shards(MAX_SHARDS).is_ok());
+    assert!(check_shards(MAX_SHARDS + 1).is_err());
 }

@@ -159,6 +159,12 @@ fn io_err(path: &Path, source: std::io::Error) -> StoreError {
     StoreError::Storage { path: path.to_path_buf(), source }
 }
 
+/// The error for a segment whose sequence number has no successor.
+fn exhausted(path: PathBuf) -> StoreError {
+    let detail = String::from("WAL segment sequence number u64::MAX leaves no next segment");
+    StoreError::Corrupt { path, detail }
+}
+
 /// Decodes one segment's bytes into records.
 fn scan_segment(bytes: &[u8], out: &mut Vec<WalRecord>, summary: &mut ReplaySummary) {
     if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
@@ -269,24 +275,30 @@ impl Wal {
     /// the highest existing sequence number.
     ///
     /// # Errors
-    /// Backend failures creating or listing the directory.
+    /// Backend failures creating or listing the directory, and
+    /// [`StoreError::Corrupt`] naming the highest segment when its
+    /// sequence number is `u64::MAX`, so no later segment can follow it.
     pub fn open(
         storage: Arc<dyn Storage>,
         dir: &Path,
         opts: WalOptions,
     ) -> Result<Self, StoreError> {
         storage.create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        let max_seq = storage
+        let last = storage
             .list(dir)
             .map_err(|e| io_err(dir, e))?
-            .iter()
-            .filter_map(|p| segment_seq(p))
-            .max();
+            .into_iter()
+            .filter_map(|p| segment_seq(&p).map(|s| (s, p)))
+            .max_by_key(|(s, _)| *s);
+        let next_seq = match last {
+            None => 1,
+            Some((s, path)) => s.checked_add(1).ok_or_else(|| exhausted(path))?,
+        };
         Ok(Wal {
             storage,
             dir: dir.to_path_buf(),
             opts,
-            next_seq: max_seq.map_or(1, |s| s + 1),
+            next_seq,
             writer: None,
             segment_bytes: 0,
             appends_since_sync: 0,
@@ -299,25 +311,28 @@ impl Wal {
         &self.dir
     }
 
-    fn open_segment(&mut self) -> Result<&mut Box<dyn StorageWriter>, StoreError> {
-        if self.writer.is_none() {
-            let path = segment_path(&self.dir, self.next_seq);
-            let mut w = self.storage.create(&path).map_err(|e| io_err(&path, e))?;
-            w.write_all(SEGMENT_MAGIC).map_err(|e| io_err(&path, e))?;
-            // Make the segment's directory entry durable before any
-            // record lands in it.
-            self.storage.sync_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
-            self.next_seq += 1;
-            self.segment_bytes = SEGMENT_MAGIC.len() as u64;
-            self.writer = Some(w);
-            traj_obs::counter!("store", "wal_segments").inc();
+    /// Starts a fresh segment unless one is open.
+    fn open_segment(&mut self) -> Result<(), StoreError> {
+        if self.writer.is_some() {
+            return Ok(());
         }
-        match self.writer.as_mut() {
-            Some(w) => Ok(w),
-            // Unreachable (assigned just above); surfaced as an I/O
-            // error rather than a panic to keep the library panic-free.
-            None => Err(io_err(&self.dir, std::io::Error::other("segment writer missing"))),
-        }
+        let path = segment_path(&self.dir, self.next_seq);
+        // Checked before the segment exists: a wrapped counter would name
+        // the next segment `wal-00000000.log`, which replays before this
+        // one and hides its records from recovery.
+        let Some(next_seq) = self.next_seq.checked_add(1) else {
+            return Err(exhausted(path));
+        };
+        let mut w = self.storage.create(&path).map_err(|e| io_err(&path, e))?;
+        w.write_all(SEGMENT_MAGIC).map_err(|e| io_err(&path, e))?;
+        // Make the segment's directory entry durable before any record
+        // lands in it.
+        self.storage.sync_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
+        self.next_seq = next_seq;
+        self.segment_bytes = SEGMENT_MAGIC.len() as u64;
+        self.writer = Some(w);
+        traj_obs::counter!("store", "wal_segments").inc();
+        Ok(())
     }
 
     /// Appends one fix record; the record is durable per the configured
@@ -347,12 +362,14 @@ impl Wal {
     fn append_encoded(&mut self, buf: &[u8]) -> Result<(), StoreError> {
         let n = buf.len() as u64;
         self.open_segment()?;
-        // `next_seq` already points past the segment we just opened.
-        let path = segment_path(&self.dir, self.next_seq - 1);
         let Some(w) = self.writer.as_mut() else {
-            return Err(io_err(&path, std::io::Error::other("segment writer missing")));
+            // Unreachable (opened just above); surfaced as an I/O error
+            // rather than a panic to keep the library panic-free.
+            return Err(io_err(&self.dir, std::io::Error::other("segment writer missing")));
         };
-        w.write_all(buf).map_err(|e| io_err(&path, e))?;
+        // `next_seq` already points past the open segment.
+        w.write_all(buf)
+            .map_err(|e| io_err(&segment_path(&self.dir, self.next_seq - 1), e))?;
         self.segment_bytes += n;
         self.appends_since_sync += 1;
         let due = match self.opts.sync {
@@ -557,6 +574,53 @@ mod tests {
         assert_eq!(paths.len(), 2, "two segments expected: {paths:?}");
         let (records, _) = replay_dir(storage.as_ref(), &wal_dir())?;
         assert_eq!(records.len(), 2);
+        Ok(())
+    }
+
+    /// Copies segment 1 of `src` under the name `wal-{seq}.log`.
+    fn renamed_segment(
+        src: &MemStorage,
+        seq: u64,
+    ) -> Result<MemStorage, Box<dyn std::error::Error>> {
+        let bytes = src.file(&segment_path(&wal_dir(), 1)).ok_or("missing segment")?;
+        let dst = MemStorage::new();
+        dst.create_dir_all(&wal_dir())?;
+        let mut w = dst.create(&segment_path(&wal_dir(), seq))?;
+        w.write_all(&bytes)?;
+        w.sync()?;
+        Ok(dst)
+    }
+
+    #[test]
+    fn segment_numbers_never_wrap() -> Result<(), Box<dyn std::error::Error>> {
+        let src = Arc::new(MemStorage::new());
+        let mut wal = Wal::open(src.clone(), &wal_dir(), WalOptions::default())?;
+        for i in 0..3 {
+            wal.append(1, &fix(i as f64))?;
+        }
+        let last = segment_path(&wal_dir(), u64::MAX);
+        assert!(last.ends_with("wal-18446744073709551615.log"), "{last:?}");
+
+        // `…615` on disk: no sequence number is left for the next segment.
+        let storage = Arc::new(renamed_segment(&src, u64::MAX)?);
+        match Wal::open(storage.clone(), &wal_dir(), WalOptions::default()) {
+            Err(StoreError::Corrupt { path, .. }) => assert_eq!(path, last),
+            other => panic!("expected Corrupt naming {last:?}, got {other:?}"),
+        }
+
+        // `…614` on disk: opening works, but the segment `…615` would have
+        // no successor, so the append is refused before anything is written.
+        let storage = Arc::new(renamed_segment(&src, u64::MAX - 1)?);
+        let mut wal = Wal::open(storage.clone(), &wal_dir(), WalOptions::default())?;
+        match wal.append(1, &fix(3.0)) {
+            Err(StoreError::Corrupt { path, .. }) => assert_eq!(path, last),
+            other => panic!("expected Corrupt naming {last:?}, got {other:?}"),
+        }
+        assert_eq!(storage.file_paths().len(), 1, "no segment was created");
+        // The acknowledged fixes of the old segment all still replay.
+        let (records, summary) = replay_dir(storage.as_ref(), &wal_dir())?;
+        assert_eq!(records.len(), 3);
+        assert_eq!(summary.corrupt_skipped, 0);
         Ok(())
     }
 

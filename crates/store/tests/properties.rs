@@ -8,10 +8,13 @@ use traj_geom::{Bbox, Point2};
 use traj_model::{Fix, Timestamp, Trajectory};
 use traj_store::persist::{load_dir_with, save_dir_with};
 use traj_store::query::{build_segment_rtree, rtree_objects_in_window};
-use traj_store::storage::MemStorage;
+use traj_store::storage::{MemStorage, Storage};
+use traj_store::wal::{
+    replay_dir, Wal, WalRecord, FIX_PAYLOAD_BYTES, RECORD_HEADER_BYTES, SEGMENT_MAGIC,
+};
 use traj_store::{
     objects_in_window, position_of, DurableOptions, DurableStore, GridIndex, IngestMode,
-    MovingObjectStore, QueryWindow,
+    MovingObjectStore, QueryWindow, WalOptions,
 };
 
 /// A small fleet of valid random trajectories.
@@ -230,5 +233,134 @@ proptest! {
         let recovered = store.store().stored_fixes(7).expect("object survives");
         prop_assert_eq!(recovered.len(), acked.len() - 1, "exactly the torn record is lost");
         prop_assert_eq!(recovered.as_slice(), &acked[..acked.len() - 1]);
+    }
+}
+
+/// The WAL directory of the decoder tests.
+const WAL_DIR: &str = "/wal";
+
+/// Appends `n` distinct fixes through the real [`Wal`] into `disk`,
+/// rotating every `segment_max_bytes`, and returns them in append order.
+fn write_wal(disk: &Arc<MemStorage>, n: usize, segment_max_bytes: u64) -> Vec<WalRecord> {
+    let opts = WalOptions { segment_max_bytes, ..WalOptions::default() };
+    let mut wal = Wal::open(disk.clone(), Path::new(WAL_DIR), opts).expect("open WAL");
+    (0..n)
+        .map(|i| {
+            let rec = WalRecord {
+                id: (i % 3) as u64,
+                fix: Fix::from_parts(i as f64, i as f64 * 2.5, -(i as f64)),
+            };
+            wal.append(rec.id, &rec.fix).expect("append");
+            rec
+        })
+        .collect()
+}
+
+/// Every replayed record was written, in append order: `got` is a
+/// subsequence of `written`.
+fn is_written_subsequence(got: &[WalRecord], written: &[WalRecord]) -> bool {
+    let mut rest = written.iter();
+    got.iter().all(|g| rest.any(|w| w == g))
+}
+
+/// Writes `bytes` as segment file `seq` of the decoder tests' WAL.
+fn put_segment(disk: &MemStorage, seq: usize, bytes: &[u8]) {
+    let path = Path::new(WAL_DIR).join(format!("wal-{seq:08}.log"));
+    let mut w = disk.create(&path).expect("create segment");
+    w.write_all(bytes).expect("write segment");
+    w.sync().expect("sync segment");
+}
+
+proptest! {
+    /// Byte soup: segments built from arbitrary bytes, the segment
+    /// magic, and whole and cut valid records, in any order. The decoder
+    /// returns a summary that counts what it returned, never panics, and
+    /// every record it returns is one of the valid records spliced in.
+    #[test]
+    fn wal_replay_survives_byte_soup(
+        segments in proptest::collection::vec(
+            (
+                any::<bool>(),
+                proptest::collection::vec((0u8..5, 0u8..=255, 0usize..41), 0..12),
+            ),
+            1..4,
+        ),
+    ) {
+        let source = Arc::new(MemStorage::new());
+        let written = write_wal(&source, 8, 1 << 20);
+        let seg = source.file_paths().pop().expect("one segment written");
+        let valid = source.file(&seg).expect("segment bytes");
+        let record = RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES;
+        let disk = MemStorage::new();
+        disk.create_dir_all(Path::new(WAL_DIR)).expect("mkdir");
+        for (seq, (magic, chunks)) in segments.iter().enumerate() {
+            let mut bytes = Vec::new();
+            if *magic {
+                bytes.extend_from_slice(SEGMENT_MAGIC);
+            }
+            for &(kind, byte, len) in chunks {
+                // A valid record chosen by `byte`: whole, or its first
+                // `len` bytes.
+                let at = SEGMENT_MAGIC.len() + usize::from(byte) % written.len() * record;
+                match kind {
+                    0 => bytes.extend_from_slice(&valid[at..at + record]),
+                    1 => bytes.extend_from_slice(&valid[at..at + len.min(record)]),
+                    // The segment magic in the middle of a segment.
+                    2 => bytes.extend_from_slice(SEGMENT_MAGIC),
+                    // A run of one byte value, and a run of counting bytes.
+                    3 => bytes.resize(bytes.len() + len, byte),
+                    _ => bytes.extend((0..len).map(|i| byte.wrapping_add((i * 37) as u8))),
+                }
+            }
+            put_segment(&disk, seq + 1, &bytes);
+        }
+        let (records, summary) =
+            replay_dir(&disk, Path::new(WAL_DIR)).expect("soup is data, not an I/O error");
+        prop_assert_eq!(summary.segments, segments.len());
+        prop_assert_eq!(summary.records, records.len());
+        for r in &records {
+            prop_assert!(written.contains(r), "decoded a record never written: {r:?}");
+        }
+    }
+
+    /// Valid multi-segment WALs with random byte flips and truncations:
+    /// replay returns a summary, never panics, and returns only written
+    /// records, in append order; an undamaged WAL replays in full.
+    #[test]
+    fn wal_replay_survives_flips_and_truncations(
+        n in 1usize..40,
+        damage in proptest::collection::vec(
+            (any::<bool>(), any::<prop::sample::Index>(), any::<prop::sample::Index>(), 1u8..=255),
+            0..6,
+        ),
+    ) {
+        let disk = Arc::new(MemStorage::new());
+        // 200-byte segments hold four records each, so most runs rotate.
+        let written = write_wal(&disk, n, 200);
+        let segments = disk.file_paths();
+        for (truncate, which, at, mask) in &damage {
+            let path = &segments[which.index(segments.len())];
+            let len = disk.file(path).expect("segment bytes").len();
+            if len == 0 {
+                continue;
+            }
+            if *truncate {
+                prop_assert!(disk.truncate_file(path, at.index(len)));
+            } else {
+                prop_assert!(disk.corrupt_byte(path, at.index(len), *mask));
+            }
+        }
+        let (records, summary) = replay_dir(disk.as_ref(), Path::new(WAL_DIR))
+            .expect("damage is data, not an I/O error");
+        prop_assert_eq!(summary.segments, segments.len());
+        prop_assert_eq!(summary.records, records.len());
+        prop_assert!(
+            is_written_subsequence(&records, &written),
+            "replay returned a record never written, or out of order"
+        );
+        if damage.is_empty() {
+            prop_assert_eq!(records, written);
+            prop_assert!(!summary.torn_tail);
+        }
     }
 }

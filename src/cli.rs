@@ -104,7 +104,8 @@ pub enum Command {
 pub struct ServeArgs {
     /// Service root; shard stores live in `dir/shard-K/`.
     pub dir: PathBuf,
-    /// Store shards = worker threads (`--shards`, default 2).
+    /// Store shards = worker threads (`--shards`, default 2, at most
+    /// [`traj_serve::MAX_SHARDS`]).
     pub shards: usize,
     /// Per-mover session codec (`--algo` + `--eps` [+ `--speed-eps`],
     /// default op-cone at 30 m).
@@ -334,9 +335,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("serve: unknown flag {other:?}")),
                 }
             }
-            if shards == 0 {
-                return Err("serve: --shards must be >= 1".into());
-            }
+            traj_serve::check_shards(shards).map_err(|e| format!("serve: --shards: {e}"))?;
             let codec = CodecSpec::parse(&algo, eps, speed_eps)?;
             Ok(Command::Serve(ServeArgs {
                 dir,
@@ -955,7 +954,7 @@ mod tests {
     #[test]
     fn factory_knows_every_documented_algorithm() {
         for name in [
-            "uniform", "dist", "ndp", "ndp-hull", "td-tr", "nopw", "bopw", "opw-tr",
+            "uniform", "dist", "ndp", "td-tr", "nopw", "bopw", "opw-tr",
             "dead-reckoning", "bottom-up", "sliding-window", "op-fit", "op-cone",
         ] {
             assert!(make_compressor(name, 10.0, None).is_ok(), "{name}");
@@ -1354,6 +1353,16 @@ mod tests {
         assert_eq!((a.max_batch, a.max_delay_us, a.queue_cap), (64, 200, 512));
         assert_eq!(a.metrics_out, Some(PathBuf::from("m.json")));
         assert_eq!(a.trace_out, Some(PathBuf::from("t.json")));
+    }
+
+    #[test]
+    fn parse_serve_bounds_the_shard_count() {
+        // Parsing starts nothing, so the bound is checked here without
+        // a store or a thread.
+        let err = parse(&args("serve db --shards 257")).expect_err("too many shards");
+        assert!(err.contains("--shards") && err.contains("1..=256"), "{err}");
+        assert!(parse(&args("serve db --shards 100000")).is_err());
+        assert!(parse(&args("serve db --shards 256")).is_ok());
     }
 
     #[test]
