@@ -8,16 +8,19 @@
 //! without limit — the service's overload behaviour is an explicit,
 //! testable contract, not an out-of-memory surprise.
 //!
-//! The receive side batches: [`Receiver::recv_batch`] blocks for the
-//! first item, then gathers more until the batch bound or the group
-//! commit delay bound is hit — the queue shapes traffic into exactly
-//! the batches one fsync will cover. Dropping the [`Receiver`] — a
-//! worker stopping, for whatever reason — closes the queue, so
-//! submitters learn of it as [`SubmitError::Closed`].
+//! The receive side batches without waiting for a batch to fill:
+//! [`Receiver::recv_batch`] sleeps only while the queue is empty, then
+//! takes up to the batch bound of what is queued, so a batch is what
+//! arrived while the worker ingested and committed the previous one —
+//! exactly what one fsync will cover. A submit wakes the worker only
+//! when it makes the queue non-empty; while the worker is busy, submits
+//! cost a lock and a push. Dropping the [`Receiver`] — a worker
+//! stopping, for whatever reason — closes the queue, so submitters
+//! learn of it as [`SubmitError::Closed`].
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use traj_model::Fix;
 
@@ -112,7 +115,9 @@ pub fn bounded(shard: usize, capacity: usize) -> (Sender, Receiver) {
 }
 
 impl Sender {
-    /// Enqueues without blocking.
+    /// Enqueues without blocking. Only the push that makes the queue
+    /// non-empty wakes the worker: the worker sleeps only on an empty
+    /// queue, so no later push can find it asleep.
     ///
     /// # Errors
     /// [`SubmitError::Backpressure`] when the queue is at capacity,
@@ -129,8 +134,11 @@ impl Sender {
             });
         }
         st.items.push_back(item);
+        let was_empty = st.items.len() == 1;
         drop(st);
-        self.shared.available.notify_one();
+        if was_empty {
+            self.shared.available.notify_one();
+        }
         Ok(())
     }
 
@@ -149,52 +157,21 @@ impl Sender {
 }
 
 impl Receiver {
-    /// Blocks for the first available item, then keeps gathering into
-    /// `out` until `max` items are collected or `max_delay` has passed
-    /// since the first one — the group-commit batching discipline.
-    /// Returns `false` once the queue is closed *and* fully drained;
-    /// `out` may still hold a final batch when that happens.
-    pub fn recv_batch(&self, out: &mut Vec<Item>, max: usize, max_delay: Duration) -> bool {
-        let max = max.max(1);
+    /// Blocks while the queue is empty, then moves at most `max` queued
+    /// items into `out` and returns at once — the group-commit batching
+    /// discipline: nothing waits for a batch to fill. Returns `false`,
+    /// with nothing moved, once the queue is closed *and* fully drained.
+    pub fn recv_batch(&self, out: &mut Vec<Item>, max: usize) -> bool {
         let mut st = lock(&self.shared);
-        loop {
-            if !st.items.is_empty() {
-                break;
-            }
+        while st.items.is_empty() {
             if st.closed {
                 return false;
             }
-            st = self
-                .shared
-                .available
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+            st = self.shared.available.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        let deadline = Instant::now() + max_delay;
-        loop {
-            while out.len() < max {
-                match st.items.pop_front() {
-                    Some(item) => out.push(item),
-                    None => break,
-                }
-            }
-            if out.len() >= max || st.closed {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            let (guard, timeout) = self
-                .shared
-                .available
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-            if timeout.timed_out() && st.items.is_empty() {
-                return true;
-            }
-        }
+        let n = st.items.len().min(max.max(1));
+        out.extend(st.items.drain(..n));
+        true
     }
 
     /// Current queue depth (for the per-shard gauge).
@@ -213,6 +190,8 @@ impl Drop for Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn item(mover: u64, t: f64) -> Item {
         Item { mover, fix: Fix::from_parts(t, 0.0, 0.0), submitted: Instant::now() }
@@ -237,10 +216,10 @@ mod tests {
         tx.close();
         assert_eq!(tx.try_send(item(3, 0.0)), Err(SubmitError::Closed));
         let mut batch = Vec::new();
-        assert!(rx.recv_batch(&mut batch, 16, Duration::from_millis(1)));
+        assert!(rx.recv_batch(&mut batch, 16));
         assert_eq!(batch.len(), 2);
         batch.clear();
-        assert!(!rx.recv_batch(&mut batch, 16, Duration::from_millis(1)));
+        assert!(!rx.recv_batch(&mut batch, 16));
         assert!(batch.is_empty());
     }
 
@@ -259,7 +238,7 @@ mod tests {
             tx.try_send(item(1, i as f64)).unwrap();
         }
         let mut batch = Vec::new();
-        assert!(rx.recv_batch(&mut batch, 4, Duration::from_millis(1)));
+        assert!(rx.recv_batch(&mut batch, 4));
         assert_eq!(batch.len(), 4);
         assert_eq!(rx.depth(), 6);
     }
@@ -273,9 +252,107 @@ mod tests {
             tx.close();
         });
         let mut batch = Vec::new();
-        assert!(rx.recv_batch(&mut batch, 8, Duration::from_millis(1)));
+        assert!(rx.recv_batch(&mut batch, 8));
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].mover, 9);
         handle.join().unwrap();
+    }
+
+    /// One send into an empty queue wakes the sleeping worker by
+    /// itself, with no second send and no close to rescue it: 1,000
+    /// single items, each acknowledged over a channel before the next
+    /// is sent, so the worker is usually asleep when an item arrives.
+    #[test]
+    fn a_single_send_wakes_an_idle_worker() {
+        let (tx, rx) = bounded(0, 4);
+        let (ack_tx, ack_rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut batch = Vec::new();
+            while rx.recv_batch(&mut batch, 4) {
+                for it in batch.drain(..) {
+                    let _ = ack_tx.send(it.mover);
+                }
+            }
+        });
+        let mut lost = None;
+        for k in 0..1_000u64 {
+            tx.try_send(item(k, 0.0)).unwrap();
+            match ack_rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(mover) => assert_eq!(mover, k),
+                Err(_) => {
+                    lost = Some(k);
+                    break;
+                }
+            }
+        }
+        tx.close();
+        worker.join().unwrap();
+        assert_eq!(lost, None, "lost wake-up: a send never reached the idle worker");
+    }
+
+    /// Lost wake-up stress: 4 submitters × 20,000 sends with yield
+    /// jitter through a small queue into one `recv_batch` loop. Only
+    /// the empty → non-empty push wakes the worker, so a missed wake
+    /// leaves it asleep on a non-empty queue: on a full one every
+    /// submitter spins on backpressure, and after the last send nothing
+    /// else would wake it. Every item must therefore arrive, once and
+    /// in order per submitter, before the queue is closed (a close
+    /// wakes the worker and would hide the lost wake); the watchdog
+    /// turns the hang into a failure.
+    #[test]
+    fn no_wake_up_is_lost_under_concurrent_submitters() {
+        const SUBMITTERS: u64 = 4;
+        const SENDS: u64 = 20_000;
+        let (tx, rx) = bounded(0, 16);
+        let (done_tx, done_rx) = mpsc::channel();
+        let consumer = std::thread::spawn(move || {
+            let mut next = [0u64; SUBMITTERS as usize];
+            let mut received = 0;
+            let mut batch = Vec::new();
+            while rx.recv_batch(&mut batch, 8) {
+                for it in batch.drain(..) {
+                    let expected = &mut next[it.mover as usize];
+                    assert_eq!(it.fix.t.as_secs(), *expected as f64, "submitter {}", it.mover);
+                    *expected += 1;
+                    received += 1;
+                }
+                if received == SUBMITTERS * SENDS {
+                    let _ = done_tx.send(next);
+                }
+            }
+        });
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|mover| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    let mut jitter = mover.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                    for k in 0..SENDS {
+                        jitter ^= jitter << 13;
+                        jitter ^= jitter >> 7;
+                        jitter ^= jitter << 17;
+                        if jitter % 4 == 0 {
+                            std::thread::yield_now();
+                        }
+                        while let Err(SubmitError::Backpressure { .. }) =
+                            tx.try_send(item(mover, k as f64))
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let arrived = done_rx.recv_timeout(Duration::from_secs(60));
+        // Closing lets every thread finish, whatever happened.
+        tx.close();
+        let consumer = consumer.join();
+        for h in submitters {
+            h.join().expect("submitter finished");
+        }
+        consumer.expect("every item arrived once, in order per submitter");
+        match arrived {
+            Ok(next) => assert_eq!(next, [SENDS; SUBMITTERS as usize]),
+            Err(_) => panic!("lost wake-up: the worker slept on a non-empty queue"),
+        }
     }
 }

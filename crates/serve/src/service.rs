@@ -53,9 +53,10 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Per-mover session codec; default `op-cone` at 30 m.
     pub codec: CodecSpec,
-    /// Group commit bounds: a shard drains at most `max_batch` fixes
-    /// per fsync, waiting at most `max_delay` to fill a batch.
-    /// `max_batch: 1` is one fsync per fix, the per-append baseline.
+    /// Group commit bound: a shard commits what queued while it
+    /// committed the previous batch, at most `max_batch` fixes per
+    /// fsync; it never waits for a batch to fill. `max_batch: 1` is one
+    /// fsync per fix, the per-append baseline.
     pub group: GroupCommitOptions,
     /// WAL/snapshot options for each shard store.
     pub durable: DurableOptions,
@@ -158,7 +159,7 @@ impl Service {
             // `Send`.
             let handle = std::thread::Builder::new()
                 .name(format!("serve-shard-{k}"))
-                .spawn(move || worker::run(ShardCore::new(k, store, cfg.codec), &rx, cfg.group))
+                .spawn(move || worker::run(ShardCore::new(k, store, cfg.codec), &rx))
                 .map_err(|e| {
                     // Unwind the shards that did start; their workers
                     // exit once their queues close.

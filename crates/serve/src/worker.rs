@@ -17,7 +17,7 @@ use std::time::Instant;
 use traj_compress::streaming::StreamingCompressor;
 use traj_model::Fix;
 use traj_obs::LogHistogram;
-use traj_store::{GroupCommitOptions, GroupCommitStore, StoreError};
+use traj_store::{GroupCommitStore, StoreError};
 
 use crate::queue::{Item, Receiver};
 use crate::session::CodecSpec;
@@ -156,9 +156,11 @@ impl ShardCore {
 }
 
 /// The worker thread: receive a batch, ingest it, stamp its acks; until
-/// the queue closes or storage fails.
-pub(crate) fn run(mut core: ShardCore, rx: &Receiver, group: GroupCommitOptions) -> ShardStats {
+/// the queue closes or storage fails. A batch is at most the store's
+/// `max_batch` of what queued while the previous batch was ingested.
+pub(crate) fn run(mut core: ShardCore, rx: &Receiver) -> ShardStats {
     let shard = core.stats.shard;
+    let max_batch = core.store.options().max_batch;
     traj_obs::trace::set_track_label(&format!("serve-shard-{shard}"));
     let depth_gauge = traj_obs::registry().gauge_with(
         "serve",
@@ -172,7 +174,7 @@ pub(crate) fn run(mut core: ShardCore, rx: &Receiver, group: GroupCommitOptions)
     let mut batch = Vec::new();
     loop {
         batch.clear();
-        let open = rx.recv_batch(&mut batch, group.max_batch, group.max_delay);
+        let open = rx.recv_batch(&mut batch, max_batch);
         if !batch.is_empty() {
             let _span = traj_obs::trace_span!("serve.batch", batch.len());
             batch_hist.record(batch.len() as u64);
@@ -205,7 +207,9 @@ mod tests {
 
     use traj_gen::fleet::splitmix64;
     use traj_store::storage::MemStorage;
-    use traj_store::{DurableOptions, IngestMode};
+    use traj_store::{DurableOptions, GroupCommitOptions, IngestMode};
+
+    use crate::queue;
 
     const MOVERS: usize = 8;
     const EPOCHS: usize = 4;
@@ -316,6 +320,29 @@ mod tests {
             disk.lift_faults();
             disk.drop_unsynced();
         }
+    }
+
+    /// The batching contract: a closed queue holding 1,000 `raw` fixes
+    /// over 10 movers drains in full batches of the default `max_batch`
+    /// (256), one commit each, and every fix is acknowledged.
+    #[test]
+    fn run_commits_a_full_queue_in_max_batch_groups() {
+        let disk = Arc::new(MemStorage::new());
+        let (tx, rx) = queue::bounded(0, 1_000);
+        let stamp = Instant::now();
+        for k in 0..100u64 {
+            for mover in 0..10u64 {
+                let fix = Fix::from_parts(k as f64, k as f64, mover as f64);
+                tx.try_send(Item { mover, fix, submitted: stamp }).unwrap();
+            }
+        }
+        tx.close();
+        let stats = run(ShardCore::new(0, open(&disk), CodecSpec::Raw), &rx);
+        assert!(stats.error.is_none(), "{:?}", stats.error);
+        assert_eq!(GroupCommitOptions::default().max_batch, 256);
+        assert_eq!((stats.acked, stats.emitted), (1_000, 1_000));
+        assert_eq!(stats.commits, 4, "256 + 256 + 256 + 232 fixes, one fsync each");
+        assert_eq!(stats.ack.count(), 1_000);
     }
 
     #[test]

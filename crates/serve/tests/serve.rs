@@ -3,15 +3,16 @@
 //! backpressure contract under a stalled worker, and a shard stopped
 //! by a storage failure.
 
-use std::path::Path;
-use std::sync::Arc;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use traj_gen::fleet::{Fleet, FleetConfig};
 use traj_serve::{
     check_shards, shard_of, CodecSpec, ServeConfig, Service, SubmitError, MAX_SHARDS,
 };
-use traj_store::storage::MemStorage;
+use traj_store::storage::{MemStorage, Storage, StorageWriter};
 use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, IngestMode};
 
 const DIR: &str = "/serve";
@@ -131,10 +132,7 @@ fn compressed_sessions_shrink_the_wal_and_flush_on_shutdown() {
 #[test]
 fn max_batch_one_acks_with_per_fix_commits() {
     let disk = Arc::new(MemStorage::new());
-    let cfg = ServeConfig {
-        group: GroupCommitOptions { max_batch: 1, ..GroupCommitOptions::default() },
-        ..raw_config(1)
-    };
+    let cfg = ServeConfig { group: GroupCommitOptions { max_batch: 1 }, ..raw_config(1) };
     let service = Service::start_with(disk, Path::new(DIR), cfg).unwrap();
     for k in 0..10u64 {
         service.submit(7, fix_at(k)).unwrap();
@@ -152,7 +150,7 @@ fn huge_bounds_allocate_by_use() {
     let disk = Arc::new(MemStorage::new());
     let cfg = ServeConfig {
         queue_cap: usize::MAX,
-        group: GroupCommitOptions { max_batch: usize::MAX, ..GroupCommitOptions::default() },
+        group: GroupCommitOptions { max_batch: usize::MAX },
         ..raw_config(1)
     };
     let service = Service::start_with(disk, Path::new(DIR), cfg).unwrap();
@@ -192,28 +190,98 @@ fn fix_at(k: u64) -> traj_model::Fix {
     traj_model::Fix::from_parts(k as f64, k as f64, 0.0)
 }
 
+/// A gate that fsyncs wait on while it is shut.
+#[derive(Default)]
+struct Gate {
+    shut: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn set_shut(&self, shut: bool) {
+        *self.shut.lock().unwrap() = shut;
+        self.opened.notify_all();
+    }
+
+    fn wait_open(&self) {
+        let mut shut = self.shut.lock().unwrap();
+        while *shut {
+            shut = self.opened.wait(shut).unwrap();
+        }
+    }
+}
+
+/// [`MemStorage`] whose writers' `sync` blocks while the gate is shut:
+/// a shard worker holding a batch stalls in its commit, for as long as
+/// the test wants.
+struct GatedStorage {
+    inner: MemStorage,
+    gate: Arc<Gate>,
+}
+
+struct GatedWriter {
+    inner: Box<dyn StorageWriter>,
+    gate: Arc<Gate>,
+}
+
+impl StorageWriter for GatedWriter {
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        self.inner.write_all(buf)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.gate.wait_open();
+        self.inner.sync()
+    }
+}
+
+impl Storage for GatedStorage {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        self.inner.list(dir)
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+
+    fn create(&self, path: &Path) -> io::Result<Box<dyn StorageWriter>> {
+        let inner = self.inner.create(path)?;
+        Ok(Box::new(GatedWriter { inner, gate: self.gate.clone() }))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove_file(path)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.inner.sync_dir(dir)
+    }
+}
+
 /// A full queue surfaces typed backpressure to the submitter. The
-/// worker is stalled by never starting it — we talk to the queue layer
-/// through a service whose single shard has a tiny queue and a worker
-/// kept busy behind a long commit delay with a huge batch bound, so the
-/// queue genuinely fills.
+/// single shard's worker is stalled deterministically: with the fsync
+/// gate shut, its first batch blocks in commit, so the 8-fix queue
+/// must fill within a few submits. The gate opens only after the
+/// backpressure is seen, and shutdown then drains and acks the queue.
 #[test]
 fn overload_surfaces_typed_backpressure() {
-    let disk = Arc::new(MemStorage::new());
-    let cfg = ServeConfig {
-        shards: 1,
-        queue_cap: 8,
-        codec: CodecSpec::Raw,
-        // A batch bound far above the queue size plus a long delay keeps
-        // the worker gathering (asleep on the condvar timeout) while the
-        // submitter floods the queue.
-        group: GroupCommitOptions {
-            max_batch: 1_000_000,
-            max_delay: Duration::from_secs(5),
-        },
-        ..ServeConfig::default()
-    };
+    let gate = Arc::new(Gate::default());
+    let disk = Arc::new(GatedStorage { inner: MemStorage::new(), gate: gate.clone() });
+    let cfg = ServeConfig { queue_cap: 8, ..raw_config(1) };
     let service = Service::start_with(disk, Path::new(DIR), cfg).unwrap();
+    gate.set_shut(true);
     let mut saw_backpressure = false;
     for k in 0..5_000u64 {
         match service.submit(1, fix_at(k)) {
@@ -227,6 +295,7 @@ fn overload_surfaces_typed_backpressure() {
             Err(e) => panic!("unexpected submit error: {e}"),
         }
     }
+    gate.set_shut(false);
     assert!(saw_backpressure, "tiny queue never filled under a stalled worker");
     // Shutdown still drains and acks what was accepted.
     let stats = service.shutdown().unwrap();

@@ -15,8 +15,8 @@
 //!
 //! 1. [`GroupCommitStore::buffer`] each incoming fix → a sequence
 //!    number. Hold the reporter's ack.
-//! 2. When the batch is full ([`GroupCommitStore::commit_due`]) or the
-//!    [`GroupCommitOptions::max_delay`] deadline passes, call
+//! 2. When the batch is full ([`GroupCommitStore::commit_due`]) or
+//!    nothing more is waiting to be buffered, call
 //!    [`GroupCommitStore::commit`]. It returns the durable high-water
 //!    sequence.
 //! 3. Release every ack whose sequence is covered.
@@ -27,7 +27,6 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use traj_model::Fix;
 
@@ -36,25 +35,23 @@ use crate::storage::{FsStorage, Storage};
 use crate::store::{IngestMode, MovingObjectStore, ObjectId, StoreError};
 use crate::wal::SyncPolicy;
 
-/// Batching bounds for [`GroupCommitStore`] callers.
+/// The batching bound for [`GroupCommitStore`] callers.
 ///
-/// Both bounds limit *ack latency*, not correctness: a commit may
+/// The bound limits *ack latency*, not correctness: a commit may
 /// legally happen at any time. `max_batch` caps how many buffered fixes
-/// ride one fsync; `max_delay` caps how long the oldest buffered fix
-/// waits for its fsync when traffic is light.
+/// ride one fsync. Nothing waits for a batch to fill: a caller commits
+/// whatever it has buffered once no more input is waiting, so under
+/// load a batch is what arrived during the previous commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitOptions {
     /// Commit when this many fixes are buffered.
     pub max_batch: usize,
-    /// Commit when the oldest buffered fix has waited this long.
-    pub max_delay: Duration,
 }
 
 impl Default for GroupCommitOptions {
     fn default() -> Self {
-        // 256 fixes ≈ 10 KiB of WAL per fsync; 500 µs keeps worst-case
-        // added ack latency well under a disk sync on light traffic.
-        GroupCommitOptions { max_batch: 256, max_delay: Duration::from_micros(500) }
+        // 256 fixes ≈ 10 KiB of WAL per fsync.
+        GroupCommitOptions { max_batch: 256 }
     }
 }
 
@@ -232,7 +229,7 @@ impl GroupCommitStore {
         self.durable
     }
 
-    /// The configured batching bounds.
+    /// The configured batching bound.
     pub fn options(&self) -> GroupCommitOptions {
         self.opts
     }
@@ -310,7 +307,7 @@ mod tests {
             Path::new("/db"),
             IngestMode::Raw,
             DurableOptions::default(),
-            GroupCommitOptions { max_batch: 3, max_delay: Duration::from_millis(1) },
+            GroupCommitOptions { max_batch: 3 },
         )
         .unwrap();
         for i in 0..2 {

@@ -159,7 +159,7 @@ fn crash_sweep_with_batched_fsync_yields_acknowledged_prefixes() {
 fn run_group_workload(disk: &Arc<MemStorage>, opts: DurableOptions) -> Vec<(u64, Fix)> {
     let mut acked = Vec::new();
     let mut pending = Vec::new();
-    let group = GroupCommitOptions { max_batch: 4, ..GroupCommitOptions::default() };
+    let group = GroupCommitOptions { max_batch: 4 };
     let Ok((mut store, _)) =
         GroupCommitStore::open_with(disk.clone(), Path::new(DB), IngestMode::Raw, opts, group)
     else {

@@ -6,15 +6,17 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use traj_geom::{Bbox, Point2};
 use traj_model::{Fix, Timestamp, Trajectory};
-use traj_store::persist::{load_dir_with, save_dir_with};
+use traj_store::persist::{
+    load_dir_with, save_dir_with, snapshot_bytes, verify_snapshot, TRAILER_PREFIX,
+};
 use traj_store::query::{build_segment_rtree, rtree_objects_in_window};
-use traj_store::storage::{MemStorage, Storage};
+use traj_store::storage::{crc32, MemStorage, Storage};
 use traj_store::wal::{
     replay_dir, Wal, WalRecord, FIX_PAYLOAD_BYTES, RECORD_HEADER_BYTES, SEGMENT_MAGIC,
 };
 use traj_store::{
     objects_in_window, position_of, DurableOptions, DurableStore, GridIndex, IngestMode,
-    MovingObjectStore, QueryWindow, WalOptions,
+    MovingObjectStore, QueryWindow, StoreError, WalOptions,
 };
 
 /// A small fleet of valid random trajectories.
@@ -361,6 +363,171 @@ proptest! {
         if damage.is_empty() {
             prop_assert_eq!(records, written);
             prop_assert!(!summary.torn_tail);
+        }
+    }
+}
+
+/// The snapshot directory of the decoder tests; it holds object 7.
+const SNAP_DIR: &str = "/snap";
+
+/// Runs both snapshot decoders over `bytes` as object 7's file. Each
+/// must return, and fail only with a data error: the in-memory backend
+/// never fails an I/O, so a `Storage` error would misreport damage.
+/// The loader accepts only what the verifier accepts. Returns the
+/// verifier's verdict and the loaded store, if any.
+fn decode_snapshot(
+    bytes: &[u8],
+) -> Result<(Result<(), StoreError>, Option<MovingObjectStore>), TestCaseError> {
+    let disk = MemStorage::new();
+    let path = Path::new(SNAP_DIR).join("7.csv");
+    disk.create_dir_all(Path::new(SNAP_DIR)).expect("mkdir");
+    let mut w = disk.create(&path).expect("create snapshot");
+    w.write_all(bytes).expect("write snapshot");
+    w.sync().expect("sync snapshot");
+    let verified = verify_snapshot(&path, bytes);
+    if let Err(e) = &verified {
+        prop_assert!(matches!(e, StoreError::Corrupt { .. }), "verify: {e}");
+    }
+    let loaded = match load_dir_with(&disk, Path::new(SNAP_DIR)) {
+        Ok(store) => {
+            prop_assert!(verified.is_ok(), "load accepted a file verify refused");
+            Some(store)
+        }
+        Err(e) => {
+            prop_assert!(
+                matches!(e, StoreError::Corrupt { .. } | StoreError::Model(_)),
+                "load: {e}"
+            );
+            None
+        }
+    };
+    Ok((verified, loaded))
+}
+
+proptest! {
+    /// Byte soup: files built from arbitrary bytes, slices of a valid
+    /// snapshot, the trailer prefix and newlines, in any order, some
+    /// sealed with a correct trailer. The verifier and the loader
+    /// return a typed data error or a store, never panic, and a sealed
+    /// soup always passes the checksum.
+    #[test]
+    fn snapshot_decoder_survives_byte_soup(
+        fleet in fleet(),
+        chunks in proptest::collection::vec((0u8..5, 0u8..=255, 0usize..41), 0..16),
+        seal in any::<bool>(),
+    ) {
+        let valid = snapshot_bytes(&fleet[0]);
+        let mut bytes = Vec::new();
+        for &(kind, byte, len) in &chunks {
+            match kind {
+                // `len` bytes of the valid snapshot from a point chosen by `byte`.
+                0 => {
+                    let at = usize::from(byte) * valid.len() / 256;
+                    bytes.extend_from_slice(&valid[at..(at + len).min(valid.len())]);
+                }
+                1 => bytes.extend_from_slice(TRAILER_PREFIX.as_bytes()),
+                2 => bytes.push(b'\n'),
+                // A run of one byte value, and a run of counting bytes.
+                3 => bytes.resize(bytes.len() + len, byte),
+                _ => bytes.extend((0..len).map(|i| byte.wrapping_add((i * 37) as u8))),
+            }
+        }
+        let sealed = seal && bytes.last().is_none_or(|&b| b == b'\n');
+        if sealed {
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(format!("{TRAILER_PREFIX}{crc:08x}\n").as_bytes());
+        }
+        let (verified, _) = decode_snapshot(&bytes)?;
+        if sealed {
+            prop_assert!(verified.is_ok(), "a correct trailer failed: {:?}", verified);
+        }
+    }
+
+    /// Valid snapshots with random byte flips and truncations: the
+    /// decoders never panic, an untouched snapshot loads to exactly the
+    /// trajectory written, and one flipped byte in the body fails the
+    /// checksum (CRC-32 catches every burst of up to 32 bits).
+    #[test]
+    fn snapshot_decoder_survives_flips_and_truncations(
+        fleet in fleet(),
+        damage in proptest::collection::vec(
+            (any::<bool>(), any::<prop::sample::Index>(), 1u8..=255),
+            0..4,
+        ),
+    ) {
+        let traj = &fleet[0];
+        let mut bytes = snapshot_bytes(traj);
+        let body = traj_model::io::to_csv_string(traj).len();
+        for (truncate, at, mask) in &damage {
+            if bytes.is_empty() {
+                break;
+            }
+            let i = at.index(bytes.len());
+            if *truncate {
+                bytes.truncate(i);
+            } else {
+                bytes[i] ^= mask;
+            }
+        }
+        let (verified, loaded) = decode_snapshot(&bytes)?;
+        match damage.as_slice() {
+            [] => {
+                let store = loaded.expect("an untouched snapshot loads");
+                let got = store.trajectory(7).expect("object 7 loaded");
+                prop_assert_eq!(got.fixes(), traj.fixes());
+            }
+            // A flip before the newline that ends the body.
+            [(false, at, _)] if at.index(snapshot_bytes(traj).len()) + 1 < body => {
+                let err = verified.expect_err("a flipped body byte must fail the checksum");
+                prop_assert!(err.to_string().contains("checksum mismatch"), "{err}");
+            }
+            _ => {}
+        }
+    }
+
+    /// Trailers carrying garbage: an empty checksum, arbitrary text,
+    /// non-UTF-8 bytes, a wrong checksum, or the right one with a sign,
+    /// padding or upper case. The verifier accepts exactly the trailers
+    /// whose trimmed text parses as the body's CRC-32 in hex, and an
+    /// accepted file loads to the trajectory written.
+    #[test]
+    fn snapshot_decoder_survives_garbage_trailers(
+        fleet in fleet(),
+        kind in 0u8..5,
+        text in "[-+ 0-9a-fA-FxXg-z]{0,12}",
+        high in proptest::collection::vec(0x80u8..=0xFF, 1..4),
+        at in any::<prop::sample::Index>(),
+        mask in 1u32..=u32::MAX,
+    ) {
+        let traj = &fleet[0];
+        let mut bytes = traj_model::io::to_csv_string(traj).into_bytes();
+        let crc = crc32(&bytes);
+        let hex = format!("{crc:08x}");
+        let payload: Vec<u8> = match kind {
+            0 => Vec::new(),
+            1 => text.into_bytes(),
+            2 => {
+                let mut p = hex.into_bytes();
+                let i = at.index(p.len() + 1);
+                p.splice(i..i, high);
+                p
+            }
+            3 => format!("{:08x}", crc ^ mask).into_bytes(),
+            _ => format!(" +{} ", hex.to_uppercase()).into_bytes(),
+        };
+        let accept = std::str::from_utf8(&payload)
+            .ok()
+            .and_then(|p| u32::from_str_radix(p.trim(), 16).ok())
+            == Some(crc);
+        bytes.extend_from_slice(TRAILER_PREFIX.as_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.push(b'\n');
+        let (verified, loaded) = decode_snapshot(&bytes)?;
+        prop_assert_eq!(verified.is_ok(), accept, "payload {:?}: {:?}", payload, verified);
+        if accept {
+            let store = loaded.expect("an accepted snapshot loads");
+            let got = store.trajectory(7).expect("object 7 loaded");
+            prop_assert_eq!(got.fixes(), traj.fixes());
         }
     }
 }

@@ -113,8 +113,6 @@ pub struct ServeArgs {
     /// Group commit batch bound (`--max-batch`, default 256; 1 is one
     /// fsync per fix).
     pub max_batch: usize,
-    /// Group commit delay bound in µs (`--max-delay-us`, default 500).
-    pub max_delay_us: u64,
     /// Per-shard queue capacity (`--queue-cap`, default 4096).
     pub queue_cap: usize,
     /// Write a metrics sidecar (`--metrics-out`): CSV for a `.csv`
@@ -140,7 +138,7 @@ fn usage() -> String {
         \n  trajc obs merge <sidecar>... [-o merged.csv]\
         \n  trajc store recover <dir> [--snapshot]\
         \n  trajc serve <dir> [--shards N] [--algo raw|op-cone|op-fit|opw-tr|opw-sp] [--eps <m>]\
-        \n              [--speed-eps <m/s>] [--max-batch N] [--max-delay-us U] [--queue-cap N]\
+        \n              [--speed-eps <m/s>] [--max-batch N] [--queue-cap N]\
         \n              [--metrics-out FILE] [--trace-out FILE]\
         \n              < records.csv  (one id,t,x,y record per line)\
         \n\nalgorithms: {}\
@@ -294,7 +292,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut eps = 30.0f64;
             let mut speed_eps = None;
             let mut max_batch = 256usize;
-            let mut max_delay_us = 500u64;
             let mut queue_cap = 4096usize;
             let mut metrics_out = None;
             let mut trace_out = None;
@@ -320,9 +317,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                             usize::try_from(parse_int(value("--max-batch")?, "--max-batch")?)
                                 .map_err(|e| format!("serve: bad --max-batch: {e}"))?;
                     }
-                    "--max-delay-us" => {
-                        max_delay_us = parse_int(value("--max-delay-us")?, "--max-delay-us")?;
-                    }
                     "--queue-cap" => {
                         queue_cap =
                             usize::try_from(parse_int(value("--queue-cap")?, "--queue-cap")?)
@@ -342,7 +336,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 shards,
                 codec,
                 max_batch,
-                max_delay_us,
                 queue_cap,
                 metrics_out,
                 trace_out,
@@ -755,10 +748,7 @@ fn serve(args: &ServeArgs, input: &mut dyn BufRead) -> Result<String, String> {
         shards: args.shards,
         queue_cap: args.queue_cap,
         codec: args.codec,
-        group: GroupCommitOptions {
-            max_batch: args.max_batch,
-            max_delay: Duration::from_micros(args.max_delay_us),
-        },
+        group: GroupCommitOptions { max_batch: args.max_batch },
         durable: DurableOptions::default(),
     };
     std::fs::create_dir_all(&args.dir).map_err(|e| format!("{}: {e}", args.dir.display()))?;
@@ -1333,7 +1323,6 @@ mod tests {
         assert_eq!(a.shards, 2);
         assert_eq!(a.codec, CodecSpec::OpCone { eps: 30.0 });
         assert_eq!(a.max_batch, 256);
-        assert_eq!(a.max_delay_us, 500);
         assert_eq!(a.queue_cap, 4096);
         assert!(a.metrics_out.is_none() && a.trace_out.is_none());
     }
@@ -1342,7 +1331,7 @@ mod tests {
     fn parse_serve_full_flag_surface() {
         let Command::Serve(a) = parse(&args(
             "serve db --shards 4 --algo opw-sp --eps 25 --speed-eps 5 \
-             --max-batch 64 --max-delay-us 200 --queue-cap 512 \
+             --max-batch 64 --queue-cap 512 \
              --metrics-out m.json --trace-out t.json",
         ))
         .unwrap() else {
@@ -1350,7 +1339,7 @@ mod tests {
         };
         assert_eq!(a.shards, 4);
         assert_eq!(a.codec, CodecSpec::OpwSp { eps: 25.0, speed_eps: 5.0 });
-        assert_eq!((a.max_batch, a.max_delay_us, a.queue_cap), (64, 200, 512));
+        assert_eq!((a.max_batch, a.queue_cap), (64, 512));
         assert_eq!(a.metrics_out, Some(PathBuf::from("m.json")));
         assert_eq!(a.trace_out, Some(PathBuf::from("t.json")));
     }
@@ -1371,9 +1360,9 @@ mod tests {
         assert!(parse(&args("serve db --algo dp")).is_err(), "batch algo in a session");
         assert!(parse(&args("serve db --shards 0")).is_err(), "zero shards");
         assert!(parse(&args("serve db --wat")).is_err(), "unknown flag");
-        // The in-binary load generator, its report and the sidecar
-        // format flag are gone: their flags are unknown, not silently
-        // ignored.
+        // The in-binary load generator, its report, the sidecar format
+        // flag and the group commit delay bound are gone: their flags
+        // are unknown, not silently ignored.
         for flag in [
             "--load-gen",
             "--sync every-append",
@@ -1384,6 +1373,7 @@ mod tests {
             "--threads 2",
             "--report-json r.json",
             "--metrics-format csv",
+            "--max-delay-us 200",
         ] {
             let err = parse(&args(&format!("serve db {flag}"))).unwrap_err();
             let name = flag.split(' ').next().unwrap_or_default();
@@ -1397,7 +1387,6 @@ mod tests {
             shards: 2,
             codec: CodecSpec::OpCone { eps: 30.0 },
             max_batch: 64,
-            max_delay_us: 200,
             queue_cap: 4096,
             metrics_out: None,
             trace_out: None,
