@@ -57,40 +57,6 @@ impl Timestamp {
             Some((self.0 - a.0) / span)
         }
     }
-
-    /// The index of the `width_secs`-wide bucket containing this
-    /// instant, saturating at the `i64` range.
-    ///
-    /// This is *the* checked replacement for the
-    /// `(t.as_secs() / width).floor() as i64` idiom: a bare `as` cast
-    /// of a NaN or out-of-range float is a silent wraparound hazard,
-    /// and bucketing timestamps is exactly where corrupt input (NaN
-    /// fixes, ±∞ from a zero-duration division) would corrupt an index
-    /// key. NaN maps to bucket 0 and a non-positive or NaN width is
-    /// treated as degenerate (everything in bucket 0) rather than
-    /// producing ±∞ indices.
-    #[inline]
-    pub fn bucket_index(self, width_secs: f64) -> i64 {
-        // NaN widths are incomparable and fall into the degenerate arm.
-        if !matches!(
-            width_secs.partial_cmp(&0.0),
-            Some(std::cmp::Ordering::Greater)
-        ) {
-            return 0;
-        }
-        saturating_to_i64((self.0 / width_secs).floor())
-    }
-}
-
-/// Saturating float → `i64`, the conversion primitive behind the
-/// checked time helpers. NaN maps to 0.
-#[inline]
-fn saturating_to_i64(v: f64) -> i64 {
-    // `as` on floats saturates (and maps NaN to 0) since Rust 1.45,
-    // but routing every call through this named, tested function keeps
-    // the intent auditable — and the time_cast lint enforces that
-    // call sites outside this module use it.
-    v as i64
 }
 
 impl TimeDelta {
@@ -320,20 +286,6 @@ mod tests {
         let a = Timestamp::from_secs(1.0);
         assert_eq!(a.ratio_within(a, nan), None);
         assert_eq!(a.ratio_within(nan, a), None);
-    }
-
-    #[test]
-    fn bucket_index_floors_and_saturates() {
-        assert_eq!(Timestamp::from_secs(0.0).bucket_index(60.0), 0);
-        assert_eq!(Timestamp::from_secs(59.9).bucket_index(60.0), 0);
-        assert_eq!(Timestamp::from_secs(60.0).bucket_index(60.0), 1);
-        assert_eq!(Timestamp::from_secs(-0.1).bucket_index(60.0), -1);
-        assert_eq!(Timestamp::from_secs(f64::INFINITY).bucket_index(60.0), i64::MAX);
-        assert_eq!(Timestamp::from_secs(f64::NEG_INFINITY).bucket_index(60.0), i64::MIN);
-        assert_eq!(Timestamp::from_secs(f64::NAN).bucket_index(60.0), 0);
-        // Degenerate widths collapse to a single bucket.
-        assert_eq!(Timestamp::from_secs(500.0).bucket_index(0.0), 0);
-        assert_eq!(Timestamp::from_secs(500.0).bucket_index(f64::NAN), 0);
     }
 
     #[test]

@@ -58,8 +58,6 @@ pub struct ServeConfig {
     /// fsync; it never waits for a batch to fill. `max_batch: 1` is one
     /// fsync per fix, the per-append baseline.
     pub group: GroupCommitOptions,
-    /// WAL/snapshot options for each shard store.
-    pub durable: DurableOptions,
 }
 
 impl Default for ServeConfig {
@@ -69,7 +67,6 @@ impl Default for ServeConfig {
             queue_cap: 4096,
             codec: CodecSpec::default_with(30.0),
             group: GroupCommitOptions::default(),
-            durable: DurableOptions::default(),
         }
     }
 }
@@ -145,7 +142,7 @@ impl Service {
                 storage.clone(),
                 &shard_dir,
                 IngestMode::Raw,
-                cfg.durable,
+                DurableOptions::default(),
                 cfg.group,
             )
             .map_err(|e| format!("shard {k}: {e}"))?;

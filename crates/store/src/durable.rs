@@ -5,7 +5,7 @@
 //! has been acknowledged survives a crash. The moving parts:
 //!
 //! * every accepted fix is appended to the [write-ahead log](crate::wal)
-//!   *before* `append` returns;
+//!   and fsynced *before* `append` returns;
 //! * [`DurableStore::snapshot`] persists the in-memory state with the
 //!   atomic, checksummed writer of [`crate::persist`] and then truncates
 //!   the WAL — the snapshot plus the (now empty) log always cover every
@@ -35,7 +35,7 @@ use crate::wal::{replay_dir, Wal, WalOptions};
 /// Configuration of a [`DurableStore`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DurableOptions {
-    /// Write-ahead log tuning (segment size, fsync batching).
+    /// Write-ahead log tuning (segment size).
     pub wal: WalOptions,
 }
 
@@ -212,16 +212,29 @@ impl DurableStore {
         &self.store
     }
 
-    /// Appends a reported fix durably: validated, logged (durable per
-    /// the configured [`crate::wal::SyncPolicy`]), then applied to the
-    /// in-memory store. When this returns `Ok`, the fix is acknowledged:
-    /// it will survive a crash.
+    /// Appends a reported fix durably: validated, logged, fsynced, then
+    /// applied to the in-memory store. When this returns `Ok`, the fix
+    /// is acknowledged: it survives a crash and a power loss.
     ///
     /// # Errors
     /// Rejects invalid fixes like [`MovingObjectStore::append`]
-    /// (nothing is logged for them) and propagates WAL write failures
-    /// (the fix is then neither durable nor applied).
+    /// (nothing is logged for them) and propagates WAL write and fsync
+    /// failures (the fix is then not applied, and not acknowledged).
     pub fn append(&mut self, id: ObjectId, fix: Fix) -> Result<(), StoreError> {
+        self.log_then_apply(id, fix, true)
+    }
+
+    /// Validates `fix`, logs it, fsyncs the log if `fsync`, and only
+    /// then applies it, so a fix whose log write or fsync failed is
+    /// never in memory. Without `fsync` the fix stays volatile until the
+    /// next [`DurableStore::sync`]: the group-commit path, whose commit
+    /// is that sync.
+    pub(crate) fn log_then_apply(
+        &mut self,
+        id: ObjectId,
+        fix: Fix,
+        fsync: bool,
+    ) -> Result<(), StoreError> {
         // Validate first: the WAL must only ever hold accepted fixes.
         if !fix.is_finite() {
             return Err(StoreError::Model(traj_model::ModelError::NonFinite { index: 0 }));
@@ -234,16 +247,17 @@ impl DurableStore {
             }
         }
         self.wal.append(id, &fix)?;
+        if fsync {
+            self.wal.sync()?;
+        }
         self.store.append(id, fix)
     }
 
-    /// Forces all logged fixes down to durable storage — the batch
-    /// commit point under [`crate::wal::SyncPolicy::EveryN`] or
-    /// [`crate::wal::SyncPolicy::Manual`].
+    /// Forces every logged fix down to durable storage.
     ///
     /// # Errors
     /// Propagates the backend's sync failure.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn sync(&mut self) -> Result<(), StoreError> {
         self.wal.sync()
     }
 
@@ -266,27 +280,12 @@ impl DurableStore {
         self.wal.truncate()?;
         Ok(written)
     }
-
-    /// Offline compaction of the committed history (see
-    /// [`MovingObjectStore::compact`]); call [`DurableStore::snapshot`]
-    /// afterwards to persist the smaller state. Until then the disk
-    /// still holds the uncompacted (superset) data — conservative, never
-    /// lossy.
-    pub fn compact<C: traj_compress::Compressor + ?Sized>(&mut self, compressor: &C) -> usize {
-        self.store.compact(compressor)
-    }
-
-    /// Consumes the handle, returning the in-memory store.
-    pub fn into_store(self) -> MovingObjectStore {
-        self.store
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
-    use crate::wal::SyncPolicy;
 
     fn open_mem(
         disk: &Arc<MemStorage>,
@@ -399,22 +398,38 @@ mod tests {
     }
 
     #[test]
-    fn manual_sync_policy_appends_then_syncs() {
+    fn every_acknowledged_append_survives_power_loss() {
         let disk = Arc::new(MemStorage::new());
-        let opts = DurableOptions {
-            wal: WalOptions { sync: SyncPolicy::Manual, ..WalOptions::default() },
-        };
-        let (mut s, _) =
-            DurableStore::open_with(disk.clone(), Path::new("/db"), IngestMode::Raw, opts)
-                .unwrap();
-        for i in 0..5 {
+        let (mut s, _) = open_mem(&disk, IngestMode::Raw);
+        for i in 0..20 {
             s.append(1, fix(i as f64)).unwrap();
+            // Power loss right after the ack: the page cache empties.
+            disk.drop_unsynced();
         }
-        s.sync().unwrap();
         drop(s);
         let (s, report) = open_mem(&disk, IngestMode::Raw);
-        assert_eq!(report.replayed, 5);
-        assert_eq!(s.store().len(), 1);
+        assert_eq!(report.replayed, 20);
+        assert_eq!(s.store().trajectory(1).unwrap().len(), 20);
+    }
+
+    #[test]
+    fn a_failed_fsync_is_no_ack_and_no_later_sync_makes_it_durable() {
+        let disk = Arc::new(MemStorage::new());
+        let (mut s, _) = open_mem(&disk, IngestMode::Raw);
+        s.append(1, fix(0.0)).unwrap();
+        s.append(1, fix(1.0)).unwrap();
+        disk.arm_sync_failure();
+        assert!(matches!(s.append(1, fix(2.0)), Err(StoreError::Storage { .. })));
+        assert_eq!(s.store().stored_fixes(1).unwrap(), vec![fix(0.0), fix(1.0)]);
+        disk.lift_faults();
+        // The next append starts a fresh segment: its fsync cannot carry
+        // the failed record along.
+        s.append(1, fix(3.0)).unwrap();
+        drop(s);
+        disk.drop_unsynced();
+        let (s, report) = open_mem(&disk, IngestMode::Raw);
+        assert_eq!(report.replayed, 3);
+        assert_eq!(s.store().stored_fixes(1).unwrap(), vec![fix(0.0), fix(1.0), fix(3.0)]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Cross-session group commit: many appends, one fsync, then acks.
 //!
-//! The per-append `fsync` of [`SyncPolicy::EveryAppend`] is the
-//! dominant cost of durable ingest: it caps a shard at the disk's sync
-//! rate (`EXPERIMENTS.md`, "Ingest throughput"). Group commit amortizes it without giving
+//! The per-append `fsync` of [`DurableStore::append`] is the dominant
+//! cost of durable ingest: it caps a shard at the disk's sync rate
+//! (`EXPERIMENTS.md`, "Ingest throughput"). Group commit amortizes it without giving
 //! up the durability class: appends from any number of sessions are
 //! *buffered* — written to the WAL and applied to the in-memory store,
 //! but **not yet acknowledged** — and a single [`GroupCommitStore::commit`]
@@ -15,15 +15,17 @@
 //!
 //! 1. [`GroupCommitStore::buffer`] each incoming fix → a sequence
 //!    number. Hold the reporter's ack.
-//! 2. When the batch is full ([`GroupCommitStore::commit_due`]) or
+//! 2. When [`GroupCommitOptions::max_batch`] fixes are pending or
 //!    nothing more is waiting to be buffered, call
 //!    [`GroupCommitStore::commit`]. It returns the durable high-water
 //!    sequence.
 //! 3. Release every ack whose sequence is covered.
 //!
 //! The commit point is the WAL fsync — the same commit point
-//! [`DurableStore`] uses, just batched. Recovery is unchanged:
-//! [`DurableStore::open`]-style replay over the shard directory.
+//! [`DurableStore`] uses, just batched: [`GroupCommitStore::buffer`]
+//! logs without an fsync and [`GroupCommitStore::commit`] is the only
+//! fsync on this path. Recovery is unchanged: [`DurableStore::open`]-style
+//! replay over the shard directory.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -31,9 +33,8 @@ use std::sync::Arc;
 use traj_model::Fix;
 
 use crate::durable::{DurableOptions, DurableStore, RecoveryReport};
-use crate::storage::{FsStorage, Storage};
+use crate::storage::Storage;
 use crate::store::{IngestMode, MovingObjectStore, ObjectId, StoreError};
-use crate::wal::SyncPolicy;
 
 /// The batching bound for [`GroupCommitStore`] callers.
 ///
@@ -59,10 +60,9 @@ impl Default for GroupCommitOptions {
 /// shared, batched fsync — see the [module docs](self) for the
 /// protocol.
 ///
-/// Constructed via [`GroupCommitStore::open`] (or
-/// [`GroupCommitStore::open_with`] over an injectable backend); the
-/// constructor forces [`SyncPolicy::Manual`] internally so the commit
-/// point can never silently move.
+/// Constructed via [`GroupCommitStore::open_with`] over any storage
+/// backend; the on-disk layout is exactly a [`DurableStore`] directory,
+/// so `trajc store recover` works on it unchanged.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -110,25 +110,7 @@ impl std::fmt::Debug for GroupCommitStore {
 }
 
 impl GroupCommitStore {
-    /// Opens (and recovers) a group-commit store at `dir` on the real
-    /// filesystem. The layout on disk is exactly a [`DurableStore`]
-    /// directory — `trajc store recover` works on it unchanged.
-    ///
-    /// # Errors
-    /// Like [`DurableStore::open`].
-    pub fn open(
-        dir: &Path,
-        mode: IngestMode,
-        opts: DurableOptions,
-        group: GroupCommitOptions,
-    ) -> Result<(Self, RecoveryReport), StoreError> {
-        Self::open_with(Arc::new(FsStorage), dir, mode, opts, group)
-    }
-
-    /// [`GroupCommitStore::open`] over an injectable [`Storage`]
-    /// backend. Whatever `opts.wal.sync` says, the store runs the log
-    /// under [`SyncPolicy::Manual`]: the fsync belongs to
-    /// [`GroupCommitStore::commit`] alone.
+    /// Opens (and recovers) a group-commit store at `dir` over `storage`.
     ///
     /// # Errors
     /// Like [`DurableStore::open`].
@@ -136,10 +118,9 @@ impl GroupCommitStore {
         storage: Arc<dyn Storage>,
         dir: &Path,
         mode: IngestMode,
-        mut opts: DurableOptions,
+        opts: DurableOptions,
         group: GroupCommitOptions,
     ) -> Result<(Self, RecoveryReport), StoreError> {
-        opts.wal.sync = SyncPolicy::Manual;
         let (inner, report) = DurableStore::open_with(storage, dir, mode, opts)?;
         Ok((
             GroupCommitStore { inner, opts: group, buffered: 0, durable: 0, poisoned: false },
@@ -162,7 +143,8 @@ impl GroupCommitStore {
         if self.poisoned {
             return Err(self.poisoned_err());
         }
-        match self.inner.append(id, fix) {
+        // No fsync here: `commit` is the only fsync on this path.
+        match self.inner.log_then_apply(id, fix, false) {
             Ok(()) => {
                 self.buffered += 1;
                 Ok(self.buffered)
@@ -214,21 +196,6 @@ impl GroupCommitStore {
         self.buffered - self.durable
     }
 
-    /// Whether the batch-size bound says it is time to commit.
-    pub fn commit_due(&self) -> bool {
-        self.pending() >= self.opts.max_batch as u64
-    }
-
-    /// Sequence of the last buffered fix (0 before the first).
-    pub fn buffered_seq(&self) -> u64 {
-        self.buffered
-    }
-
-    /// Highest sequence a commit has made durable.
-    pub fn durable_seq(&self) -> u64 {
-        self.durable
-    }
-
     /// The configured batching bound.
     pub fn options(&self) -> GroupCommitOptions {
         self.opts
@@ -238,29 +205,6 @@ impl GroupCommitStore {
     /// Note: it includes buffered-but-uncommitted fixes.
     pub fn store(&self) -> &MovingObjectStore {
         self.inner.store()
-    }
-
-    /// The store directory this instance persists into.
-    pub fn dir(&self) -> &Path {
-        self.inner.dir()
-    }
-
-    /// Commits, then persists a snapshot and truncates the WAL (see
-    /// [`DurableStore::snapshot`]).
-    ///
-    /// # Errors
-    /// Like [`DurableStore::snapshot`]; a failed commit poisons the
-    /// handle first.
-    pub fn snapshot(&mut self) -> Result<usize, StoreError> {
-        self.commit()?;
-        self.inner.snapshot()
-    }
-
-    /// Consumes the handle, returning the in-memory store (including
-    /// buffered-but-uncommitted fixes; callers that need the durable
-    /// view should [`GroupCommitStore::commit`] first).
-    pub fn into_store(self) -> MovingObjectStore {
-        self.inner.into_store()
     }
 }
 
@@ -292,32 +236,11 @@ mod tests {
         assert_eq!(s.buffer(1, fix(0.0)).unwrap(), 1);
         assert_eq!(s.buffer(2, fix(0.0)).unwrap(), 2);
         assert_eq!(s.pending(), 2);
-        assert_eq!(s.durable_seq(), 0);
-        assert_eq!(s.commit().unwrap(), 2);
+        let durable = s.commit().unwrap();
+        assert_eq!(durable, 2);
         assert_eq!(s.pending(), 0);
         // An empty commit is free and keeps the high-water mark.
-        assert_eq!(s.commit().unwrap(), 2);
-    }
-
-    #[test]
-    fn commit_due_tracks_max_batch() {
-        let disk = Arc::new(MemStorage::new());
-        let (mut s, _) = GroupCommitStore::open_with(
-            disk.clone(),
-            Path::new("/db"),
-            IngestMode::Raw,
-            DurableOptions::default(),
-            GroupCommitOptions { max_batch: 3 },
-        )
-        .unwrap();
-        for i in 0..2 {
-            s.buffer(1, fix(i as f64)).unwrap();
-        }
-        assert!(!s.commit_due());
-        s.buffer(1, fix(2.0)).unwrap();
-        assert!(s.commit_due());
-        s.commit().unwrap();
-        assert!(!s.commit_due());
+        assert_eq!(s.commit().unwrap(), durable);
     }
 
     #[test]

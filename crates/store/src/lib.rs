@@ -22,17 +22,19 @@
 //! * [`storage`] — the injectable filesystem boundary behind the
 //!   durability layer, including the fault-injecting
 //!   [`storage::MemStorage`] the crash tests sweep with;
-//! * [`index::GridIndex`] — a uniform spatiotemporal grid over trajectory
-//!   segments for window queries (space rectangle × time interval);
-//! * [`rtree::StrTree`] — an STR-packed R-tree over segment bounding
-//!   boxes, the classic database index structure, used for spatial
-//!   queries and as a cross-check of the grid;
-//! * [`query`] — position-at-time, range and nearest-neighbour queries
-//!   evaluated on the (compressed) piecewise-linear trajectories.
+//! * [`rtree::SegmentRTree`] — the window index: an STR-packed R-tree
+//!   over the stored segments' (x, y, t) boxes, pruning a window query
+//!   (space rectangle × time interval) in space and time with memory
+//!   linear in segments;
+//! * [`query`] — position-at-time, window and nearest-neighbour queries
+//!   evaluated on the (compressed) piecewise-linear trajectories; the
+//!   window query has two paths, the reference scan
+//!   ([`objects_in_window`]) and the index
+//!   ([`query::rtree_objects_in_window`]), and answers the same on
+//!   both.
 
 pub mod durable;
 pub mod group;
-pub mod index;
 pub mod persist;
 pub mod query;
 pub mod rtree;
@@ -42,11 +44,10 @@ pub mod wal;
 
 pub use durable::{DurableOptions, DurableStore, RecoveryReport};
 pub use group::{GroupCommitOptions, GroupCommitStore};
-pub use index::GridIndex;
 pub use persist::{load_dir, save_dir};
 pub use query::{
     knn_at, objects_in_window, position_of, snapshot_at, trajectories_in_window, QueryWindow,
 };
-pub use rtree::StrTree;
+pub use rtree::SegmentRTree;
 pub use store::{IngestMode, MovingObjectStore, ObjectId, StoreError, StoreStats};
-pub use wal::{SyncPolicy, WalOptions};
+pub use wal::WalOptions;

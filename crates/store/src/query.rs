@@ -10,13 +10,12 @@
 use traj_geom::{Bbox, Point2, Segment};
 use traj_model::{Fix, Timestamp};
 
-use crate::index::segment_enters_window;
-use crate::rtree::StrTree;
+use crate::rtree::SegmentRTree;
 use crate::store::{MovingObjectStore, ObjectId};
 
 /// Bumps the per-kind query counter (`store.queries{kind=…}`).
 #[inline]
-pub(crate) fn count_query(kind: &'static str) {
+fn count_query(kind: &'static str) {
     traj_obs::registry().counter_with("store", "queries", &[("kind", kind)]).inc();
 }
 
@@ -67,12 +66,44 @@ fn position_on(fixes: &[Fix], t: Timestamp) -> Option<Point2> {
     Some(Fix::interpolate(&fixes[i - 1], &fixes[i], t))
 }
 
+/// Exact predicate: does the linear motion `a → b` enter `window.bbox`
+/// at some instant within `[window.t0, window.t1]`?
+///
+/// The motion is clipped to the overlap of `[a.t, b.t]` and the query
+/// interval, then the clipped spatial sub-segment is tested against the
+/// rectangle. Inlined: the scan calls it once per stored segment.
+#[inline]
+fn segment_enters_window(a: &Fix, b: &Fix, window: &QueryWindow) -> bool {
+    let lo = if a.t > window.t0 { a.t } else { window.t0 };
+    let hi = if b.t < window.t1 { b.t } else { window.t1 };
+    if hi < lo {
+        return false;
+    }
+    let p0 = Fix::interpolate(a, b, lo);
+    let p1 = Fix::interpolate(a, b, hi);
+    window.bbox.intersects_segment(&Segment::new(p0, p1))
+}
+
 /// Ids of objects whose stored motion enters `window.bbox` during the
-/// window's time interval (full scan; see
-/// [`crate::GridIndex::objects_in_window`] for the indexed path).
+/// window's time interval, ascending: the reference full scan that the
+/// indexed path ([`rtree_objects_in_window`]) is tested against.
 pub fn objects_in_window(store: &MovingObjectStore, window: &QueryWindow) -> Vec<ObjectId> {
     count_query("window_scan");
-    crate::index::scan_objects_in_window(store, window)
+    let mut out = Vec::new();
+    for id in store.object_ids() {
+        let Some(fixes) = store.stored_fixes(id) else { continue };
+        let hit = if fixes.len() == 1 {
+            window.t0 <= fixes[0].t
+                && fixes[0].t <= window.t1
+                && window.bbox.contains(fixes[0].pos)
+        } else {
+            fixes.windows(2).any(|w| segment_enters_window(&w[0], &w[1], window))
+        };
+        if hit {
+            out.push(id);
+        }
+    }
+    out
 }
 
 /// Positions of every object whose stored span covers `t` — the
@@ -126,35 +157,28 @@ pub fn trajectories_in_window(
         .collect()
 }
 
-/// Builds an [`StrTree`] over all stored segments of the store. Payload:
-/// `(object, a, b)` so query verification can clip by time exactly.
-pub fn build_segment_rtree(store: &MovingObjectStore) -> StrTree<(ObjectId, Fix, Fix)> {
-    let mut entries = Vec::new();
+/// Builds the window index over every stored segment of the store (an
+/// object with a single stored fix is one degenerate segment).
+pub fn build_segment_rtree(store: &MovingObjectStore) -> SegmentRTree {
+    // One entry per stored fix bounds the segment count from above.
+    let mut entries = Vec::with_capacity(store.stats().stored_points);
     for id in store.object_ids() {
         let Some(fixes) = store.stored_fixes(id) else { continue };
-        if fixes.len() == 1 {
-            entries.push((Bbox::from_point(fixes[0].pos), (id, fixes[0], fixes[0])));
+        if let [f] = fixes[..] {
+            entries.push((id, f, f));
         }
-        for w in fixes.windows(2) {
-            entries.push((
-                Bbox::from_segment(&Segment::new(w[0].pos, w[1].pos)),
-                (id, w[0], w[1]),
-            ));
-        }
+        entries.extend(fixes.windows(2).map(|w| (id, w[0], w[1])));
     }
-    StrTree::build(entries)
+    SegmentRTree::build(entries)
 }
 
-/// Window query through a prebuilt segment R-tree; exact (candidates are
-/// verified by time-clipped intersection) and equivalent to
+/// Window query through a prebuilt [`SegmentRTree`]; exact (candidates
+/// are verified by time-clipped intersection) and equivalent to
 /// [`objects_in_window`].
-pub fn rtree_objects_in_window(
-    tree: &StrTree<(ObjectId, Fix, Fix)>,
-    window: &QueryWindow,
-) -> Vec<ObjectId> {
+pub fn rtree_objects_in_window(tree: &SegmentRTree, window: &QueryWindow) -> Vec<ObjectId> {
     count_query("window_rtree");
     let mut hits = std::collections::HashSet::new();
-    tree.for_each_in(&window.bbox, |(id, a, b)| {
+    tree.for_each_candidate(window, |(id, a, b)| {
         if !hits.contains(id) && segment_enters_window(a, b, window) {
             hits.insert(*id);
         }
@@ -288,41 +312,138 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grid_rtree_and_scan_agree_on_compressed_store() {
-        // End-to-end: ingest with compression, query through all three
-        // paths.
-        let mut s = MovingObjectStore::new(IngestMode::Compressed {
-            epsilon: 30.0,
-            speed_epsilon: None,
-            max_window: 64,
-        });
-        for (id, phase) in [(10u64, 0.0f64), (11, 1.0), (12, 2.0)] {
-            s.insert_trajectory(
-                id,
-                &Trajectory::from_triples((0..200).map(|i| {
-                    let t = i as f64 * 10.0;
-                    let x = t * 12.0;
-                    let y = 500.0 * ((t / 300.0 + phase).sin());
-                    (t, x, y)
-                }))
-                .unwrap(),
-            )
+    /// Three buses lapping 2 km-radius loops around nearby centres at
+    /// 12 m/s (one lap ≈ 1,047 s), one fix per 10 s.
+    fn looping_buses(mode: IngestMode, fixes: usize) -> MovingObjectStore {
+        let mut s = MovingObjectStore::new(mode);
+        let period = std::f64::consts::TAU * 2_000.0 / 12.0;
+        for (id, (cx, cy)) in [(10u64, (0.0, 0.0)), (11, (1_500.0, 0.0)), (12, (0.0, 1_500.0))] {
+            let trip = Trajectory::from_triples((0..fixes).map(|i| {
+                let t = i as f64 * 10.0;
+                let a = std::f64::consts::TAU * t / period + id as f64;
+                (t, cx + 2_000.0 * a.cos(), cy + 2_000.0 * a.sin())
+            }))
             .unwrap();
+            s.insert_trajectory(id, &trip).unwrap();
         }
-        let grid = crate::GridIndex::build(&s, 400.0, 200.0);
+        s
+    }
+
+    #[test]
+    fn rtree_and_scan_agree_on_a_long_compressed_history() {
+        // 26,000 s ≈ 25 laps: each window's rectangle lies on the loops,
+        // so a bus passes through it on every lap and only the time
+        // interval tells the laps apart.
+        let s = looping_buses(
+            IngestMode::Compressed { epsilon: 30.0, speed_epsilon: None, max_window: 64 },
+            2_600,
+        );
         let tree = build_segment_rtree(&s);
-        for i in 0..30 {
-            let cx = i as f64 * 700.0;
-            let w = QueryWindow::new(
-                Point2::new(cx, -600.0),
-                Point2::new(cx + 900.0, 600.0),
-                i as f64 * 60.0,
-                i as f64 * 60.0 + 400.0,
-            );
+        for i in 0..40 {
+            let t = 26_000.0 * i as f64 / 40.0;
+            let p = position_of(&s, 10 + i % 3, Timestamp::from_secs(t)).unwrap();
+            let (lo, hi) = (p.x - 500.0, p.x + 500.0);
+            let w = window(lo, p.y - 500.0, hi, p.y + 500.0, t - 300.0, t + 300.0);
             let scan = objects_in_window(&s, &w);
-            assert_eq!(grid.objects_in_window(&w), scan, "grid vs scan, window {i}");
-            assert_eq!(rtree_objects_in_window(&tree, &w), scan, "rtree vs scan, window {i}");
+            assert!(scan.contains(&(10 + i % 3)), "window {i} holds the bus it is centred on");
+            assert_eq!(rtree_objects_in_window(&tree, &w), scan, "window {i}");
+        }
+    }
+
+    fn window(x0: f64, y0: f64, x1: f64, y1: f64, t0: f64, t1: f64) -> QueryWindow {
+        QueryWindow::new(Point2::new(x0, y0), Point2::new(x1, y1), t0, t1)
+    }
+
+    /// The tree's answer to `w` over `s`, asserted equal to the scan's.
+    fn tree_answer(s: &MovingObjectStore, w: &QueryWindow) -> Vec<ObjectId> {
+        let got = rtree_objects_in_window(&build_segment_rtree(s), w);
+        assert_eq!(got, objects_in_window(s, w), "tree vs scan");
+        got
+    }
+
+    /// Object 1 drives west → east along y = 0 and object 2 south →
+    /// north along x = 5000, both at 10 m/s for 990 s.
+    fn crossing_store() -> MovingObjectStore {
+        let mut s = MovingObjectStore::new(IngestMode::Raw);
+        let east = (0..100).map(|i| (i as f64 * 10.0, i as f64 * 100.0, 0.0));
+        let north = (0..100).map(|i| (i as f64 * 10.0, 5000.0, i as f64 * 100.0 - 5000.0));
+        s.insert_trajectory(1, &Trajectory::from_triples(east).unwrap()).unwrap();
+        s.insert_trajectory(2, &Trajectory::from_triples(north).unwrap()).unwrap();
+        s
+    }
+
+    #[test]
+    fn finds_object_crossing_window() {
+        // Object 1 is near x = 2000 at t ≈ 200.
+        let w = window(1900.0, -50.0, 2100.0, 50.0, 150.0, 250.0);
+        assert_eq!(tree_answer(&crossing_store(), &w), vec![1]);
+    }
+
+    #[test]
+    fn time_interval_excludes_wrong_epoch() {
+        // Same rectangle, but queried when object 1 is long past it.
+        let w = window(1900.0, -50.0, 2100.0, 50.0, 800.0, 990.0);
+        assert!(tree_answer(&crossing_store(), &w).is_empty());
+    }
+
+    #[test]
+    fn multiple_objects_in_one_window() {
+        // Both pass near (5000, 0) around t = 500.
+        let w = window(4000.0, -1000.0, 6000.0, 1000.0, 400.0, 600.0);
+        assert_eq!(tree_answer(&crossing_store(), &w), vec![1, 2]);
+    }
+
+    #[test]
+    fn equivalence_with_scan_on_many_windows() {
+        let s = crossing_store();
+        let tree = build_segment_rtree(&s);
+        assert_eq!(tree.len(), 2 * 99);
+        for i in 0..40 {
+            let cx = i as f64 * 250.0;
+            let w = window(cx, -500.0, cx + 400.0, 500.0, i as f64 * 20.0, i as f64 * 20.0 + 300.0);
+            assert_eq!(rtree_objects_in_window(&tree, &w), objects_in_window(&s, &w), "window {i}");
+        }
+    }
+
+    #[test]
+    fn single_fix_object_is_findable() {
+        let mut s = MovingObjectStore::new(IngestMode::Raw);
+        s.append(7, Fix::from_parts(100.0, 50.0, 50.0)).unwrap();
+        assert_eq!(build_segment_rtree(&s).len(), 1);
+        assert_eq!(tree_answer(&s, &window(0.0, 0.0, 100.0, 100.0, 50.0, 150.0)), vec![7]);
+        assert!(tree_answer(&s, &window(0.0, 0.0, 100.0, 100.0, 150.0, 250.0)).is_empty());
+    }
+
+    #[test]
+    fn motion_through_window_between_samples_is_detected() {
+        // The samples bracket the window: at t = 0 the object is west of
+        // the box, at t = 10 east of it; the interpolated motion crosses
+        // it near t = 5.
+        let mut s = MovingObjectStore::new(IngestMode::Raw);
+        let trip = Trajectory::from_triples([(0.0, -1000.0, 0.0), (10.0, 1000.0, 0.0)]).unwrap();
+        s.insert_trajectory(3, &trip).unwrap();
+        assert_eq!(tree_answer(&s, &window(-50.0, -50.0, 50.0, 50.0, 0.0, 10.0)), vec![3]);
+        // Not if the time interval excludes the crossing.
+        assert!(tree_answer(&s, &window(-50.0, -50.0, 50.0, 50.0, 0.0, 2.0)).is_empty());
+    }
+
+    #[test]
+    fn a_long_jump_and_a_long_silence_are_one_entry_each() {
+        let ten_years = 10.0 * 365.25 * 86_400.0;
+        // 800 km per axis in 10 s; 10 m per axis in ten years.
+        let jump = ((10.0, 800_000.0, 800_000.0), 400_000.0);
+        for (b, mid) in [jump, ((ten_years, 10.0, 10.0), 5.0)] {
+            let mut s = MovingObjectStore::new(IngestMode::Raw);
+            let trip = Trajectory::from_triples([(0.0, 0.0, 0.0), b]).unwrap();
+            s.insert_trajectory(5, &trip).unwrap();
+            let tree = build_segment_rtree(&s);
+            assert_eq!((tree.len(), tree.height()), (1, 1));
+            // Around the midpoint at mid-time: a hit.
+            let (r, t) = (mid / 10.0, b.0 / 2.0);
+            let at_mid = |t0: f64, t1: f64| window(mid - r, mid - r, mid + r, mid + r, t0, t1);
+            assert_eq!(tree_answer(&s, &at_mid(t - b.0 / 100.0, t + b.0 / 100.0)), vec![5]);
+            // The same rectangle early in the interval: a miss.
+            assert!(tree_answer(&s, &at_mid(0.0, b.0 / 10.0)).is_empty());
         }
     }
 

@@ -37,63 +37,22 @@ pub const KIND_APPEND_FIX: u8 = 1;
 /// treated as framing corruption (torn tail), not a huge record.
 pub const MAX_PAYLOAD_BYTES: u32 = 1024;
 
-/// When the log forces data down to disk — the durability/throughput
-/// tradeoff of the ingest path, in one knob.
+/// Tuning of the write-ahead log.
 ///
-/// `fsync` dominates per-append cost on a real disk (hundreds of
-/// microseconds to milliseconds, vs. nanoseconds for the buffered
-/// write), so the policy decides both the throughput ceiling and what
-/// a *power loss* can take back:
-///
-/// * [`SyncPolicy::EveryAppend`] — every acknowledged fix survives
-///   power loss, at one fsync per append. This is
-///   [`WalOptions::default`], chosen so naive callers can never lose
-///   an acknowledged fix; it is also the slowest choice by orders of
-///   magnitude (`EXPERIMENTS.md`, "Ingest throughput").
-/// * [`SyncPolicy::EveryN`] — amortizes the fsync over `n` appends
-///   *of one caller*. Appends between syncs are acknowledged but
-///   volatile: a process crash alone loses nothing (the OS still has
-///   the write), power loss can take back up to `n-1` acknowledged
-///   fixes.
-/// * [`SyncPolicy::Manual`] — the log never syncs on its own; the
-///   caller owns the commit point via [`Wal::sync`]. This is the
-///   building block for *group commit*
-///   ([`crate::GroupCommitStore`]): appends from many sessions
-///   accumulate and one fsync makes the whole batch durable, after
-///   which — and only after which — those fixes are acknowledged.
-///   Same durability class as `EveryAppend` (nothing is acknowledged
-///   before its fsync) at a fraction of the syncs.
-///
-/// Callers that want batching without silently weakening the
-/// acknowledged-means-durable guarantee should use
-/// [`crate::GroupCommitStore::open`], which pairs `Manual`
-/// with the explicit ack-after-commit protocol, rather than handing
-/// `EveryN`/`Manual` to a store whose acks are per-append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// `fsync` after every append — an acknowledged fix survives power
-    /// loss (the durability default).
-    EveryAppend,
-    /// `fsync` once per `n` appends — batches the sync cost at the price
-    /// of up to `n-1` acknowledged-but-volatile fixes on power loss
-    /// (crash-of-the-process alone loses nothing).
-    EveryN(u32),
-    /// Only on [`Wal::sync`], rotation and truncation.
-    Manual,
-}
-
-/// Tuning knobs for the write-ahead log.
+/// The log itself never fsyncs except at rotation and truncation: an
+/// append is written but volatile until the caller's next
+/// [`Wal::sync`], so the caller owns the commit point.
+/// [`crate::DurableStore::append`] syncs after every fix;
+/// [`crate::GroupCommitStore::commit`] syncs once per batch.
 #[derive(Debug, Clone, Copy)]
 pub struct WalOptions {
     /// Rotate to a new segment once the current one reaches this size.
     pub segment_max_bytes: u64,
-    /// Fsync batching policy.
-    pub sync: SyncPolicy,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
-        WalOptions { segment_max_bytes: 1 << 20, sync: SyncPolicy::EveryAppend }
+        WalOptions { segment_max_bytes: 1 << 20 }
     }
 }
 
@@ -255,7 +214,6 @@ pub struct Wal {
     next_seq: u64,
     writer: Option<Box<dyn StorageWriter>>,
     segment_bytes: u64,
-    appends_since_sync: u32,
     buf: Vec<u8>,
 }
 
@@ -301,14 +259,8 @@ impl Wal {
             next_seq,
             writer: None,
             segment_bytes: 0,
-            appends_since_sync: 0,
             buf: Vec::with_capacity(RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES),
         })
-    }
-
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Starts a fresh segment unless one is open.
@@ -335,12 +287,12 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends one fix record; the record is durable per the configured
-    /// [`SyncPolicy`] when this returns.
+    /// Appends one fix record. The record is written but not durable
+    /// until the next [`Wal::sync`] (or a rotation) returns.
     ///
     /// # Errors
-    /// Backend write/sync failures. After an error the current segment
-    /// is abandoned (the next append starts a new one), so a torn tail
+    /// Backend write failures. After an error the current segment is
+    /// abandoned (the next append starts a new one), so a torn tail
     /// never precedes good records within one segment.
     pub fn append(&mut self, id: ObjectId, fix: &Fix) -> Result<(), StoreError> {
         let _span = traj_obs::trace_span!("wal.append");
@@ -357,8 +309,8 @@ impl Wal {
     }
 
     /// Writes one already-encoded record to the current segment,
-    /// rotating and syncing per policy. On error the caller abandons
-    /// the segment.
+    /// rotating when it is full. On error the caller abandons the
+    /// segment.
     fn append_encoded(&mut self, buf: &[u8]) -> Result<(), StoreError> {
         let n = buf.len() as u64;
         self.open_segment()?;
@@ -371,15 +323,6 @@ impl Wal {
         w.write_all(buf)
             .map_err(|e| io_err(&segment_path(&self.dir, self.next_seq - 1), e))?;
         self.segment_bytes += n;
-        self.appends_since_sync += 1;
-        let due = match self.opts.sync {
-            SyncPolicy::EveryAppend => true,
-            SyncPolicy::EveryN(n) => self.appends_since_sync >= n,
-            SyncPolicy::Manual => false,
-        };
-        if due {
-            self.sync()?;
-        }
         traj_obs::counter!("store", "wal_appends").inc();
         traj_obs::counter!("store", "wal_append_bytes").add(n);
         if self.segment_bytes >= self.opts.segment_max_bytes {
@@ -391,14 +334,19 @@ impl Wal {
     /// Forces everything appended so far down to durable storage.
     ///
     /// # Errors
-    /// Backend sync failures.
+    /// Backend sync failures. After one the current segment is
+    /// abandoned like after a failed write: the kernel may have dropped
+    /// its unsynced records, and a later sync of the same file must not
+    /// make durable a record whose append was reported failed.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         if let Some(w) = &mut self.writer {
             let _span = traj_obs::trace_span!("wal.fsync");
-            w.sync().map_err(|e| io_err(&self.dir, e))?;
+            if let Err(e) = w.sync() {
+                self.writer = None;
+                return Err(io_err(&self.dir, e));
+            }
             traj_obs::counter!("store", "wal_fsyncs").inc();
         }
-        self.appends_since_sync = 0;
         Ok(())
     }
 
@@ -483,7 +431,7 @@ mod tests {
     #[test]
     fn rotation_produces_multiple_segments() -> Result<(), Box<dyn std::error::Error>> {
         let storage = Arc::new(MemStorage::new());
-        let opts = WalOptions { segment_max_bytes: 128, ..WalOptions::default() };
+        let opts = WalOptions { segment_max_bytes: 128 };
         let mut wal = Wal::open(storage.clone(), &wal_dir(), opts)?;
         for i in 0..20 {
             wal.append(1, &fix(i as f64))?;
@@ -652,20 +600,21 @@ mod tests {
     }
 
     #[test]
-    fn sync_policy_every_n_batches_fsyncs() -> Result<(), Box<dyn std::error::Error>> {
+    fn appends_are_volatile_until_sync() -> Result<(), Box<dyn std::error::Error>> {
         // Checked on the test's own storage rather than the global
-        // `store.wal_fsyncs` counter, which parallel tests also bump: a
-        // power loss keeps exactly what the 4th and 8th appends synced.
-        for (appends, durable) in [(6, 4), (8, 8)] {
+        // `store.wal_fsyncs` counter, which parallel tests also bump.
+        for (sync, durable) in [(false, 0), (true, 6)] {
             let storage = Arc::new(MemStorage::new());
-            let opts = WalOptions { sync: SyncPolicy::EveryN(4), ..WalOptions::default() };
-            let mut wal = Wal::open(storage.clone(), &wal_dir(), opts)?;
-            for i in 0..appends {
+            let mut wal = Wal::open(storage.clone(), &wal_dir(), WalOptions::default())?;
+            for i in 0..6 {
                 wal.append(1, &fix(i as f64))?;
+            }
+            if sync {
+                wal.sync()?;
             }
             storage.drop_unsynced();
             let (records, _) = replay_dir(storage.as_ref(), &wal_dir())?;
-            assert_eq!(records.len(), durable, "after {appends} appends");
+            assert_eq!(records.len(), durable, "sync: {sync}");
         }
         Ok(())
     }

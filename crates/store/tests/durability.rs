@@ -15,7 +15,7 @@ use std::sync::Arc;
 use traj_model::Fix;
 use traj_store::storage::{MemStorage, Storage as _};
 use traj_store::store::StoreError;
-use traj_store::wal::{SyncPolicy, WalOptions};
+use traj_store::wal::WalOptions;
 use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, GroupCommitStore, IngestMode};
 
 const DB: &str = "/db";
@@ -23,7 +23,7 @@ const DB: &str = "/db";
 fn opts() -> DurableOptions {
     DurableOptions {
         // Small segments so the sweep also crosses rotation boundaries.
-        wal: WalOptions { segment_max_bytes: 512, sync: SyncPolicy::EveryAppend },
+        wal: WalOptions { segment_max_bytes: 512 },
     }
 }
 
@@ -104,54 +104,6 @@ fn crash_at_every_byte_offset_preserves_acknowledged_prefix() {
     }
 }
 
-/// Crashes under batched fsync must still never *invent* data, and an
-/// acknowledged fix may only go missing if its sync was still pending —
-/// modelled here as: recovery returns a per-object prefix of the
-/// acknowledged stream.
-#[test]
-fn crash_sweep_with_batched_fsync_yields_acknowledged_prefixes() {
-    let opts = DurableOptions {
-        wal: WalOptions { segment_max_bytes: 512, sync: SyncPolicy::EveryN(5) },
-    };
-    let workload = |disk: &Arc<MemStorage>| -> Vec<(u64, Fix)> {
-        let mut acked = Vec::new();
-        let Ok((mut store, _)) =
-            DurableStore::open_with(disk.clone(), Path::new(DB), IngestMode::Raw, opts)
-        else {
-            return acked;
-        };
-        for i in 0..25 {
-            let f = Fix::from_parts(i as f64, i as f64 * 3.0, 0.0);
-            match store.append(1, f) {
-                Ok(()) => acked.push((1, f)),
-                Err(_) => return acked,
-            }
-        }
-        acked
-    };
-    let full = Arc::new(MemStorage::new());
-    let _ = workload(&full);
-    for budget in (0..=full.written_bytes()).step_by(7) {
-        let disk = Arc::new(MemStorage::with_write_budget(budget));
-        let acked = workload(&disk);
-        disk.lift_faults();
-        let (store, _) =
-            DurableStore::open_with(disk.clone(), Path::new(DB), IngestMode::Raw, opts).unwrap();
-        let recovered = store
-            .store()
-            .stored_fixes(1)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|f| (1u64, f))
-            .collect::<Vec<_>>();
-        assert!(
-            recovered == acked[..recovered.len().min(acked.len())],
-            "budget {budget}: recovered is not a prefix of acknowledged"
-        );
-        assert!(recovered.len() <= acked.len(), "budget {budget}: invented fixes");
-    }
-}
-
 /// Group-commit workload: three sessions' fixes interleave into one
 /// shard store, committing every `max_batch` buffers. A fix counts as
 /// *acknowledged* only once a `commit` whose returned sequence covers
@@ -174,7 +126,7 @@ fn run_group_workload(disk: &Arc<MemStorage>, opts: DurableOptions) -> Vec<(u64,
                 Ok(seq) => pending.push((seq, (id, fix(i, id)))),
                 Err(_) => return acked, // crash: poisoned, nothing more acks
             }
-            if store.commit_due() {
+            if store.pending() >= group.max_batch as u64 {
                 match store.commit() {
                     // The fsync returned: everything at or below the
                     // durable sequence is now acknowledged.
@@ -204,7 +156,7 @@ fn run_group_workload(disk: &Arc<MemStorage>, opts: DurableOptions) -> Vec<(u64,
 #[test]
 fn group_commit_crash_at_every_byte_offset_restores_exactly_the_acked_prefix() {
     let opts = DurableOptions {
-        wal: WalOptions { segment_max_bytes: 1 << 20, sync: SyncPolicy::EveryAppend },
+        wal: WalOptions { segment_max_bytes: 1 << 20 },
     };
     // Size the sweep with a fault-free run.
     let full_disk = Arc::new(MemStorage::new());
@@ -237,7 +189,7 @@ fn group_commit_crash_at_every_byte_offset_restores_exactly_the_acked_prefix() {
 #[test]
 fn group_commit_crash_sweep_with_rotation_never_loses_acked_fixes() {
     let opts = DurableOptions {
-        wal: WalOptions { segment_max_bytes: 256, sync: SyncPolicy::EveryAppend },
+        wal: WalOptions { segment_max_bytes: 256 },
     };
     let full_disk = Arc::new(MemStorage::new());
     // The fault-free run acks every fix the workload ever buffers, so

@@ -13,8 +13,9 @@
 
 use trajc::geom::Point2;
 use trajc::model::Timestamp;
+use trajc::store::query::{build_segment_rtree, rtree_objects_in_window};
 use trajc::store::{
-    knn_at, position_of, DurableOptions, DurableStore, GridIndex, IngestMode,
+    knn_at, objects_in_window, position_of, DurableOptions, DurableStore, IngestMode,
     MovingObjectStore, QueryWindow,
 };
 
@@ -54,23 +55,20 @@ fn main() {
     }
 
     // Which vehicles entered the city-centre square between t=300 and
-    // t=1200? Use the spatiotemporal grid index over the compressed
-    // store.
-    let index = GridIndex::build(&compressed, 500.0, 300.0);
+    // t=1200? Use the spatiotemporal R-tree over the compressed store.
+    let index = build_segment_rtree(&compressed);
     let centre = QueryWindow::new(
         Point2::new(6_000.0, 6_000.0),
         Point2::new(13_000.0, 13_000.0),
         300.0,
         1200.0,
     );
-    let inside = index.objects_in_window(&centre);
+    let inside = rtree_objects_in_window(&index, &centre);
     println!("vehicles in the centre during [300s, 1200s]: {inside:?}");
 
-    // Cross-check through the R-tree path (both indexes are exact, so
+    // Cross-check against the reference scan (the index is exact, so
     // they must agree).
-    let rtree = trajc::store::query::build_segment_rtree(&compressed);
-    let inside_rtree = trajc::store::query::rtree_objects_in_window(&rtree, &centre);
-    assert_eq!(inside, inside_rtree, "grid and R-tree answers must match");
+    assert_eq!(inside, objects_in_window(&compressed, &centre), "R-tree and scan must match");
 
     // Who was nearest to an incident at (9000, 9000) at t = 900 s?
     let incident = Point2::new(9_000.0, 9_000.0);

@@ -749,7 +749,6 @@ fn serve(args: &ServeArgs, input: &mut dyn BufRead) -> Result<String, String> {
         queue_cap: args.queue_cap,
         codec: args.codec,
         group: GroupCommitOptions { max_batch: args.max_batch },
-        durable: DurableOptions::default(),
     };
     std::fs::create_dir_all(&args.dir).map_err(|e| format!("{}: {e}", args.dir.display()))?;
     let start = Instant::now();

@@ -7,7 +7,8 @@ use trajc::compress::{evaluate, Compressor, DouglasPeucker, OpeningWindow, TdSp,
 use trajc::geom::Point2;
 use trajc::model::stats::TrajectoryStats;
 use trajc::model::{io, Timestamp};
-use trajc::store::{position_of, GridIndex, IngestMode, MovingObjectStore, QueryWindow};
+use trajc::store::query::{build_segment_rtree, rtree_objects_in_window};
+use trajc::store::{position_of, IngestMode, MovingObjectStore, QueryWindow};
 
 #[test]
 fn generate_compress_evaluate_every_algorithm() {
@@ -105,7 +106,7 @@ fn window_queries_agree_between_index_and_scan_on_real_workload() {
     for (id, trip) in dataset.iter().enumerate() {
         store.insert_trajectory(id as u64, trip).expect("valid trip");
     }
-    let index = GridIndex::build(&store, 800.0, 300.0);
+    let index = build_segment_rtree(&store);
     for i in 0..20 {
         let x = (i % 5) as f64 * 4_000.0;
         let y = (i / 5) as f64 * 4_500.0;
@@ -116,7 +117,7 @@ fn window_queries_agree_between_index_and_scan_on_real_workload() {
             (i as f64) * 100.0 + 800.0,
         );
         assert_eq!(
-            index.objects_in_window(&w),
+            rtree_objects_in_window(&index, &w),
             trajc::store::objects_in_window(&store, &w),
             "window {i}"
         );
