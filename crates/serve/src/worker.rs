@@ -98,7 +98,7 @@ impl ShardCore {
             // store's latest would fail the store's own check, so it is
             // invalid here, like a stale fix within the session.
             let stale = session.pushed() == 0
-                && self.store.store().latest(item.mover).is_some_and(|l| l.t >= item.fix.t);
+                && self.store.latest(item.mover).is_some_and(|t| t >= item.fix.t);
             let accepted = if stale { None } else { session.push(item.fix).ok() };
             let Some(emitted) = accepted else {
                 self.stats.invalid += 1;
@@ -201,13 +201,12 @@ pub(crate) fn run(mut core: ShardCore, rx: &Receiver) -> ShardStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
     use std::sync::Arc;
     use std::time::Duration;
 
     use traj_gen::fleet::splitmix64;
     use traj_store::storage::MemStorage;
-    use traj_store::{DurableOptions, GroupCommitOptions, IngestMode};
+    use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, IngestMode};
 
     use crate::queue;
 
@@ -225,12 +224,19 @@ mod tests {
         }
     }
 
+    const DIR: &str = "/shard-0";
+
     fn open(disk: &Arc<MemStorage>) -> GroupCommitStore {
-        let dir = Path::new("/shard-0");
         let opts = (DurableOptions::default(), GroupCommitOptions::default());
-        GroupCommitStore::open_with(disk.clone(), dir, IngestMode::Raw, opts.0, opts.1)
+        GroupCommitStore::open_with(disk.clone(), DIR.as_ref(), IngestMode::Raw, opts.0, opts.1)
             .unwrap()
             .0
+    }
+
+    /// What a reader recovers from the shard directory.
+    fn recover(disk: &Arc<MemStorage>) -> DurableStore {
+        let opts = DurableOptions::default();
+        DurableStore::open_with(disk.clone(), DIR.as_ref(), IngestMode::Raw, opts).unwrap().0
     }
 
     /// One seeded run of a shard core over fault-injected storage:
@@ -241,7 +247,8 @@ mod tests {
     /// core is dropped unfinished, the faults lifted and unsynced bytes
     /// lost. Each restart's recovered store must hold only offered
     /// points, in per-mover time order, and under `raw` every fix ever
-    /// acked.
+    /// acked; the reopened group store's latest time of each mover must
+    /// be that of its last recovered fix.
     fn simulate(seed: u64, codec: CodecSpec) {
         let mut rng = Rng(seed << 32);
         let disk = Arc::new(MemStorage::new());
@@ -253,9 +260,11 @@ mod tests {
         let mut submitted: Vec<(usize, Fix)> = Vec::new();
         let mut acked: Vec<(usize, Fix)> = Vec::new();
         for epoch in 0..=EPOCHS {
+            let recovered = recover(&disk);
+            let recovered = recovered.store();
             let store = open(&disk);
             for (m, fixes) in offered.iter().enumerate() {
-                let got = store.store().stored_fixes(m as u64).unwrap_or_default();
+                let got = recovered.stored_fixes(m as u64).unwrap_or_default();
                 assert!(
                     got.windows(2).all(|w| w[0].t < w[1].t),
                     "seed {seed} epoch {epoch}: mover {m} out of time order"
@@ -263,11 +272,16 @@ mod tests {
                 for f in &got {
                     assert!(fixes.contains(f), "seed {seed}: mover {m}: {f:?} never offered");
                 }
+                assert_eq!(
+                    store.latest(m as u64),
+                    got.last().map(|f| f.t),
+                    "seed {seed} epoch {epoch}: mover {m}'s latest time"
+                );
             }
-            assert!(store.store().object_ids().all(|id| id < MOVERS as u64), "seed {seed}");
+            assert!(recovered.object_ids().all(|id| id < MOVERS as u64), "seed {seed}");
             if codec == CodecSpec::Raw {
                 for (i, (m, f)) in acked.iter().enumerate() {
-                    let got = store.store().stored_fixes(*m as u64).unwrap_or_default();
+                    let got = recovered.stored_fixes(*m as u64).unwrap_or_default();
                     assert!(got.contains(f), "seed {seed} epoch {epoch}: acked fix {i} lost");
                 }
             }

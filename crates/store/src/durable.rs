@@ -29,7 +29,7 @@ use traj_model::Fix;
 
 use crate::persist;
 use crate::storage::{FsStorage, Storage};
-use crate::store::{IngestMode, MovingObjectStore, ObjectId, StoreError};
+use crate::store::{check_next, IngestMode, MovingObjectStore, ObjectId, StoreError};
 use crate::wal::{replay_dir, Wal, WalOptions};
 
 /// Configuration of a [`DurableStore`].
@@ -202,63 +202,31 @@ impl DurableStore {
         Ok((DurableStore { store, wal, storage, dir: dir.to_path_buf() }, report))
     }
 
-    /// The store directory this instance persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Read access to the in-memory store (queries, stats, indexes).
     pub fn store(&self) -> &MovingObjectStore {
         &self.store
     }
 
+    /// The open log, for a group store that takes over after recovery.
+    pub(crate) fn into_wal(self) -> Wal {
+        self.wal
+    }
+
     /// Appends a reported fix durably: validated, logged, fsynced, then
-    /// applied to the in-memory store. When this returns `Ok`, the fix
-    /// is acknowledged: it survives a crash and a power loss.
+    /// applied to the in-memory store, so a fix whose log write or fsync
+    /// failed is never in memory. When this returns `Ok`, the fix is
+    /// acknowledged: it survives a crash and a power loss.
     ///
     /// # Errors
     /// Rejects invalid fixes like [`MovingObjectStore::append`]
     /// (nothing is logged for them) and propagates WAL write and fsync
     /// failures (the fix is then not applied, and not acknowledged).
     pub fn append(&mut self, id: ObjectId, fix: Fix) -> Result<(), StoreError> {
-        self.log_then_apply(id, fix, true)
-    }
-
-    /// Validates `fix`, logs it, fsyncs the log if `fsync`, and only
-    /// then applies it, so a fix whose log write or fsync failed is
-    /// never in memory. Without `fsync` the fix stays volatile until the
-    /// next [`DurableStore::sync`]: the group-commit path, whose commit
-    /// is that sync.
-    pub(crate) fn log_then_apply(
-        &mut self,
-        id: ObjectId,
-        fix: Fix,
-        fsync: bool,
-    ) -> Result<(), StoreError> {
         // Validate first: the WAL must only ever hold accepted fixes.
-        if !fix.is_finite() {
-            return Err(StoreError::Model(traj_model::ModelError::NonFinite { index: 0 }));
-        }
-        if let Some(last) = self.store.latest(id) {
-            if last.t >= fix.t {
-                return Err(StoreError::Model(traj_model::ModelError::NonMonotonicTime {
-                    index: 0,
-                }));
-            }
-        }
+        check_next(self.store.latest(id).map(|l| l.t), &fix, 0)?;
         self.wal.append(id, &fix)?;
-        if fsync {
-            self.wal.sync()?;
-        }
+        self.wal.sync()?;
         self.store.append(id, fix)
-    }
-
-    /// Forces every logged fix down to durable storage.
-    ///
-    /// # Errors
-    /// Propagates the backend's sync failure.
-    pub(crate) fn sync(&mut self) -> Result<(), StoreError> {
-        self.wal.sync()
     }
 
     /// Persists the current state as an atomic, checksummed snapshot and

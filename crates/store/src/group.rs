@@ -4,12 +4,12 @@
 //! cost of durable ingest: it caps a shard at the disk's sync rate
 //! (`EXPERIMENTS.md`, "Ingest throughput"). Group commit amortizes it without giving
 //! up the durability class: appends from any number of sessions are
-//! *buffered* — written to the WAL and applied to the in-memory store,
-//! but **not yet acknowledged** — and a single [`GroupCommitStore::commit`]
-//! fsyncs the lot. Only fixes at or below the sequence number a commit
-//! returned may be acknowledged to their reporters; a crash can then
-//! never take back an acknowledged fix, exactly as with per-append
-//! fsync (pinned by `crates/store/tests/durability.rs`).
+//! *buffered* — written to the WAL, but **not yet acknowledged** — and a
+//! single [`GroupCommitStore::commit`] fsyncs the lot. Only fixes at or
+//! below the sequence number a commit returned may be acknowledged to
+//! their reporters; a crash can then never take back an acknowledged
+//! fix, exactly as with per-append fsync (pinned by
+//! `crates/store/tests/durability.rs`).
 //!
 //! The protocol, from a caller's (shard worker's) perspective:
 //!
@@ -24,17 +24,20 @@
 //! The commit point is the WAL fsync — the same commit point
 //! [`DurableStore`] uses, just batched: [`GroupCommitStore::buffer`]
 //! logs without an fsync and [`GroupCommitStore::commit`] is the only
-//! fsync on this path. Recovery is unchanged: [`DurableStore::open`]-style
-//! replay over the shard directory.
+//! fsync on this path. The log is the history: in memory a group store
+//! holds only the open WAL segment and one time per object, and a shard
+//! directory is read with [`DurableStore::open`].
 
-use std::path::Path;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use traj_model::Fix;
+use traj_model::{Fix, Timestamp};
 
 use crate::durable::{DurableOptions, DurableStore, RecoveryReport};
 use crate::storage::Storage;
-use crate::store::{IngestMode, MovingObjectStore, ObjectId, StoreError};
+use crate::store::{advance, IngestMode, ObjectId, StoreError};
+use crate::wal::Wal;
 
 /// The batching bound for [`GroupCommitStore`] callers.
 ///
@@ -56,13 +59,10 @@ impl Default for GroupCommitOptions {
     }
 }
 
-/// A [`DurableStore`] whose durability commit point is an explicit,
-/// shared, batched fsync — see the [module docs](self) for the
-/// protocol.
-///
-/// Constructed via [`GroupCommitStore::open_with`] over any storage
-/// backend; the on-disk layout is exactly a [`DurableStore`] directory,
-/// so `trajc store recover` works on it unchanged.
+/// A WAL writer plus each object's latest logged time, whose commit
+/// point is an explicit, shared, batched fsync — see the [module
+/// docs](self) for the protocol. It writes a [`DurableStore`]
+/// directory, which [`DurableStore::open`] and `trajc store recover` read.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -85,9 +85,14 @@ impl Default for GroupCommitOptions {
 /// let b = store.buffer(2, Fix::from_parts(0.5, 9.0, 9.0)).unwrap();
 /// let durable = store.commit().unwrap();
 /// assert!(a <= durable && b <= durable); // both may now be acked
+/// assert_eq!(store.latest(2).unwrap().as_secs(), 0.5);
 /// ```
 pub struct GroupCommitStore {
-    inner: DurableStore,
+    wal: Wal,
+    /// Each object's latest logged time, recovered or buffered since.
+    latest: BTreeMap<ObjectId, Timestamp>,
+    /// The shard directory, named in the poisoned-handle error.
+    dir: PathBuf,
     opts: GroupCommitOptions,
     /// Sequence of the last buffered fix (0 = none yet).
     buffered: u64,
@@ -102,6 +107,7 @@ pub struct GroupCommitStore {
 impl std::fmt::Debug for GroupCommitStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GroupCommitStore")
+            .field("objects", &self.latest.len())
             .field("buffered", &self.buffered)
             .field("durable", &self.durable)
             .field("opts", &self.opts)
@@ -110,51 +116,59 @@ impl std::fmt::Debug for GroupCommitStore {
 }
 
 impl GroupCommitStore {
-    /// Opens (and recovers) a group-commit store at `dir` over `storage`.
+    /// Opens a group-commit store at `dir` over `storage`: recovers it
+    /// with [`DurableStore::open_with`] in [`IngestMode::Raw`], whatever
+    /// `_mode` says (an object's latest time is the same in every mode),
+    /// keeps the log and each object's latest time, and drops the rest.
     ///
     /// # Errors
     /// Like [`DurableStore::open`].
     pub fn open_with(
         storage: Arc<dyn Storage>,
         dir: &Path,
-        mode: IngestMode,
+        _mode: IngestMode,
         opts: DurableOptions,
         group: GroupCommitOptions,
     ) -> Result<(Self, RecoveryReport), StoreError> {
-        let (inner, report) = DurableStore::open_with(storage, dir, mode, opts)?;
-        Ok((
-            GroupCommitStore { inner, opts: group, buffered: 0, durable: 0, poisoned: false },
-            report,
-        ))
+        let (recovered, report) = DurableStore::open_with(storage, dir, IngestMode::Raw, opts)?;
+        let history = recovered.store();
+        let latest =
+            history.object_ids().filter_map(|id| Some((id, history.latest(id)?.t))).collect();
+        let store = GroupCommitStore {
+            wal: recovered.into_wal(),
+            latest,
+            dir: dir.to_path_buf(),
+            opts: group,
+            buffered: 0,
+            durable: 0,
+            poisoned: false,
+        };
+        Ok((store, report))
     }
 
-    /// Appends a fix to the WAL and the in-memory store *without*
-    /// making it durable. Returns its sequence number; the fix must not
-    /// be acknowledged until a later [`GroupCommitStore::commit`]
+    /// Logs a fix to the WAL *without* making it durable and records it
+    /// as the object's latest. Returns its sequence number; the fix must
+    /// not be acknowledged until a later [`GroupCommitStore::commit`]
     /// returns a sequence at or above it.
     ///
     /// # Errors
-    /// Validation failures ([`StoreError::Model`]) reject the fix and
-    /// leave the group intact. Storage failures poison the handle: the
-    /// log may end in a torn or abandoned (never-to-be-synced) suffix,
-    /// so no later commit from this handle may acknowledge anything —
-    /// reopen the store to recover.
+    /// A fix not finite or not later than [`GroupCommitStore::latest`]
+    /// is rejected ([`StoreError::Model`]), the group intact. Storage
+    /// failures poison the handle: the log may end in a torn or
+    /// abandoned (never-to-be-synced) suffix, so no later commit from
+    /// this handle may acknowledge anything — reopen the store to recover.
     pub fn buffer(&mut self, id: ObjectId, fix: Fix) -> Result<u64, StoreError> {
         if self.poisoned {
             return Err(self.poisoned_err());
         }
+        advance(&mut self.latest, id, &fix)?;
         // No fsync here: `commit` is the only fsync on this path.
-        match self.inner.log_then_apply(id, fix, false) {
-            Ok(()) => {
-                self.buffered += 1;
-                Ok(self.buffered)
-            }
-            Err(e @ StoreError::Model(_)) => Err(e),
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
+        if let Err(e) = Wal::append(&mut self.wal, id, &fix) {
+            self.poisoned = true;
+            return Err(e);
         }
+        self.buffered += 1;
+        Ok(self.buffered)
     }
 
     /// Makes every buffered fix durable with one fsync and returns the
@@ -171,7 +185,7 @@ impl GroupCommitStore {
         }
         if self.buffered > self.durable {
             let group = self.buffered - self.durable;
-            if let Err(e) = self.inner.sync() {
+            if let Err(e) = Wal::sync(&mut self.wal) {
                 self.poisoned = true;
                 return Err(e);
             }
@@ -184,7 +198,7 @@ impl GroupCommitStore {
 
     fn poisoned_err(&self) -> StoreError {
         StoreError::Storage {
-            path: self.inner.dir().to_path_buf(),
+            path: self.dir.clone(),
             source: std::io::Error::other(
                 "group-commit store poisoned by an earlier storage failure; reopen to recover",
             ),
@@ -201,10 +215,11 @@ impl GroupCommitStore {
         self.opts
     }
 
-    /// Read access to the in-memory store (queries, stats, indexes).
-    /// Note: it includes buffered-but-uncommitted fixes.
-    pub fn store(&self) -> &MovingObjectStore {
-        self.inner.store()
+    /// The time of `id`'s latest fix, recovered or buffered since, which
+    /// the next [`GroupCommitStore::buffer`] of `id` must follow; `None`
+    /// if this shard has none. A poisoned handle may count a failed one.
+    pub fn latest(&self, id: ObjectId) -> Option<Timestamp> {
+        self.latest.get(&id).copied()
     }
 }
 
@@ -280,6 +295,40 @@ mod tests {
             Err(StoreError::Model(_))
         ));
         assert_eq!(s.commit().unwrap(), 1, "group still commits");
+    }
+
+    #[test]
+    fn reopen_refuses_fixes_at_or_before_the_recovered_latest() {
+        let disk = Arc::new(MemStorage::new());
+        let mut s = open_mem(&disk);
+        for i in 0..3 {
+            s.buffer(4, fix(i as f64)).unwrap();
+        }
+        s.buffer(5, fix(10.0)).unwrap();
+        s.commit().unwrap();
+        drop(s);
+
+        let mut s = open_mem(&disk);
+        assert_eq!((s.latest(4), s.latest(5)), (Some(fix(2.0).t), Some(fix(10.0).t)));
+        assert_eq!(s.latest(6), None);
+        for stale in [fix(2.0), fix(1.5)] {
+            assert!(matches!(s.buffer(4, stale), Err(StoreError::Model(_))));
+        }
+        // Not poisoned: the next later fix buffers, commits and replays.
+        assert_eq!(s.buffer(4, fix(3.0)).unwrap(), 1);
+        assert_eq!(s.commit().unwrap(), 1);
+        assert_eq!(s.latest(4), Some(fix(3.0).t));
+        drop(s);
+        let (s, report) = DurableStore::open_with(
+            disk.clone(),
+            Path::new("/db"),
+            IngestMode::Raw,
+            DurableOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(report.replayed, 5);
+        let want: Vec<Fix> = (0..4).map(|i| fix(i as f64)).collect();
+        assert_eq!(s.store().stored_fixes(4).unwrap(), want);
     }
 
     #[test]

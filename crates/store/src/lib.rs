@@ -15,10 +15,11 @@
 //!   atomic checksummed snapshots ([`persist`]), and crash recovery
 //!   ([`DurableStore::open`]) that replays the log tail over the latest
 //!   snapshot (format spec: `crates/store/README.md`);
-//! * [`GroupCommitStore`] — the batched-fsync variant of the durable
-//!   path: appends from many sessions buffer behind one shared fsync
-//!   and are acknowledged only once it returns ([`group`]), the
-//!   configuration `trajc serve` shards run;
+//! * [`GroupCommitStore`] — the write side of a `trajc serve` shard: a
+//!   WAL writer whose appends from many sessions buffer behind one
+//!   shared fsync and are acknowledged only once it returns ([`group`]).
+//!   In memory it holds the open segment and one time per object; a
+//!   shard directory is read with [`DurableStore::open`];
 //! * [`storage`] — the injectable filesystem boundary behind the
 //!   durability layer, including the fault-injecting
 //!   [`storage::MemStorage`] the crash tests sweep with;

@@ -43,11 +43,15 @@ impl QueryWindow {
 
 /// Position of object `id` at time `t`, linearly interpolated on its
 /// stored trajectory; `None` for unknown objects or instants outside the
-/// stored span.
+/// stored span. A binary search of the stored fixes, read in place.
 pub fn position_of(store: &MovingObjectStore, id: ObjectId, t: Timestamp) -> Option<Point2> {
     count_query("position_at");
-    let fixes = store.stored_fixes(id)?;
-    position_on(&fixes, t)
+    let (committed, tail) = store.stored_parts(id)?;
+    match (committed.last(), tail) {
+        // Past the committed fixes: on the way to the open window's tail.
+        (Some(last), Some(tail)) if last.t < t => position_on(&[*last, tail], t),
+        _ => position_on(committed, t),
+    }
 }
 
 fn position_on(fixes: &[Fix], t: Timestamp) -> Option<Point2> {
@@ -64,6 +68,13 @@ fn position_on(fixes: &[Fix], t: Timestamp) -> Option<Point2> {
         return Some(last.pos);
     }
     Some(Fix::interpolate(&fixes[i - 1], &fixes[i], t))
+}
+
+/// An object's stored segments, read in place: consecutive committed
+/// fixes, then the last of them to the open window's tail.
+fn segments(committed: &[Fix], tail: Option<Fix>) -> impl Iterator<Item = (Fix, Fix)> + '_ {
+    let to_tail = committed.last().zip(tail).map(|(a, b)| (*a, b));
+    committed.windows(2).map(|w| (w[0], w[1])).chain(to_tail)
 }
 
 /// Exact predicate: does the linear motion `a → b` enter `window.bbox`
@@ -91,13 +102,10 @@ pub fn objects_in_window(store: &MovingObjectStore, window: &QueryWindow) -> Vec
     count_query("window_scan");
     let mut out = Vec::new();
     for id in store.object_ids() {
-        let Some(fixes) = store.stored_fixes(id) else { continue };
-        let hit = if fixes.len() == 1 {
-            window.t0 <= fixes[0].t
-                && fixes[0].t <= window.t1
-                && window.bbox.contains(fixes[0].pos)
-        } else {
-            fixes.windows(2).any(|w| segment_enters_window(&w[0], &w[1], window))
+        let Some((committed, tail)) = store.stored_parts(id) else { continue };
+        let hit = match (committed, tail) {
+            ([f], None) => window.t0 <= f.t && f.t <= window.t1 && window.bbox.contains(f.pos),
+            _ => segments(committed, tail).any(|(a, b)| segment_enters_window(&a, &b, window)),
         };
         if hit {
             out.push(id);
@@ -163,11 +171,11 @@ pub fn build_segment_rtree(store: &MovingObjectStore) -> SegmentRTree {
     // One entry per stored fix bounds the segment count from above.
     let mut entries = Vec::with_capacity(store.stats().stored_points);
     for id in store.object_ids() {
-        let Some(fixes) = store.stored_fixes(id) else { continue };
-        if let [f] = fixes[..] {
-            entries.push((id, f, f));
+        let Some((committed, tail)) = store.stored_parts(id) else { continue };
+        if let ([f], None) = (committed, tail) {
+            entries.push((id, *f, *f));
         }
-        entries.extend(fixes.windows(2).map(|w| (id, w[0], w[1])));
+        entries.extend(segments(committed, tail).map(|(a, b)| (id, a, b)));
     }
     SegmentRTree::build(entries)
 }

@@ -1,10 +1,11 @@
 //! The moving-object store.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use traj_compress::streaming::{OwStream, StreamingCompressor};
 use traj_compress::{BreakStrategy, Criterion};
-use traj_model::{Fix, ModelError, Trajectory};
+use traj_model::{Fix, ModelError, Timestamp, Trajectory};
 
 /// Identifier of a tracked moving object.
 pub type ObjectId = u64;
@@ -29,8 +30,6 @@ pub enum IngestMode {
 /// Errors from store operations.
 #[derive(Debug)]
 pub enum StoreError {
-    /// The object id is not present.
-    UnknownObject(ObjectId),
     /// The fix was rejected (non-finite, or not later than the object's
     /// latest fix).
     Model(ModelError),
@@ -55,7 +54,6 @@ pub enum StoreError {
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StoreError::UnknownObject(id) => write!(f, "unknown object {id}"),
             StoreError::Model(e) => write!(f, "rejected fix: {e}"),
             StoreError::Storage { path, source } => {
                 write!(f, "storage error at {}: {source}", path.display())
@@ -105,6 +103,38 @@ impl StoreStats {
                 / self.ingested_points as f64
         }
     }
+}
+
+/// The one ordering rule of every history the crate keeps: a fix may
+/// follow an object whose newest fix is at `latest` only if it is finite
+/// and strictly later. `index` is reported in the error.
+pub(crate) fn check_next(
+    latest: Option<Timestamp>,
+    fix: &Fix,
+    index: usize,
+) -> Result<(), StoreError> {
+    if !fix.is_finite() {
+        return Err(StoreError::Model(ModelError::NonFinite { index }));
+    }
+    if latest.is_some_and(|l| l >= fix.t) {
+        return Err(StoreError::Model(ModelError::NonMonotonicTime { index }));
+    }
+    Ok(())
+}
+
+/// [`check_next`] against `id`'s time in `latest`, then records `fix.t`
+/// there: a group store keeps each object's time where this store keeps
+/// its fixes.
+pub(crate) fn advance(
+    latest: &mut BTreeMap<ObjectId, Timestamp>,
+    id: ObjectId,
+    fix: &Fix,
+) -> Result<(), StoreError> {
+    check_next(latest.get(&id).copied(), fix, 0)?;
+    // `extend`, not `insert`: `cargo xtask reach` matches methods by
+    // bare name and takes `insert` for `Vec::insert`, which may panic.
+    latest.extend([(id, fix.t)]);
+    Ok(())
 }
 
 /// Per-object state: committed fixes plus (in compressed mode) the open
@@ -179,11 +209,6 @@ impl MovingObjectStore {
         MovingObjectStore { mode, objects: BTreeMap::new() }
     }
 
-    /// The configured ingest mode.
-    pub fn mode(&self) -> IngestMode {
-        self.mode
-    }
-
     fn new_stream(&self) -> Option<OwStream> {
         match self.mode {
             IngestMode::Raw => None,
@@ -207,41 +232,21 @@ impl MovingObjectStore {
     /// Rejects non-finite fixes and fixes not strictly later than the
     /// object's latest fix; the store state is unchanged on error.
     pub fn append(&mut self, id: ObjectId, fix: Fix) -> Result<(), StoreError> {
-        if !fix.is_finite() {
-            return Err(StoreError::Model(ModelError::NonFinite { index: 0 }));
-        }
-        let stream_template = self.new_stream();
-        let state = self.objects.entry(id).or_insert_with(|| ObjectState {
-            committed: Vec::new(),
-            stream: stream_template,
-            ingested: 0,
-        });
-        match &mut state.stream {
-            None => {
-                if let Some(last) = state.committed.last() {
-                    // `fix` is already known finite.
-                    if last.t >= fix.t {
-                        return Err(StoreError::Model(ModelError::NonMonotonicTime {
-                            index: state.ingested,
-                        }));
-                    }
-                }
-                state.committed.push(fix);
+        let stream = self.new_stream();
+        let state = match self.objects.entry(id) {
+            Entry::Occupied(e) => {
+                let state = e.into_mut();
+                check_next(state.latest().map(|l| l.t), &fix, state.ingested)?;
+                state
             }
+            Entry::Vacant(e) => {
+                check_next(None, &fix, 0)?;
+                e.insert(ObjectState { committed: Vec::new(), stream, ingested: 0 })
+            }
+        };
+        match &mut state.stream {
+            None => state.committed.push(fix),
             Some(stream) => {
-                if stream.window_len() == 0 {
-                    // A fresh stream (first contact, or right after
-                    // `restore_trajectory`) has no window to check
-                    // monotonicity against; the committed history is
-                    // the reference.
-                    if let Some(last) = state.committed.last() {
-                        if last.t >= fix.t {
-                            return Err(StoreError::Model(ModelError::NonMonotonicTime {
-                                index: state.ingested,
-                            }));
-                        }
-                    }
-                }
                 let emitted = stream.push(fix)?;
                 state.committed.extend(emitted);
             }
@@ -279,13 +284,10 @@ impl MovingObjectStore {
         id: ObjectId,
         fixes: Vec<Fix>,
     ) -> Result<(), StoreError> {
+        let mut latest = None;
         for (i, f) in fixes.iter().enumerate() {
-            if !f.is_finite() {
-                return Err(StoreError::Model(ModelError::NonFinite { index: i }));
-            }
-            if i > 0 && fixes[i - 1].t >= f.t {
-                return Err(StoreError::Model(ModelError::NonMonotonicTime { index: i }));
-            }
+            check_next(latest, f, i)?;
+            latest = Some(f.t);
         }
         let ingested = fixes.len();
         let stream = self.new_stream();
@@ -312,12 +314,18 @@ impl MovingObjectStore {
     /// compressed mode, the freshest buffered fix (so the queryable span
     /// always reaches the latest report).
     pub fn stored_fixes(&self, id: ObjectId) -> Option<Vec<Fix>> {
-        let state = self.objects.get(&id)?;
-        let mut fixes = state.committed.clone();
-        if let Some(tail) = state.pending_tail() {
-            fixes.push(tail);
-        }
+        let (committed, tail) = self.stored_parts(id)?;
+        let mut fixes = Vec::with_capacity(committed.len() + 1);
+        fixes.extend_from_slice(committed);
+        fixes.extend(tail);
         Some(fixes)
+    }
+
+    /// [`MovingObjectStore::stored_fixes`] without the copy: the
+    /// committed slice and the pending tail, for the queries.
+    pub(crate) fn stored_parts(&self, id: ObjectId) -> Option<(&[Fix], Option<Fix>)> {
+        let state = self.objects.get(&id)?;
+        Some((&state.committed, state.pending_tail()))
     }
 
     /// Materializes the stored trajectory of `id` (needs ≥ 1 stored fix).
