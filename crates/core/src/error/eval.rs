@@ -128,16 +128,18 @@ struct SegTerm {
 /// cache and the SED sample buffer. Reuse one workspace across a sweep
 /// (or a whole dataset) to keep evaluation allocation-free once warm;
 /// the cache automatically resets when a different trajectory is
-/// evaluated. A compression [`crate::Workspace`] that already columnized
+/// evaluated; until then it serves any compressor's results on that
+/// trajectory (`traj_eval::sweep_algos` keeps one per trajectory per figure).
+/// A compression [`crate::Workspace`] that already columnized
 /// the same trajectory can hand its columns over through
 /// [`seed_columns`](EvalWorkspace::seed_columns), so a compress→evaluate
 /// pipeline de-interleaves each trajectory exactly once.
 ///
 /// With the `obs` feature enabled, warm rebinds are counted in the
 /// `eval.ws_reuse` metric, evaluated cells in `eval.cells`, anchor
-/// segments served from the cache in `eval.cache_hits`, and column
-/// binds in `layout.cols_built` / `layout.cols_reuse` (see
-/// `crates/obs/README.md`).
+/// segments served without computing terms (cache hits and single
+/// intervals) in `eval.cache_hits`, and column binds in
+/// `layout.cols_built` / `layout.cols_reuse` (see `crates/obs/README.md`).
 #[derive(Debug, Default)]
 pub struct EvalWorkspace {
     /// Anchor segment `(lo, hi)` → term offset and cached maxima.
@@ -235,10 +237,9 @@ impl<'a> ErrorEval<'a> {
     pub fn new(traj: &'a Trajectory, ws: &'a mut EvalWorkspace) -> Self {
         assert!(traj.len() >= 2, "evaluation requires at least two fixes");
         ws.bind(traj);
-        let fixes = traj.fixes();
-        let span_s = fixes[fixes.len() - 1].t.as_secs() - fixes[0].t.as_secs();
+        let span_s = traj.last().t.as_secs() - traj.first().t.as_secs();
         ErrorEval {
-            fixes,
+            fixes: traj.fixes(),
             span_s,
             ws,
             #[cfg(feature = "obs")]
@@ -272,9 +273,9 @@ impl<'a> ErrorEval<'a> {
         let mut d_max = 0.0f64;
         let mut perp_sum = 0.0;
         let mut perp_max = 0.0f64;
-        for w in result.kept().windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            let e = self.seg_terms(lo, hi);
+        let kept = result.kept();
+        for (&lo, &hi) in kept.iter().zip(kept.iter().skip(1)) {
+            let Some(e) = self.seg_terms(lo, hi) else { continue };
             let seg = &self.ws.terms[e.off..e.off + (hi - lo)];
             // Three independent ordered add chains — the sums must keep
             // the reference path's flat per-term order bit-for-bit, so
@@ -336,14 +337,13 @@ impl<'a> ErrorEval<'a> {
         seds.clear();
         // The first vertex is always kept: its SED sample is exactly 0.
         seds.push(0.0);
-        for w in result.kept().windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            let e = self.seg_terms(lo, hi);
-            seds.extend(
-                self.ws.terms[e.off..e.off + (hi - lo)]
-                    .iter()
-                    .map(|t| t.d_end),
-            );
+        let kept = result.kept();
+        for (&lo, &hi) in kept.iter().zip(kept.iter().skip(1)) {
+            let Some(e) = self.seg_terms(lo, hi) else {
+                seds.push(0.0); // one interval: the sample at its kept end
+                continue;
+            };
+            seds.extend(self.ws.terms[e.off..e.off + (hi - lo)].iter().map(|t| t.d_end));
         }
         seds.sort_unstable_by(f64::total_cmp);
         let n = seds.len();
@@ -367,13 +367,18 @@ impl<'a> ErrorEval<'a> {
     /// loop. Every per-point operation keeps the exact operand order of
     /// the former fix-based walk (`Fix::interpolate`, `Point2::distance`,
     /// `Segment::line_distance`), so each term is bit-identical.
-    fn seg_terms(&mut self, lo: usize, hi: usize) -> SegEntry {
-        if let Some(&e) = self.ws.seg_at.get(&(lo, hi)) {
+    /// `None` for a single interval `(lo, lo + 1)`: δ is zero at both ends,
+    /// so all its terms are `+0.0` (α's `Δt · 0` given a finite span), a
+    /// bitwise no-op (see `evaluate`); counted as a hit, as it is served.
+    fn seg_terms(&mut self, lo: usize, hi: usize) -> Option<SegEntry> {
+        let single = hi == lo + 1 && self.span_s.is_finite();
+        let cached = if single { None } else { self.ws.seg_at.get(&(lo, hi)).copied() };
+        if single || cached.is_some() {
             #[cfg(feature = "obs")]
             {
                 self.cache_hits += 1;
             }
-            return e;
+            return cached;
         }
         // Field-disjoint borrows: the view reads `ws.cols` while the
         // loop appends to `ws.terms`.
@@ -447,7 +452,7 @@ impl<'a> ErrorEval<'a> {
             perp_max: seg_perp_max,
         };
         ws.seg_at.insert((lo, hi), e);
-        e
+        Some(e)
     }
 }
 
@@ -472,8 +477,8 @@ impl Drop for ErrorEval<'_> {
 ///
 /// With the `obs` feature and an active [`traj_obs::trace`] session,
 /// each evaluated result emits `eval.cache_hits` / `eval.cache_misses`
-/// instant events (anchor segments served from vs. added to the
-/// workspace cache), so threshold-sweep memoization is visible on the
+/// instant events (anchor segments served without computing terms vs.
+/// added to the workspace cache), so the memoization is visible on the
 /// timeline.
 ///
 /// # Panics
@@ -639,6 +644,55 @@ mod tests {
         let p = Trajectory::from_triples([(0.0, 1.0, 2.0)]).unwrap();
         let mut ws = EvalWorkspace::new();
         let _ = ErrorEval::new(&p, &mut ws);
+    }
+
+    /// A span too long for `f64` makes `Δt` infinite and a single
+    /// interval's α term `∞ · 0 = NaN`; the engine must still agree with
+    /// the reference there, so such intervals are not skipped.
+    #[test]
+    fn single_intervals_of_an_overflowing_span_match_reference() {
+        let p =
+            t(&[(-1e308, 0.0, 0.0), (1e308, 5.0, 1.0), (1.2e308, 9.0, 3.0), (1.4e308, 1.0, 0.0)]);
+        let mut ws = EvalWorkspace::new();
+        for kept in [vec![0, 1, 2, 3], vec![0, 1, 3], vec![0, 3]] {
+            let r = CompressionResult::new(kept, 4);
+            let fast = evaluate_with(&p, &r, &mut ws);
+            assert_eq!(format!("{fast:?}"), format!("{:?}", evaluate(&p, &r)));
+        }
+    }
+
+    /// Every anchor segment of every result is either served (a memo
+    /// hit, or a single interval skipped) or computed once (a miss, one
+    /// memo entry): hits + misses = Σ (kept − 1), over results of three
+    /// compressors sharing one memo.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn hits_and_misses_count_every_anchor_segment() {
+        let p = zigzag(90);
+        let grid = [5.0, 15.0, 40.0, 90.0];
+        let mut cws = crate::workspace::Workspace::new();
+        let mut results = crate::douglas_peucker::TopDown::time_ratio(0.0)
+            .sweep_with(&p, &grid, &mut cws);
+        let opw_tr = crate::opening_window::OpeningWindow::opw_tr(0.0);
+        results.extend(opw_tr.sweep_with(&p, &grid, &mut cws));
+        results.extend(grid.map(|e| crate::one_pass::OnePassCone::new(e).compress(&p)));
+        let segments: usize = results.iter().map(|r| r.kept_len() - 1).sum();
+        let singles = results
+            .iter()
+            .flat_map(|r| r.kept().windows(2))
+            .filter(|w| w[1] == w[0] + 1)
+            .count();
+        assert!(singles > 0, "the sample must exercise the single-interval rule");
+        let mut ws = EvalWorkspace::new();
+        let mut ev = ErrorEval::new(&p, &mut ws);
+        for r in &results {
+            assert_eq!(ev.evaluate(r), evaluate(&p, r));
+        }
+        let hits = ev.cache_hits as usize;
+        drop(ev);
+        let misses = ws.seg_at.len();
+        assert_eq!(hits + misses, segments);
+        assert!(hits >= singles);
     }
 
     #[cfg(feature = "obs")]

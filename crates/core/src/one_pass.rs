@@ -156,12 +156,15 @@ impl Region for ConeRegion<'_> {
         }
     }
 
+    // No data-dependent branch in either loop: `contains` folds every test
+    // (a point is almost always inside); `add` stores a select (NaN keeps d).
     #[inline]
     fn contains(&self, u: Vec2) -> bool {
-        self.dirs
-            .iter()
-            .zip(self.off.iter())
-            .all(|(&(nx, ny), &d)| nx * u.x + ny * u.y <= d)
+        let mut inside = true;
+        for (&(nx, ny), &d) in self.dirs.iter().zip(self.off.iter()) {
+            inside &= nx * u.x + ny * u.y <= d;
+        }
+        inside
     }
 
     #[inline]
@@ -169,9 +172,7 @@ impl Region for ConeRegion<'_> {
         let a = r * self.apothem;
         for (&(nx, ny), d) in self.dirs.iter().zip(self.off.iter_mut()) {
             let nd = nx * u.x + ny * u.y + a;
-            if nd < *d {
-                *d = nd;
-            }
+            *d = if nd < *d { nd } else { *d };
         }
     }
 }

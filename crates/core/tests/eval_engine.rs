@@ -7,10 +7,10 @@
 //! which is an approximation by construction.
 
 use proptest::prelude::*;
-use traj_compress::error::average_synchronous_error_numeric;
+use traj_compress::error::{average_synchronous_error_numeric, sed_quantiles};
 use traj_compress::{
     evaluate, evaluate_sweep, evaluate_with, CompressionResult, Compressor, ErrorEval,
-    EvalWorkspace, OpeningWindow, TdSp, TdTr, TopDown, Workspace,
+    EvalWorkspace, OnePassCone, OpeningWindow, TdSp, TdTr, TopDown, Workspace,
 };
 use traj_model::Trajectory;
 
@@ -103,6 +103,49 @@ proptest! {
         prop_assert_eq!(swept.len(), results.len());
         for (e, r) in swept.iter().zip(&results) {
             prop_assert_eq!(*e, evaluate(&t, r));
+        }
+    }
+
+    /// SED quantiles from the engine == the reference on the applied
+    /// approximation, for arbitrary kept subsets. The masks keep about
+    /// four points in five, so most anchor segments span one interval
+    /// (the engine serves those without a lookup).
+    #[test]
+    fn quantiles_equal_reference_for_dense_subsets(
+        t in trajectory(),
+        mask in proptest::collection::vec(0u8..10, 1..32),
+    ) {
+        let keep: Vec<bool> = mask.iter().map(|&m| m < 8).collect();
+        let r = random_result(&keep, t.len());
+        let qs = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0];
+        let mut ws = EvalWorkspace::new();
+        let fast = ErrorEval::new(&t, &mut ws).sed_quantiles(&r, &qs);
+        prop_assert_eq!(fast, sed_quantiles(&t, &r.apply(&t), &qs));
+    }
+
+    /// One workspace serves several compressors' results interleaved
+    /// across a threshold grid — the experiment runner's figure-major
+    /// order, where one memo per trajectory is shared by every
+    /// algorithm of a figure. Every cell equals the reference.
+    #[test]
+    fn shared_memo_across_compressors_equals_reference(
+        t in trajectory(),
+        grid in proptest::collection::vec(0.0..150.0f64, 1..6),
+        veps in 0.5..30.0f64,
+    ) {
+        let mut ws = EvalWorkspace::new();
+        for &eps in &grid {
+            let compressors: [Box<dyn Compressor>; 4] = [
+                Box::new(TdTr::new(eps)),
+                Box::new(OpeningWindow::opw_sp(eps, veps)),
+                Box::new(OpeningWindow::nopw(eps)),
+                Box::new(OnePassCone::new(eps)),
+            ];
+            for c in compressors {
+                let r = c.compress(&t);
+                let fast = evaluate_with(&t, &r, &mut ws);
+                prop_assert_eq!(fast, evaluate(&t, &r), "{} eps={}", c.name(), eps);
+            }
         }
     }
 

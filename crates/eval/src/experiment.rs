@@ -90,46 +90,89 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Runs a registered [`Algo`] over the dataset × threshold grid,
-/// averaging compression and error per threshold — the protocol behind
-/// each curve of Figs. 7–11 ("figures given are averages over ten
-/// different trajectories"). Per trajectory this is one [`Algo::run`]
-/// call (a single split-tree pass for top-down entries, one memoized
-/// window pass for opening-window entries) and one [`evaluate_sweep`]
-/// engine pass (anchor segments shared across thresholds are evaluated
-/// once).
+/// Sweeps every algorithm of one figure over the dataset × threshold
+/// grid, averaging compression and error per threshold — the protocol
+/// behind each figure of §4 ("figures given are averages over ten
+/// different trajectories") — and returns one [`AlgoSweep`] per entry of
+/// `algos`, in order.
+///
+/// Trajectory by trajectory, every algorithm's [`Algo::run`] (one pass
+/// for the whole threshold grid) and [`evaluate_sweep`] go through one
+/// [`Workspace`] and one [`EvalWorkspace`], so an anchor segment kept by
+/// several thresholds or algorithms is evaluated once. Each algorithm's
+/// rows are then aggregated in dataset order.
+///
+/// `threads` fans the dataset over scoped workers (`0` = auto: all
+/// cores, but inline on one core or below 16,384 points × thresholds ×
+/// algorithms; `1` = inline). Worker *w* sweeps trajectories *w*,
+/// *w* + workers, … with its own workspaces, on a trace track labelled
+/// `sweep-worker-{w}` inside a `parallel.stripe` span valued at its
+/// trajectory count. The sweeps are **bit-identical** for every count.
 ///
 /// # Panics
-/// Panics on an empty dataset.
-pub fn sweep_algo(algo: &Algo, dataset: &[Trajectory], thresholds: &[f64]) -> AlgoSweep {
-    let mut ws = Workspace::new();
-    let mut ews = EvalWorkspace::new();
-    aggregate(
-        algo.label(),
-        dataset.len(),
-        thresholds,
-        dataset.iter().map(|traj| {
-            let results = algo.run(traj, thresholds, &mut ws);
-            evaluate_sweep(traj, &results, &mut ews)
-        }),
-    )
+/// Panics on an empty dataset (with at least one algorithm), or if a
+/// worker panics (propagated).
+pub fn sweep_algos(
+    algos: &[Algo],
+    dataset: &[Trajectory],
+    thresholds: &[f64],
+    threads: usize,
+) -> Vec<AlgoSweep> {
+    let n = dataset.len();
+    // Grid work: every input point is visited once per threshold and algorithm.
+    let points: usize = dataset.iter().map(Trajectory::len).sum();
+    let work = points.saturating_mul(thresholds.len().max(1) * algos.len());
+    let workers = auto_workers(threads, n, work);
+    // The loop body of every sweep, inline or on a worker: trajectories
+    // `first`, `first + step`, … through one pair of workspaces.
+    let stripe = |first: usize, step: usize| -> Vec<Rows> {
+        let (mut ws, mut ews) = (Workspace::new(), EvalWorkspace::new());
+        let mut rows = Vec::new();
+        for t in dataset.iter().skip(first).step_by(step) {
+            let eval = |a: &Algo| evaluate_sweep(t, &a.run(t, thresholds, &mut ws), &mut ews);
+            rows.push(algos.iter().map(eval).collect());
+        }
+        rows
+    };
+    let rows = if workers == 1 {
+        stripe(0, 1)
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    scope.spawn(move || {
+                        if traj_obs::trace::is_active() {
+                            traj_obs::trace::set_track_label(&format!("sweep-worker-{w}"));
+                        }
+                        let _stripe =
+                            traj_obs::trace_span!("parallel.stripe", (n - w).div_ceil(workers));
+                        stripe(w, workers)
+                    })
+                })
+                .collect();
+            let mut stripes: Vec<_> = handles
+                .into_iter()
+                // lint: allow(panic) a worker panic is an algorithm bug; re-raising
+                // it on the caller thread is deliberate panic propagation
+                .map(|h| h.join().expect("worker panicked").into_iter())
+                .collect();
+            // Striping balances mixed lengths without work stealing; deal
+            // the rows back in dataset order.
+            (0..n).filter_map(|i| stripes[i % workers].next()).collect()
+        })
+    };
+    algos.iter().enumerate().map(|(a, algo)| aggregate(algo, thresholds, &rows, a)).collect()
 }
 
-/// [`sweep_algo`] with the dataset fanned across up to `threads` scoped
-/// worker threads (`0` = auto: all available cores, falling back to the
-/// inline path on single-core hosts or when the grid is below 16,384
-/// points × thresholds, too small to amortise thread startup; `1` =
-/// inline with no thread overhead). Each worker owns one
-/// compression [`Workspace`] and one [`EvalWorkspace`] for its whole
-/// stripe; per-trajectory rows are merged back in input order before
-/// aggregation, so the returned sweep is **bit-identical** to the
-/// serial path — parallelism is observable only in wall time.
-///
-/// When a [`traj_obs::trace`] session is active, each worker labels its
-/// own timeline track (`sweep-worker-{w}`) and brackets its stripe in a
-/// `parallel.stripe` span whose value is the stripe's trajectory count.
-///
-/// # Panics
+/// One trajectory's evaluations: per algorithm, one per threshold.
+type Rows = Vec<Vec<Evaluation>>;
+
+/// [`sweep_algos`] for one algorithm, inline. Panics on an empty dataset.
+pub fn sweep_algo(algo: &Algo, dataset: &[Trajectory], thresholds: &[f64]) -> AlgoSweep {
+    sweep_algo_parallel(algo, dataset, thresholds, 1)
+}
+
+/// [`sweep_algos`] for one algorithm, fanned over `threads` workers.
 /// Panics on an empty dataset, or if a worker panics (propagated).
 pub fn sweep_algo_parallel(
     algo: &Algo,
@@ -137,50 +180,10 @@ pub fn sweep_algo_parallel(
     thresholds: &[f64],
     threads: usize,
 ) -> AlgoSweep {
-    let n = dataset.len();
-    // Grid work: every input point is visited once per threshold.
-    let total_points: usize = dataset.iter().map(Trajectory::len).sum();
-    let grid_work = total_points.saturating_mul(thresholds.len().max(1));
-    let workers = auto_workers(threads, n, grid_work);
-    if workers == 1 {
-        return sweep_algo(algo, dataset, thresholds);
-    }
-    let mut slots: Vec<Option<Vec<Evaluation>>> = vec![None; n];
-    std::thread::scope(|scope| {
-        // Striped partition: worker w takes trajectories w, w+workers, …
-        // (no work stealing; striping balances mixed lengths well).
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            handles.push(scope.spawn(move || {
-                if traj_obs::trace::is_active() {
-                    traj_obs::trace::set_track_label(&format!("sweep-worker-{w}"));
-                }
-                let _stripe = traj_obs::trace_span!("parallel.stripe", (n - w).div_ceil(workers));
-                let mut ws = Workspace::new();
-                let mut ews = EvalWorkspace::new();
-                let mut out = Vec::new();
-                let mut i = w;
-                while i < n {
-                    let traj = &dataset[i];
-                    let results = algo.run(traj, thresholds, &mut ws);
-                    out.push((i, evaluate_sweep(traj, &results, &mut ews)));
-                    i += workers;
-                }
-                out
-            }));
-        }
-        for h in handles {
-            // lint: allow(panic) a worker panic is an algorithm bug; re-raising
-            // it on the caller thread is deliberate panic propagation
-            for (i, row) in h.join().expect("worker panicked") {
-                slots[i] = Some(row);
-            }
-        }
-    });
-    aggregate(algo.label(), n, thresholds, slots.into_iter().flatten())
+    sweep_algos(std::slice::from_ref(algo), dataset, thresholds, threads).swap_remove(0)
 }
 
-/// Minimum grid work (input points × thresholds) below which
+/// Minimum grid work (input points × thresholds × algorithms) below which
 /// `threads == 0` auto-sizing stays serial.
 ///
 /// Spawning scoped workers and giving each its own [`Workspace`] costs
@@ -217,17 +220,13 @@ fn auto_workers(requested: usize, items: usize, work_units: usize) -> usize {
     }
 }
 
-/// Shared aggregation: one row of per-threshold [`Evaluation`]s per
-/// trajectory, consumed in dataset order. Per-threshold statistics
-/// accumulate in that order, so any two producers of identical rows
-/// yield bit-identical sweeps — the hinge of the parallel/serial
-/// equivalence guarantee.
-fn aggregate(
-    label: &str,
-    dataset_len: usize,
-    thresholds: &[f64],
-    rows: impl IntoIterator<Item = Vec<Evaluation>>,
-) -> AlgoSweep {
+/// Shared aggregation of `algo`, the `a`-th algorithm: per trajectory,
+/// its row of per-threshold [`Evaluation`]s, consumed in dataset order.
+/// Per-threshold statistics accumulate in that order, so any two
+/// producers of identical rows yield bit-identical sweeps — the hinge of
+/// the parallel/serial equivalence guarantee.
+fn aggregate(algo: &Algo, thresholds: &[f64], rows: &[Rows], a: usize) -> AlgoSweep {
+    let dataset_len = rows.len();
     assert!(dataset_len > 0, "sweep needs a non-empty dataset");
     let nt = thresholds.len();
     let mut comps = vec![Vec::with_capacity(dataset_len); nt];
@@ -235,7 +234,7 @@ fn aggregate(
     let mut perp = vec![0.0f64; nt];
     let mut sed_mean = vec![0.0f64; nt];
     let mut sed_max = vec![0.0f64; nt];
-    for row in rows {
+    for row in rows.iter().map(|r| &r[a]) {
         debug_assert_eq!(row.len(), nt, "one evaluation per threshold");
         for (j, e) in row.iter().enumerate() {
             comps[j].push(e.compression_pct);
@@ -264,7 +263,7 @@ fn aggregate(
         })
         .collect();
     AlgoSweep {
-        label: label.to_string(),
+        label: algo.label().to_string(),
         points,
     }
 }

@@ -19,7 +19,7 @@ use traj_compress::DeadReckoning;
 use traj_gen::{animal_track, paper_dataset, pedestrian_trip, AnimalParams, PedestrianParams};
 use traj_model::Trajectory;
 
-use crate::experiment::{sweep_algo, AlgoSweep};
+use crate::experiment::{sweep_algos, AlgoSweep};
 use crate::figures::{figure, ndp, opw_tr, td_tr, FigureData};
 use crate::registry::Algo;
 
@@ -100,9 +100,9 @@ pub fn noise_ablation(seed: u64, thresholds: &[f64]) -> Vec<(f64, AlgoSweep, Alg
                 ..traj_gen::TripConfig::default()
             };
             let ds = traj_gen::dataset::paper_dataset_with(seed, &cfg);
-            let ndp = sweep_algo(&ndp(), &ds, thresholds);
-            let tdtr = sweep_algo(&td_tr(), &ds, thresholds);
-            (sigma, ndp, tdtr)
+            let mut sweeps = sweep_algos(&[ndp(), td_tr()], &ds, thresholds, 1);
+            let tdtr = sweeps.swap_remove(1);
+            (sigma, sweeps.swap_remove(0), tdtr)
         })
         .collect()
 }
@@ -118,9 +118,9 @@ pub fn sampling_ablation(seed: u64, thresholds: &[f64]) -> Vec<(f64, AlgoSweep, 
                 ..traj_gen::TripConfig::default()
             };
             let ds = traj_gen::dataset::paper_dataset_with(seed, &cfg);
-            let ndp = sweep_algo(&ndp(), &ds, thresholds);
-            let tdtr = sweep_algo(&td_tr(), &ds, thresholds);
-            (interval, ndp, tdtr)
+            let mut sweeps = sweep_algos(&[ndp(), td_tr()], &ds, thresholds, 1);
+            let tdtr = sweeps.swap_remove(1);
+            (interval, sweeps.swap_remove(0), tdtr)
         })
         .collect()
 }

@@ -1,12 +1,12 @@
 //! One constructor per table/figure of the paper's evaluation. A
-//! figure is an id, a title and a list of registry [`Algo`]s, each swept
-//! over the dataset × threshold grid by [`sweep_algo_parallel`].
+//! figure is an id, a title and a list of registry [`Algo`]s, swept
+//! together over the dataset × threshold grid by [`sweep_algos`].
 
 use traj_compress::{OnePassCone, OnePassFit, OpeningWindow, TopDown};
 use traj_model::stats::DatasetStats;
 use traj_model::Trajectory;
 
-use crate::experiment::{sweep_algo_parallel, AlgoSweep, PAPER_SPEED_THRESHOLDS};
+use crate::experiment::{sweep_algos, AlgoSweep, PAPER_SPEED_THRESHOLDS};
 use crate::registry::Algo;
 
 /// The data behind one figure: a set of per-algorithm threshold sweeps.
@@ -32,9 +32,9 @@ pub fn table2(dataset: &[Trajectory]) -> DatasetStats {
     DatasetStats::of(dataset)
 }
 
-/// Sweeps every algorithm of one figure over `dataset` × `thresholds`,
-/// one [`AlgoSweep`] per entry of `algos` in order, each fanned over
-/// `threads` workers (see [`sweep_algo_parallel`]). Every figure, and
+/// Sweeps every algorithm of one figure over `dataset` × `thresholds`
+/// in one [`sweep_algos`] call (one evaluation memo per trajectory for
+/// the whole figure), fanned over `threads` workers. Every figure, and
 /// every extension experiment that prints as one, is built here.
 pub(crate) fn figure(
     id: &'static str,
@@ -44,11 +44,7 @@ pub(crate) fn figure(
     thresholds: &[f64],
     threads: usize,
 ) -> FigureData {
-    let sweeps = algos
-        .iter()
-        .map(|algo| sweep_algo_parallel(algo, dataset, thresholds, threads))
-        .collect();
-    FigureData { id, title, sweeps }
+    FigureData { id, title, sweeps: sweep_algos(algos, dataset, thresholds, threads) }
 }
 
 /// Conventional top-down Douglas–Peucker (perpendicular distance).
@@ -93,9 +89,9 @@ pub fn onepass_algos() -> [Algo; 5] {
 /// Fig. 7: conventional top-down Douglas–Peucker (NDP) versus the
 /// top-down time-ratio algorithm (TD-TR), per distance threshold.
 ///
-/// Each sweep is fanned over `threads` workers (`0` = auto, `1` =
-/// inline), as in every `fig*_threaded`; the figure is bit-identical
-/// for every thread count.
+/// The figure is fanned over `threads` workers (`0` = auto, `1` =
+/// inline), as in every `fig*_threaded`; it is bit-identical for every
+/// thread count.
 pub fn fig7_threaded(dataset: &[Trajectory], thresholds: &[f64], threads: usize) -> FigureData {
     let title = "NDP vs TD-TR: compression and error per distance threshold";
     let algos = [ndp(), td_tr()];

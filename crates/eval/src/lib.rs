@@ -19,9 +19,9 @@
 //! truth behind the root `ALGORITHMS.md` catalog.
 //!
 //! Every figure, and every [`extensions`] experiment, is a list of
-//! registry [`Algo`]s swept by one runner, [`sweep_algo_parallel`]: one
-//! compression pass and one memoized evaluation pass per trajectory,
-//! averaged per threshold.
+//! registry [`Algo`]s swept by one runner, [`sweep_algos`]: per
+//! trajectory, one compression pass per algorithm and one evaluation
+//! memo for them all, averaged per algorithm and threshold.
 //!
 //! All experiments follow the paper's §4.3 protocol: ten trajectories
 //! (the calibrated synthetic dataset of `traj-gen`), fifteen spatial
@@ -41,7 +41,7 @@ pub mod registry;
 pub mod report;
 
 pub use experiment::{
-    sweep_algo, sweep_algo_parallel, AlgoSweep, SweepPoint, PAPER_SPEED_THRESHOLDS,
+    sweep_algo, sweep_algo_parallel, sweep_algos, AlgoSweep, SweepPoint, PAPER_SPEED_THRESHOLDS,
     PAPER_THRESHOLDS,
 };
 pub use registry::{algorithm_catalog, Algo, AlgoMeta, ErrorBound};

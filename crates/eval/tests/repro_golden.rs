@@ -10,9 +10,10 @@
 
 use std::process::Command;
 
-fn assert_stdout_matches(arg: &str, golden: &str) {
+fn assert_stdout_matches(args: &[&str], golden: &str) {
+    let arg = args.join(" ");
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg(arg)
+        .args(args)
         .output()
         .expect("repro must run");
     assert!(
@@ -38,10 +39,17 @@ fn assert_stdout_matches(arg: &str, golden: &str) {
 
 #[test]
 fn repro_all_stdout_is_golden() {
-    assert_stdout_matches("all", include_str!("golden/repro_all.txt"));
+    assert_stdout_matches(&["all"], include_str!("golden/repro_all.txt"));
+}
+
+/// Two workers each sweep a stripe of every figure, all its algorithms
+/// through one memo per trajectory; the output must not change a byte.
+#[test]
+fn repro_all_on_two_workers_stdout_is_golden() {
+    assert_stdout_matches(&["all", "--threads", "2"], include_str!("golden/repro_all.txt"));
 }
 
 #[test]
 fn repro_ext_stdout_is_golden() {
-    assert_stdout_matches("ext", include_str!("golden/repro_ext.txt"));
+    assert_stdout_matches(&["ext"], include_str!("golden/repro_ext.txt"));
 }

@@ -10,8 +10,12 @@ use traj_compress::{
     evaluate, evaluate_sweep, Compressor, DeadReckoning, DouglasPeucker, EvalWorkspace,
     OnePassCone, OnePassFit, OpeningWindow, TdSp, TdTr, TopDown, Workspace,
 };
-use traj_eval::{sweep_algo, sweep_algo_parallel, Algo, PAPER_SPEED_THRESHOLDS, PAPER_THRESHOLDS};
-use traj_model::Fix;
+use traj_eval::{
+    fig10_threaded, fig11_threaded, fig7_threaded, fig8_threaded, fig9_threaded,
+    fig_onepass_threaded, figure_to_csv, sweep_algo, sweep_algo_parallel, Algo, FigureData,
+    PAPER_SPEED_THRESHOLDS, PAPER_THRESHOLDS,
+};
+use traj_model::{Fix, Trajectory};
 
 /// Every opening-window configuration of Figs. 8–11.
 fn figure_windows() -> Vec<(String, OpeningWindow)> {
@@ -207,6 +211,55 @@ fn parallel_sweep_is_bit_identical_to_serial_on_paper_grid() {
         for threads in [0, 2, 3, 8] {
             let par = sweep_algo_parallel(algo, &dataset, &PAPER_THRESHOLDS, threads);
             assert_eq!(par, serial, "{} threads={threads}", algo.label());
+        }
+    }
+}
+
+/// A figure constructor: dataset, thresholds, worker threads.
+type FigureFn = fn(&[Trajectory], &[f64], usize) -> FigureData;
+
+/// The figure-major runner against the algorithm-major one: each figure
+/// sweeps all its algorithms trajectory by trajectory through one
+/// evaluation memo per trajectory, and must print exactly the figure
+/// assembled from one single-algorithm sweep (one memo per algorithm)
+/// per row — at one and at two workers, on two datasets.
+#[test]
+fn figures_equal_one_sweep_per_row_on_paper_grid() {
+    let figures: [FigureFn; 6] = [
+        fig7_threaded,
+        fig8_threaded,
+        fig9_threaded,
+        fig10_threaded,
+        fig11_threaded,
+        fig_onepass_threaded,
+    ];
+    let rows = swept_rows();
+    for seed in [42, 11] {
+        let dataset = traj_gen::paper_dataset(seed);
+        let single: Vec<_> = rows
+            .iter()
+            .map(|(algo, _)| sweep_algo(algo, &dataset, &PAPER_THRESHOLDS))
+            .collect();
+        for figure in figures {
+            for threads in [1, 2] {
+                let fig = figure(&dataset, &PAPER_THRESHOLDS, threads);
+                let sweeps = fig
+                    .sweeps
+                    .iter()
+                    .map(|s| {
+                        let row = single.iter().find(|r| r.label == s.label);
+                        row.unwrap_or_else(|| panic!("no row for {}", s.label)).clone()
+                    })
+                    .collect();
+                let assembled = FigureData { sweeps, ..fig.clone() };
+                assert_eq!(
+                    figure_to_csv(&fig),
+                    figure_to_csv(&assembled),
+                    "{} seed={seed} threads={threads}",
+                    fig.id
+                );
+                assert_eq!(fig, assembled, "{} seed={seed} threads={threads}", fig.id);
+            }
         }
     }
 }

@@ -7,6 +7,7 @@
 //! adds the mover id in front, `id,t,x,y`, one record per line
 //! ([`parse_record`]); every format here shares one line splitter.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
@@ -19,7 +20,7 @@ pub fn to_csv_string(traj: &Trajectory) -> String {
     let mut out = String::with_capacity(traj.len() * 32 + 8);
     out.push_str("t,x,y\n");
     for f in traj.fixes() {
-        out.push_str(&format!("{},{},{}\n", f.t.as_secs(), f.pos.x, f.pos.y));
+        let _ = writeln!(out, "{},{},{}", f.t.as_secs(), f.pos.x, f.pos.y);
     }
     out
 }

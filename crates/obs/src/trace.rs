@@ -5,7 +5,8 @@
 //! the *timeline*: every span begin/end, instant event and counter
 //! sample, stamped with a monotonic nanosecond timestamp and the
 //! recording thread's track id. That is what lets a per-worker view of
-//! `sweep_algo_parallel` show where wall-clock time actually goes.
+//! the experiment runner's parallel sweep show where wall-clock time
+//! actually goes.
 //!
 //! A span is one guard with one pair of clock reads ([`span_with`]):
 //! they stamp its `Begin` and `End`, and their difference is its

@@ -490,17 +490,29 @@ pub fn reconcile(file: &LintFile, violations: &[Violation]) -> Report {
     report
 }
 
-/// Regenerates the `[budget]`, `[[allow]]`, and `[[contract_allow]]`
-/// sections from current findings, keeping `[config]` and `[contracts]`
-/// as parsed. Budgets only ratchet down; if current findings exceed a
-/// budget the regeneration *fails* — the debt must be fixed, or the
-/// budget raised by hand in review.
+/// Rewrites `source` (the text `file` was parsed from) to current
+/// findings, keeping every line it does not have to change: comments,
+/// blank lines, key order and `reason`s all survive. Budgets only
+/// ratchet down; if current findings exceed a budget the regeneration
+/// *fails* — the debt must be fixed, or the budget raised by hand in
+/// review.
+///
+/// Line by line:
+/// * `[budget]` values and `budget_panic` / `budget_alloc` become
+///   `min(findings, budget)`;
+/// * an `[[allow]]` / `[[contract_allow]]` block (its header and the
+///   lines up to the next blank line or header) gets its `count`
+///   updated, or is dropped with the blank line before it when no
+///   finding is left;
+/// * a `[config]` list that [`prune_missing`] shortened is re-rendered;
+/// * entries for findings no block covers are appended after the last
+///   block of their kind (or at the end), a new `[[contract_allow]]`
+///   with a `FIXME` reason that review must replace.
 ///
 /// `contract_actual` maps (path, kind) to the current number of
-/// reachability findings, as produced by [`crate::reach`]. Reasons on
-/// surviving `[[contract_allow]]` entries are preserved; genuinely new
-/// entries get a `FIXME` reason that review must replace.
+/// reachability findings, as produced by [`crate::reach`].
 pub fn regenerate(
+    source: &str,
     file: &LintFile,
     violations: &[Violation],
     contract_actual: &BTreeMap<(String, String), u64>,
@@ -513,17 +525,20 @@ pub fn regenerate(
     }
 
     let mut over = Vec::new();
+    let mut budget: BTreeMap<String, u64> = BTreeMap::new();
     for l in ALL_LINTS {
         let total = totals.get(l.name()).copied().unwrap_or(0);
         let cap = file.budget.get(l.name()).copied().unwrap_or(0);
         if total > cap {
             over.push(format!("{} ({} findings, budget {})", l.name(), total, cap));
         }
+        budget.insert(l.name().to_string(), total.min(cap));
     }
     let mut contract_totals: BTreeMap<&str, u64> = BTreeMap::new();
     for ((_, kind), n) in contract_actual {
         *contract_totals.entry(kind.as_str()).or_default() += n;
     }
+    let mut contract_budget: BTreeMap<String, u64> = BTreeMap::new();
     for (kind, cap) in [
         ("panic", file.contracts.budget_panic),
         ("alloc", file.contracts.budget_alloc),
@@ -532,6 +547,7 @@ pub fn regenerate(
         if total > cap {
             over.push(format!("contract {kind} ({total} findings, budget {cap})"));
         }
+        contract_budget.insert(format!("budget_{kind}"), total.min(cap));
     }
     if !over.is_empty() {
         return Err(format!(
@@ -542,62 +558,145 @@ pub fn regenerate(
     }
 
     let mut out = String::new();
-    out.push_str(HEADER);
-    out.push_str("\n[config]\n");
-    write_list(&mut out, "exclude", &file.config.exclude);
-    write_list(&mut out, "panic_exempt", &file.config.panic_exempt);
-    write_list(&mut out, "float_eq_allow", &file.config.float_eq_allow);
-    write_list(&mut out, "time_cast_allow", &file.config.time_cast_allow);
-    write_list(&mut out, "float_methods", &file.config.float_methods);
-    write_list(&mut out, "time_patterns", &file.config.time_patterns);
-
-    out.push_str("\n# Ratchet: max total findings per lint. Down is progress; up is a review.\n");
-    out.push_str("[budget]\n");
-    for l in ALL_LINTS {
-        let total = totals.get(l.name()).copied().unwrap_or(0);
-        let old = file.budget.get(l.name()).copied().unwrap_or(0);
-        let _ = writeln!(out, "{} = {}", l.name(), total.min(old));
+    let mut section = String::new();
+    // Findings no block has claimed yet, and where the last block of
+    // each kind ends.
+    let mut allow_left = per_file;
+    let mut contract_left = contract_actual.clone();
+    let (mut allow_end, mut contract_end) = (None, None);
+    let mut lines = source.lines().peekable();
+    while let Some(raw) = lines.next() {
+        let code = strip_comment(raw).trim();
+        if let Some(name) = code.strip_prefix("[[").and_then(|c| c.strip_suffix("]]")) {
+            let mut block = vec![raw.to_string()];
+            while let Some(line) = lines.next_if(|l| {
+                !l.trim().is_empty() && !strip_comment(l).trim().starts_with('[')
+            }) {
+                block.push(line.to_string());
+            }
+            let mut keys: BTreeMap<String, String> = BTreeMap::new();
+            for line in block.iter().skip(1) {
+                if let Ok((key, Value::Str(v))) = parse_kv(strip_comment(line).trim()) {
+                    keys.insert(key, v);
+                }
+            }
+            let field = |k: &str| keys.get(k).cloned().unwrap_or_default();
+            // A second block for the same key finds nothing left: dropped.
+            let count = if name == "allow" {
+                allow_left.remove(&(field("lint"), field("path")))
+            } else {
+                contract_left.remove(&(field("path"), field("kind")))
+            }
+            .unwrap_or(0);
+            if count == 0 {
+                // Dropped: take the blank line that separated it too.
+                if out.ends_with("\n\n") {
+                    out.pop();
+                }
+                continue;
+            }
+            for line in &block {
+                let key = strip_comment(line).split('=').next().map(str::trim);
+                let text = if key == Some("count") { with_int(line, count) } else { line.clone() };
+                out.push_str(&text);
+                out.push('\n');
+            }
+            if name == "allow" {
+                allow_end = Some(out.len());
+            } else {
+                contract_end = Some(out.len());
+            }
+            continue;
+        }
+        if let Some(name) = code.strip_prefix('[').and_then(|c| c.strip_suffix(']')) {
+            section = name.to_string();
+        }
+        // One logical line: a multi-line array runs to its closing `]`.
+        let mut logical = vec![raw];
+        let mut joined = code.to_string();
+        while !balanced(&joined) {
+            let Some(line) = lines.next() else { break };
+            logical.push(line);
+            joined.push(' ');
+            joined.push_str(strip_comment(line).trim());
+        }
+        let key = joined.split('=').next().unwrap_or_default().trim().to_string();
+        let new_int = match section.as_str() {
+            "budget" => budget.get(&key),
+            "contracts" => contract_budget.get(&key),
+            _ => None,
+        };
+        let pruned_list = match (section.as_str(), parse_kv(&joined)) {
+            ("config", Ok((_, Value::List(old)))) => {
+                config_list(&file.config, &key).filter(|new| **new != old)
+            }
+            _ => None,
+        };
+        if let Some(&n) = new_int {
+            out.push_str(&with_int(raw, n));
+            out.push('\n');
+        } else if let Some(items) = pruned_list {
+            write_list(&mut out, &key, items);
+        } else {
+            for line in logical {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
     }
 
-    out.push_str("\n# Reachability contracts for `cargo xtask reach`: these functions\n");
-    out.push_str("# must be panic-free and allocation-free (see tools/xtask/README.md).\n");
-    out.push_str("[contracts]\n");
-    write_list(&mut out, "roots", &file.contracts.roots);
-    write_list(&mut out, "assume_clean", &file.contracts.assume_clean);
-    write_list(&mut out, "int_div_patterns", &file.contracts.int_div_patterns);
-    for (kind, cap) in [
-        ("panic", file.contracts.budget_panic),
-        ("alloc", file.contracts.budget_alloc),
-    ] {
-        let total = contract_totals.get(kind).copied().unwrap_or(0);
-        let _ = writeln!(out, "budget_{kind} = {}", total.min(cap));
+    let mut new_allows = String::new();
+    for ((lint, path), count) in &allow_left {
+        let _ = write!(
+            new_allows,
+            "\n[[allow]]\nlint = \"{lint}\"\npath = \"{path}\"\ncount = {count}\n"
+        );
     }
-
-    out.push_str("\n# Grandfathered findings, exact counts. Regenerate with\n");
-    out.push_str("# `cargo xtask lint --fix-allowlist` after paying debt down.\n");
-    for ((lint, path), count) in &per_file {
-        out.push('\n');
-        out.push_str("[[allow]]\n");
-        let _ = writeln!(out, "lint = \"{lint}\"");
-        let _ = writeln!(out, "path = \"{path}\"");
-        let _ = writeln!(out, "count = {count}");
+    let mut new_contracts = String::new();
+    for ((path, kind), count) in contract_left.iter().filter(|(_, &n)| n > 0) {
+        let _ = write!(
+            new_contracts,
+            "\n[[contract_allow]]\npath = \"{path}\"\nkind = \"{kind}\"\ncount = {count}\n\
+             reason = \"FIXME: justify this entry\"\n"
+        );
     }
-
-    for ((path, kind), count) in contract_actual {
-        let reason = file
-            .contract_allows
-            .iter()
-            .find(|a| &a.path == path && &a.kind == kind)
-            .map(|a| a.reason.clone())
-            .unwrap_or_else(|| "FIXME: justify this entry".to_string());
-        out.push('\n');
-        out.push_str("[[contract_allow]]\n");
-        let _ = writeln!(out, "path = \"{path}\"");
-        let _ = writeln!(out, "kind = \"{kind}\"");
-        let _ = writeln!(out, "count = {count}");
-        let _ = writeln!(out, "reason = \"{reason}\"");
+    let a = allow_end.unwrap_or(out.len());
+    let c = contract_end.unwrap_or(out.len());
+    // The later offset first, so the earlier stays valid; at equal
+    // offsets the allow entries end up first.
+    if c >= a {
+        out.insert_str(c, &new_contracts);
+        out.insert_str(a, &new_allows);
+    } else {
+        out.insert_str(a, &new_allows);
+        out.insert_str(c, &new_contracts);
     }
     Ok(out)
+}
+
+/// `raw`, a `key = integer` line, with its integer set to `value`;
+/// the key, indentation and any trailing comment are kept, and an
+/// unchanged value returns the line as it was.
+fn with_int(raw: &str, value: u64) -> String {
+    let code = strip_comment(raw).trim_end();
+    let tail = &raw[code.len()..];
+    match code.split_once('=') {
+        Some((key, old)) if old.trim() != value.to_string() => format!("{key}= {value}{tail}"),
+        _ => raw.to_string(),
+    }
+}
+
+/// The `[config]` list named `key`.
+fn config_list<'a>(config: &'a Config, key: &str) -> Option<&'a Vec<String>> {
+    match key {
+        "exclude" => Some(&config.exclude),
+        "panic_exempt" => Some(&config.panic_exempt),
+        "float_eq_allow" => Some(&config.float_eq_allow),
+        "time_cast_allow" => Some(&config.time_cast_allow),
+        "float_methods" => Some(&config.float_methods),
+        "time_patterns" => Some(&config.time_patterns),
+        _ => None,
+    }
 }
 
 /// Drops allowlist entries and config path references that point at
@@ -642,11 +741,6 @@ pub fn prune_missing(file: &mut LintFile, exists: &dyn Fn(&str) -> bool) -> Vec<
     });
     pruned
 }
-
-const HEADER: &str = "\
-# Static-analysis gate configuration for `cargo xtask lint`.
-# See tools/xtask/README.md for the lint catalog and escape hatch.
-";
 
 fn write_list(out: &mut String, key: &str, items: &[String]) {
     let _ = write!(out, "{key} = [");
@@ -790,7 +884,7 @@ count = 1
         let f = parse(SAMPLE).unwrap();
         // One finding left: budget must drop to 1, entries collapse.
         let found = vec![v(Lint::Panic, "crates/store/src/wal.rs", 5)];
-        let text = regenerate(&f, &found, &BTreeMap::new()).unwrap();
+        let text = regenerate(SAMPLE, &f, &found, &BTreeMap::new()).unwrap();
         let again = parse(&text).unwrap();
         assert_eq!(again.budget["panic"], 1);
         assert_eq!(again.allows.len(), 1);
@@ -798,13 +892,14 @@ count = 1
 
         // Over budget: refuse.
         let many: Vec<_> = (0..5).map(|i| v(Lint::Panic, "crates/store/src/wal.rs", i)).collect();
-        assert!(regenerate(&f, &many, &BTreeMap::new()).unwrap_err().contains("never grows"));
+        let err = regenerate(SAMPLE, &f, &many, &BTreeMap::new()).unwrap_err();
+        assert!(err.contains("never grows"));
     }
 
     #[test]
     fn roundtrip_preserves_config() {
         let f = parse(SAMPLE).unwrap();
-        let text = regenerate(&f, &[], &BTreeMap::new()).unwrap();
+        let text = regenerate(SAMPLE, &f, &[], &BTreeMap::new()).unwrap();
         let again = parse(&text).unwrap();
         assert_eq!(again.config.float_methods, f.config.float_methods);
         assert_eq!(again.config.exclude, f.config.exclude);
@@ -875,7 +970,7 @@ reason = "pushes into capacity-reserved workspace buffers"
         let f = parse(CONTRACT_SAMPLE).unwrap();
         let mut actual = BTreeMap::new();
         actual.insert(("crates/core/src/one_pass.rs".to_string(), "alloc".to_string()), 1u64);
-        let text = regenerate(&f, &[], &actual).unwrap();
+        let text = regenerate(CONTRACT_SAMPLE, &f, &[], &actual).unwrap();
         let again = parse(&text).unwrap();
         assert_eq!(again.contracts.roots, f.contracts.roots);
         assert_eq!(again.contracts.assume_clean, f.contracts.assume_clean);
@@ -891,8 +986,128 @@ reason = "pushes into capacity-reserved workspace buffers"
         let f = parse(CONTRACT_SAMPLE).unwrap();
         let mut actual = BTreeMap::new();
         actual.insert(("crates/core/src/one_pass.rs".to_string(), "panic".to_string()), 3u64);
-        let err = regenerate(&f, &[], &actual).unwrap_err();
+        let err = regenerate(CONTRACT_SAMPLE, &f, &[], &actual).unwrap_err();
         assert!(err.contains("contract panic"), "{err}");
+    }
+
+    /// Comments in every section, including inside arrays and blocks.
+    const COMMENTED: &str = r#"# Header comment.
+
+[config]
+# config comment
+exclude = [
+    # why vendor is excluded
+    "vendor/",
+]
+panic_exempt = []  # trailing comment
+float_eq_allow = []
+time_cast_allow = []
+float_methods = []
+time_patterns = []
+
+# budget comment
+[budget]
+float_eq = 0
+panic = 3  # ratcheted in review
+safety = 0
+ordering = 0
+time_cast = 0
+
+[contracts]
+roots = [
+    # group comment
+    "compress_into",
+]
+assume_clean = []
+int_div_patterns = []
+# budget history: 5 → 3
+budget_panic = 3
+budget_alloc = 2
+
+# Grandfathered findings.
+
+[[allow]]
+lint = "panic"
+path = "a.rs"
+count = 2
+
+[[allow]]
+# note inside a block
+lint = "panic"
+path = "b.rs"
+count = 1
+
+[[contract_allow]]
+path = "c.rs"
+kind = "panic"
+count = 3
+reason = "kept reason"
+
+[[contract_allow]]
+path = "d.rs"
+kind = "alloc"
+count = 2
+reason = "gone soon"
+
+# trailing comment
+"#;
+
+    fn contract_counts(entries: &[(&str, &str, u64)]) -> BTreeMap<(String, String), u64> {
+        entries.iter().map(|&(p, k, n)| ((p.to_string(), k.to_string()), n)).collect()
+    }
+
+    #[test]
+    fn regenerate_with_unchanged_counts_keeps_the_file_byte_for_byte() {
+        let f = parse(COMMENTED).unwrap();
+        let found =
+            [v(Lint::Panic, "a.rs", 1), v(Lint::Panic, "a.rs", 2), v(Lint::Panic, "b.rs", 1)];
+        let actual = contract_counts(&[("c.rs", "panic", 3), ("d.rs", "alloc", 2)]);
+        assert_eq!(regenerate(COMMENTED, &f, &found, &actual).unwrap(), COMMENTED);
+    }
+
+    #[test]
+    fn regenerate_updates_counts_prunes_and_appends_keeping_comments() {
+        let f = parse(COMMENTED).unwrap();
+        // a.rs falls to 1, b.rs and d.rs are gone, e.rs and f.rs are new.
+        let found = [v(Lint::Panic, "a.rs", 1), v(Lint::Panic, "e.rs", 1)];
+        let actual = contract_counts(&[("c.rs", "panic", 2), ("f.rs", "alloc", 1)]);
+        let text = regenerate(COMMENTED, &f, &found, &actual).unwrap();
+        // b.rs's block (with the comment inside it) and d.rs's go; e.rs
+        // and f.rs take their places after the last block of their kind.
+        let b = "[[allow]]\n# note inside a block\nlint = \"panic\"\npath = \"b.rs\"\ncount = 1\n";
+        let e = "[[allow]]\nlint = \"panic\"\npath = \"e.rs\"\ncount = 1\n";
+        let d = "[[contract_allow]]\npath = \"d.rs\"\nkind = \"alloc\"\ncount = 2\n\
+                 reason = \"gone soon\"\n";
+        let f_new = "[[contract_allow]]\npath = \"f.rs\"\nkind = \"alloc\"\ncount = 1\n\
+                     reason = \"FIXME: justify this entry\"\n";
+        let expected = COMMENTED
+            .replace("panic = 3  #", "panic = 2  #")
+            .replace("budget_panic = 3", "budget_panic = 2")
+            .replace("budget_alloc = 2", "budget_alloc = 1")
+            .replace("path = \"a.rs\"\ncount = 2", "path = \"a.rs\"\ncount = 1")
+            .replace(b, e)
+            .replace("count = 3\nreason = \"kept", "count = 2\nreason = \"kept")
+            .replace(d, f_new);
+        assert_eq!(text, expected);
+        for line in COMMENTED.lines().filter(|l| l.trim_start().starts_with('#')) {
+            if line != "# note inside a block" {
+                assert!(text.contains(line), "lost comment {line:?}");
+            }
+        }
+        let again = parse(&text).unwrap();
+        assert!(reconcile(&again, &found).is_clean());
+        assert_eq!(again.contract_allows.len(), 2);
+    }
+
+    #[test]
+    fn regenerate_rerenders_a_pruned_config_list_only() {
+        let mut f = parse(SAMPLE).unwrap();
+        f.config.exclude.retain(|p| p != "target/");
+        let text = regenerate(SAMPLE, &f, &[], &BTreeMap::new()).unwrap();
+        assert!(text.contains("exclude = [\n    \"vendor/\",\n]\n"), "{text}");
+        let untouched = "time_patterns = [\".as_secs()\"]\n";
+        assert!(text.contains(untouched), "an untouched list stays as written");
+        assert_eq!(parse(&text).unwrap().config.exclude, vec!["vendor/"]);
     }
 
     #[test]

@@ -60,10 +60,14 @@ pub fn run(root: &Path, file: &LintFile) -> Result<Outcome, String> {
 }
 
 /// `--fix-allowlist`: rewrites `lint.toml` from current findings,
-/// ratcheting budgets down. Entries (and config path references) for
+/// ratcheting budgets down and keeping every line it need not change
+/// (see [`regenerate`]). Entries (and config path references) for
 /// files that no longer exist are pruned first, so deleted code cannot
 /// leave debt behind. Fails if any budget would need to grow.
 pub fn fix_allowlist(root: &Path, file: &LintFile, violations: &[Violation]) -> Result<(), String> {
+    let path = root.join(LINT_TOML);
+    let source = fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let mut file = file.clone();
     let pruned = allowlist::prune_missing(&mut file, &|rel| root.join(rel).exists());
     for p in &pruned {
@@ -77,7 +81,6 @@ pub fn fix_allowlist(root: &Path, file: &LintFile, violations: &[Violation]) -> 
         let analysis = reach::analyze(root, &file)?;
         reach::group_findings(&analysis.findings)
     };
-    let text = regenerate(&file, violations, &contract_actual)?;
-    let path = root.join(LINT_TOML);
+    let text = regenerate(&source, &file, violations, &contract_actual)?;
     fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
