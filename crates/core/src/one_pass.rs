@@ -197,6 +197,12 @@ fn rel(anchor: &Fix, fix: &Fix) -> (f64, Vec2) {
 /// it), the region restarts, and `fix` is re-processed against the fresh
 /// anchor (trivially feasible, so every point is handled at most twice).
 /// Returns `true` on a close.
+///
+/// A region that has absorbed no point (`prev` is the anchor) accepts
+/// `fix` whatever its velocity: the segment anchor → `fix` covers no
+/// point, and closing would close at the anchor itself. The half-plane
+/// tests alone would refuse a velocity with an infinite component (finite
+/// coordinates whose difference overflows), since `0·∞` is NaN.
 #[inline]
 pub(crate) fn one_pass_step<R: Region>(
     region: &mut R,
@@ -206,7 +212,7 @@ pub(crate) fn one_pass_step<R: Region>(
     fix: Fix,
 ) -> bool {
     let (c, u) = rel(anchor, &fix);
-    if region.contains(u) {
+    if prev.t == anchor.t || region.contains(u) {
         // Feasible end point: record it, then constrain future ends by
         // its own disk (it is interior to any longer segment).
         region.add(u, epsilon / c);
@@ -473,6 +479,21 @@ mod tests {
         ] {
             let r = c.compress(&t);
             assert_eq!(r.kept(), &[0, 19], "{}", c.name());
+        }
+    }
+
+    #[test]
+    fn a_fresh_region_accepts_its_first_point_whatever_its_velocity() {
+        // Finite coordinates whose difference overflows: the velocity to
+        // the second fix is (0, −∞), and a half-plane test `1·0 + 0·(−∞)`
+        // is NaN, so the fresh cone region refuses it. Closing there
+        // would close at the anchor itself and keep index 0 twice.
+        let t = Trajectory::from_triples([(0.0, 0.0, 1e308), (1.0, 0.0, -1e308), (2.0, 0.0, 0.0)])
+            .unwrap();
+        for c in all() {
+            let r = c.compress(&t);
+            assert!(r.kept().windows(2).all(|w| w[0] < w[1]), "{}: {:?}", c.name(), r.kept());
+            assert_eq!(r.kept(), &[0, 1, 2], "{}", c.name());
         }
     }
 

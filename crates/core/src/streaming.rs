@@ -653,6 +653,20 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_stream_emits_each_fix_once_when_a_velocity_overflows() {
+        // The velocity from (0, 1e308) to (0, −1e308) in 1 s is (0, −∞).
+        let t = Trajectory::from_triples([(0.0, 0.0, 1e308), (1.0, 0.0, -1e308), (2.0, 0.0, 0.0)])
+            .unwrap();
+        for eps in [0.0, 5.0] {
+            let streamed = run_stream(OnePassStream::cone(eps), &t);
+            assert_eq!(streamed, t.fixes(), "cone eps {eps}");
+            assert_eq!(streamed, kept_fixes(&t, &OnePassCone::new(eps)), "cone eps {eps}");
+            let fit = kept_fixes(&t, &OnePassFit::new(eps));
+            assert_eq!(run_stream(OnePassStream::fit(eps), &t), fit, "fit eps {eps}");
+        }
+    }
+
+    #[test]
     fn first_fix_emitted_immediately() {
         let f0 = Fix::from_parts(0.0, 1.0, 2.0);
         let mut ow = OwStream::opw_tr(10.0);

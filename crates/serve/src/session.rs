@@ -19,7 +19,7 @@
 //! bound covers them. `raw` sessions keep the exact per-fix durability
 //! of the store layer. A clean shutdown finishes every session, so
 //! nothing is lost in the graceful case either way. Making an ack mean
-//! "within ε of the recovered trajectory" is ROADMAP item 1.
+//! "within ε of the recovered trajectory" is ROADMAP item 2.
 
 use traj_compress::streaming::{OnePassStream, OwStream, PassThrough, StreamingCompressor};
 

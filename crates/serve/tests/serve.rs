@@ -428,6 +428,41 @@ fn restart_rejects_fixes_older_than_recovered_history() {
     assert_eq!((t.fixes()[0].t, t.last().t), (fix_at(0).t, fix_at(30).t));
 }
 
+/// An op-cone session whose first velocity overflows (finite
+/// coordinates 2e308 m apart) emits each fix once: the shard logs and
+/// acks all five records, and no storage failure stops it.
+#[test]
+fn op_cone_sessions_with_an_overflowing_velocity_ack_every_fix() {
+    let disk = Arc::new(MemStorage::new());
+    let cfg =
+        ServeConfig { shards: 1, codec: CodecSpec::default_with(5.0), ..ServeConfig::default() };
+    let service = Service::start_with(disk.clone(), Path::new(DIR), cfg).unwrap();
+    let records = [
+        (1, 0.0, 0.0, 1e308),
+        (1, 1.0, 0.0, -1e308),
+        (1, 2.0, 0.0, 0.0),
+        (2, 0.0, 0.0, 0.0),
+        (2, 1.0, 1.0, 1.0),
+    ];
+    for (id, t, x, y) in records {
+        service.submit(id, traj_model::Fix::from_parts(t, x, y)).unwrap();
+    }
+    let stats = service.shutdown().unwrap();
+    assert!(stats.errors.is_empty(), "{:?}", stats.errors);
+    assert_eq!((stats.acked, stats.invalid), (5, 0));
+    assert_eq!(stats.emitted, 5, "three fixes of mover 1, two of mover 2");
+    let (store, report) = DurableStore::open_with(
+        disk,
+        &Path::new(DIR).join("shard-0"),
+        IngestMode::Raw,
+        DurableOptions::default(),
+    )
+    .unwrap();
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(store.store().stored_fixes(1).unwrap().len(), 3);
+    assert_eq!(store.store().stored_fixes(2).unwrap().len(), 2);
+}
+
 /// A shard count the service cannot run is refused before any shard
 /// store opens: no directory is created and no worker thread starts. A
 /// count of `usize::MAX` used to reach `Vec::with_capacity` first.

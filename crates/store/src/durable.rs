@@ -1,4 +1,4 @@
-//! Durable ingest: WAL-before-acknowledge, atomic snapshots, recovery.
+//! Durable ingest: WAL-before-acknowledge, atomic checkpoints, recovery.
 //!
 //! [`DurableStore`] wraps [`MovingObjectStore`] with the durability
 //! contract the paper's fleet scenario (§1) needs: a reported fix that
@@ -6,28 +6,28 @@
 //!
 //! * every accepted fix is appended to the [write-ahead log](crate::wal)
 //!   and fsynced *before* `append` returns;
-//! * [`DurableStore::snapshot`] persists the in-memory state with the
-//!   atomic, checksummed writer of [`crate::persist`] and then truncates
-//!   the WAL — the snapshot plus the (now empty) log always cover every
+//! * [`DurableStore::snapshot`] writes the in-memory state as one sealed
+//!   checkpoint file in the WAL's own record framing and then truncates
+//!   the WAL — the checkpoint plus the (now empty) log always cover every
 //!   acknowledged fix;
-//! * [`DurableStore::open`] recovers: load the latest snapshot, replay
-//!   the WAL tail over it, skip records the snapshot already covers
-//!   (timestamps are strictly monotone per object, so coverage is a
-//!   simple time comparison), and report torn/corrupt records instead
-//!   of tripping over them.
+//! * [`DurableStore::open`] recovers: load the checkpoint (whole, or
+//!   refuse it), replay the WAL tail over it, skip records the checkpoint
+//!   already covers (timestamps are strictly monotone per object, so
+//!   coverage is a simple time comparison), and report torn/corrupt
+//!   records instead of tripping over them.
 //!
-//! Why replay can double-see records: the snapshot commit point is the
-//! per-file rename, but WAL truncation happens *after* all renames — a
-//! crash between the two leaves a complete snapshot *and* a full log.
-//! Replay dedup by timestamp makes that window harmless. The full
-//! failure model is spelled out in `crates/store/README.md`.
+//! Why replay can double-see records: the checkpoint's commit point is
+//! its rename, but WAL truncation happens *after* it — a crash between
+//! the two leaves a complete checkpoint *and* a full log. Replay dedup
+//! by timestamp makes that window harmless. The full failure model is
+//! spelled out in `crates/store/README.md`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use traj_model::Fix;
 
-use crate::persist;
+use crate::persist::{load_checkpoint, write_checkpoint};
 use crate::storage::{FsStorage, Storage};
 use crate::store::{check_next, IngestMode, MovingObjectStore, ObjectId, StoreError};
 use crate::wal::{replay_dir, Wal, WalOptions};
@@ -42,15 +42,15 @@ pub struct DurableOptions {
 /// What [`DurableStore::open`] found and did while recovering.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Objects restored from the snapshot directory.
+    /// Objects restored from the checkpoint.
     pub snapshot_objects: usize,
-    /// Fixes restored from the snapshot directory.
+    /// Fixes restored from the checkpoint.
     pub snapshot_fixes: usize,
     /// WAL segment files scanned.
     pub wal_segments: usize,
     /// WAL records replayed into the store.
     pub replayed: usize,
-    /// WAL records skipped because the snapshot already covered them.
+    /// WAL records skipped because the checkpoint already covered them.
     pub skipped_covered: usize,
     /// WAL records skipped as corrupt (checksum mismatch or undecodable).
     pub skipped_corrupt: usize,
@@ -69,10 +69,10 @@ impl RecoveryReport {
 
 /// A [`MovingObjectStore`] with a durable ingest path.
 ///
-/// On-disk layout under the store directory: `snapshot/<id>.csv`
-/// (atomic, checksummed, written by [`DurableStore::snapshot`]) and
-/// `wal/wal-<seq>.log` (the append log). See `crates/store/README.md`
-/// for the byte-level formats.
+/// On-disk layout under the store directory: `snapshot/checkpoint.log`
+/// (sealed, published by rename, written by [`DurableStore::snapshot`])
+/// and `wal/wal-<seq>.log` (the append log), both in one record
+/// framing. See `crates/store/README.md` for the byte-level format.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -115,13 +115,15 @@ impl std::fmt::Debug for DurableStore {
     }
 }
 
-fn io_err(path: &Path, source: std::io::Error) -> StoreError {
+pub(crate) fn io_err(path: &Path, source: std::io::Error) -> StoreError {
     StoreError::Storage { path: path.to_path_buf(), source }
 }
 
 impl DurableStore {
     /// Snapshot subdirectory name under the store directory.
     pub const SNAPSHOT_DIR: &'static str = "snapshot";
+    /// The checkpoint's file name inside [`DurableStore::SNAPSHOT_DIR`].
+    pub const CHECKPOINT_FILE: &'static str = "checkpoint.log";
     /// WAL subdirectory name under the store directory.
     pub const WAL_DIR: &'static str = "wal";
 
@@ -129,9 +131,10 @@ impl DurableStore {
     /// filesystem, creating the directory tree on first use.
     ///
     /// # Errors
-    /// Backend I/O failures and snapshot corruption
-    /// ([`StoreError::Corrupt`] — snapshot files, unlike WAL records,
-    /// have no younger redundant copy, so rot there is surfaced loudly
+    /// Backend I/O failures, a damaged checkpoint, and a `snapshot/*.csv`
+    /// file of the older one-file-per-object format
+    /// ([`StoreError::Corrupt`] — a checkpoint, unlike a WAL record, has
+    /// no younger redundant copy, so damage there is surfaced loudly
     /// rather than skipped).
     pub fn open(
         dir: &Path,
@@ -158,27 +161,35 @@ impl DurableStore {
 
         let mut report = RecoveryReport::default();
 
-        // 1. Sweep temp files an interrupted snapshot left behind; their
-        //    contents were never published.
+        // 1. Sweep temp files an interrupted snapshot left behind (their
+        //    contents were never published), and refuse snapshot files
+        //    of the older format: the log they covered was truncated, so
+        //    skipping them would lose their fixes.
+        let mut checkpoint = None;
         for path in storage.list(&snap_dir).map_err(|e| io_err(&snap_dir, e))? {
             if path.extension().is_some_and(|e| e == "tmp") {
                 storage.remove_file(&path).map_err(|e| io_err(&path, e))?;
+            } else if path.extension().is_some_and(|e| e == "csv") {
+                let detail = format!(
+                    "a snapshot file of the older one-CSV-per-object format, the only copy \
+                     of its fixes; this version reads only {}",
+                    Self::CHECKPOINT_FILE
+                );
+                return Err(StoreError::Corrupt { path, detail });
+            } else if path.file_name().is_some_and(|n| n == Self::CHECKPOINT_FILE) {
+                checkpoint = Some(path);
             }
         }
 
-        // 2. Load the snapshot: verified, installed without
-        //    re-compression, then rebased onto the configured mode.
-        let loaded = persist::load_dir_with(storage.as_ref(), &snap_dir)?;
+        // 2. Load the checkpoint, whole or not at all, installed without
+        //    re-compression in the configured mode.
         let mut store = MovingObjectStore::new(mode);
-        for id in loaded.object_ids().collect::<Vec<_>>() {
-            let Some(fixes) = loaded.stored_fixes(id) else { continue };
-            report.snapshot_objects += 1;
-            report.snapshot_fixes += fixes.len();
-            store.restore_trajectory(id, fixes)?;
+        if let Some(path) = checkpoint {
+            load_checkpoint(storage.as_ref(), &path, &mut store, &mut report)?;
         }
 
         // 3. Replay the WAL tail. Records at or before an object's
-        //    restored end are already covered by the snapshot.
+        //    restored end are already covered by the checkpoint.
         let (records, summary) = replay_dir(storage.as_ref(), &wal_dir)?;
         report.wal_segments = summary.segments;
         report.skipped_corrupt = summary.corrupt_skipped;
@@ -229,31 +240,37 @@ impl DurableStore {
         self.store.append(id, fix)
     }
 
-    /// Persists the current state as an atomic, checksummed snapshot and
-    /// truncates the WAL. Returns the number of object files written.
+    /// Persists the current state as one sealed checkpoint and truncates
+    /// the WAL. Returns the number of objects written.
     ///
-    /// Crash safety: each object file is published by rename; the WAL is
-    /// deleted only after every file (and the directory entry) is
-    /// durable. A crash anywhere in between leaves snapshot + log
-    /// together covering every acknowledged fix, which recovery
-    /// reconciles by timestamp.
+    /// Crash safety: the checkpoint is written to a temporary file,
+    /// fsynced, published by rename over `snapshot/checkpoint.log`, and
+    /// the directory is fsynced; the WAL is deleted only after that. A
+    /// crash anywhere in between leaves the old or the new checkpoint
+    /// plus the log, together covering every acknowledged fix, which
+    /// recovery reconciles by timestamp.
     ///
     /// # Errors
-    /// Backend I/O failures; the WAL is left untouched unless every
-    /// snapshot file made it to disk.
+    /// Backend I/O failures; the WAL is left untouched unless the
+    /// checkpoint made it to disk.
     pub fn snapshot(&mut self) -> Result<usize, StoreError> {
         let _span = traj_obs::trace_span!("store.snapshot");
         let snap_dir = self.dir.join(Self::SNAPSHOT_DIR);
-        let written = persist::save_dir_with(self.storage.as_ref(), &self.store, &snap_dir)?;
+        let tmp = snap_dir.join("checkpoint.tmp");
+        let path = snap_dir.join(Self::CHECKPOINT_FILE);
+        let objects = write_checkpoint(self.storage.as_ref(), &self.store, &tmp)?;
+        self.storage.rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        self.storage.sync_dir(&snap_dir).map_err(|e| io_err(&snap_dir, e))?;
         self.wal.truncate()?;
-        Ok(written)
+        Ok(objects)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemStorage;
+    use crate::storage::{crc32, MemStorage};
+    use crate::wal::{encode_record, FIX_PAYLOAD_BYTES, RECORD_HEADER_BYTES, SEGMENT_MAGIC};
 
     fn open_mem(
         disk: &Arc<MemStorage>,
@@ -412,6 +429,16 @@ mod tests {
         assert_eq!(report.replayed, 1, "only the accepted fix was logged");
     }
 
+    /// The checkpoint's path in the tests' store.
+    fn checkpoint() -> PathBuf {
+        Path::new("/db").join(DurableStore::SNAPSHOT_DIR).join(DurableStore::CHECKPOINT_FILE)
+    }
+
+    fn reopen(disk: &Arc<MemStorage>) -> Result<(DurableStore, RecoveryReport), StoreError> {
+        let opts = DurableOptions::default();
+        DurableStore::open_with(disk.clone(), Path::new("/db"), IngestMode::Raw, opts)
+    }
+
     #[test]
     fn corrupt_snapshot_fails_loudly() {
         let disk = Arc::new(MemStorage::new());
@@ -421,16 +448,114 @@ mod tests {
         }
         s.snapshot().unwrap();
         drop(s);
-        let snap = Path::new("/db/snapshot/3.csv");
-        let n = disk.file(snap).unwrap().len();
-        assert!(disk.corrupt_byte(snap, n / 2, 0x08));
-        let err = DurableStore::open_with(
-            disk.clone(),
-            Path::new("/db"),
-            IngestMode::Raw,
-            DurableOptions::default(),
-        )
-        .unwrap_err();
+        let n = disk.file(&checkpoint()).unwrap().len();
+        assert!(disk.corrupt_byte(&checkpoint(), n / 2, 0x08));
+        let err = reopen(&disk).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("checkpoint.log"), "{err}");
+    }
+
+    #[test]
+    fn snapshot_writes_one_sealed_segment() {
+        let disk = Arc::new(MemStorage::new());
+        let (mut s, _) = open_mem(&disk, IngestMode::Raw);
+        for i in 0..4 {
+            s.append(2, fix(i as f64)).unwrap();
+            s.append(1, fix(i as f64 + 0.5)).unwrap();
+        }
+        assert_eq!(s.snapshot().unwrap(), 2);
+        assert_eq!(disk.file_paths(), vec![checkpoint()], "one file; the log is truncated");
+        let bytes = disk.file(&checkpoint()).unwrap();
+        let record = RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES;
+        assert_eq!(bytes.len(), SEGMENT_MAGIC.len() + 8 * record + 4);
+        // The WAL's magic, then object 1's records before object 2's.
+        assert_eq!(&bytes[..8], SEGMENT_MAGIC);
+        let mut first = Vec::new();
+        encode_record(&mut first, 1, &fix(0.5));
+        assert_eq!(&bytes[8..8 + record], first.as_slice());
+        // The seal is the CRC-32 of every byte before it.
+        let (body, seal) = bytes.split_at(bytes.len() - 4);
+        assert_eq!(seal, crc32(body).to_le_bytes());
+    }
+
+    #[test]
+    fn a_sealed_checkpoint_with_an_object_in_two_runs_is_refused() {
+        let disk = Arc::new(MemStorage::new());
+        drop(open_mem(&disk, IngestMode::Raw));
+        let mut bytes = SEGMENT_MAGIC.to_vec();
+        for (id, t) in [(1, 0.0), (2, 0.0), (1, 1.0)] {
+            encode_record(&mut bytes, id, &fix(t));
+        }
+        let seal = crc32(&bytes);
+        bytes.extend_from_slice(&seal.to_le_bytes());
+        disk.create(&checkpoint()).unwrap().write_all(&bytes).unwrap();
+        let err = reopen(&disk).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("object 1 is split"), "{err}");
+    }
+
+    #[test]
+    fn an_older_csv_snapshot_is_refused_by_name() {
+        let disk = Arc::new(MemStorage::new());
+        drop(open_mem(&disk, IngestMode::Raw));
+        let (old, text) = (Path::new("/db/snapshot/7.csv"), b"t,x,y\n0,0,0\n10,5,5\n");
+        disk.create(old).unwrap().write_all(text).unwrap();
+        let err = reopen(&disk).unwrap_err();
+        match &err {
+            StoreError::Corrupt { path, .. } => assert_eq!(path, old),
+            other => panic!("expected Corrupt naming {old:?}, got {other}"),
+        }
+        assert!(err.to_string().contains("7.csv"), "{err}");
+        assert_eq!(disk.file(old).unwrap(), text, "the file is left as it was");
+    }
+
+    #[test]
+    fn an_empty_store_snapshots_and_reopens() {
+        let disk = Arc::new(MemStorage::new());
+        let (mut s, _) = open_mem(&disk, IngestMode::Raw);
+        assert_eq!(s.snapshot().unwrap(), 0);
+        assert_eq!(disk.file(&checkpoint()).unwrap().len(), SEGMENT_MAGIC.len() + 4);
+        drop(s);
+        let (s, report) = open_mem(&disk, IngestMode::Raw);
+        assert_eq!(report, RecoveryReport::default());
+        assert!(s.store().is_empty());
+    }
+
+    #[test]
+    fn compressed_stored_fixes_survive_snapshot_and_reopen() {
+        let mode = IngestMode::Compressed { epsilon: 25.0, speed_epsilon: None, max_window: 16 };
+        let disk = Arc::new(MemStorage::new());
+        let (mut s, _) = open_mem(&disk, mode);
+        for i in 0..80 {
+            s.append(1, fix(i as f64 * 10.0)).unwrap();
+            s.append(5, fix(i as f64 * 7.0)).unwrap();
+        }
+        let before: Vec<_> = [1, 5].map(|id| s.store().stored_fixes(id).unwrap()).into();
+        assert!(before[0].len() < 80, "ingest compresses");
+        s.snapshot().unwrap();
+        drop(s);
+        let (s, report) = open_mem(&disk, mode);
+        assert_eq!(report.snapshot_objects, 2);
+        assert_eq!(report.snapshot_fixes, before[0].len() + before[1].len());
+        assert_eq!(report.replayed, 0);
+        let after: Vec<_> = [1, 5].map(|id| s.store().stored_fixes(id).unwrap()).into();
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn leftover_temp_files_are_swept_and_foreign_files_ignored() {
+        let disk = Arc::new(MemStorage::new());
+        let (mut s, _) = open_mem(&disk, IngestMode::Raw);
+        s.append(1, fix(0.0)).unwrap();
+        s.snapshot().unwrap();
+        drop(s);
+        for (name, bytes) in [("checkpoint.tmp", &b"TRAJWAL1 torn"[..]), ("README.md", b"notes")] {
+            disk.create(&Path::new("/db/snapshot").join(name)).unwrap().write_all(bytes).unwrap();
+        }
+        let (s, report) = open_mem(&disk, IngestMode::Raw);
+        assert_eq!(report.snapshot_fixes, 1);
+        assert_eq!(s.store().stored_fixes(1).unwrap(), vec![fix(0.0)]);
+        assert!(!disk.exists(Path::new("/db/snapshot/checkpoint.tmp")));
+        assert!(disk.exists(Path::new("/db/snapshot/README.md")));
     }
 }

@@ -12,9 +12,10 @@
 //!   budget;
 //! * [`DurableStore`] — the durable ingest path: a CRC-checksummed
 //!   [write-ahead log](wal) appended to before a fix is acknowledged,
-//!   atomic checksummed snapshots ([`persist`]), and crash recovery
-//!   ([`DurableStore::open`]) that replays the log tail over the latest
-//!   snapshot (format spec: `crates/store/README.md`);
+//!   an atomic, sealed checkpoint in the log's own record framing
+//!   ([`DurableStore::snapshot`]), and crash recovery
+//!   ([`DurableStore::open`]) that replays the log tail over the
+//!   checkpoint (format spec: `crates/store/README.md`);
 //! * [`GroupCommitStore`] — the write side of a `trajc serve` shard: a
 //!   WAL writer whose appends from many sessions buffer behind one
 //!   shared fsync and are acknowledged only once it returns ([`group`]).
@@ -36,7 +37,7 @@
 
 pub mod durable;
 pub mod group;
-pub mod persist;
+mod persist;
 pub mod query;
 pub mod rtree;
 pub mod storage;
@@ -45,7 +46,6 @@ pub mod wal;
 
 pub use durable::{DurableOptions, DurableStore, RecoveryReport};
 pub use group::{GroupCommitOptions, GroupCommitStore};
-pub use persist::{load_dir, save_dir};
 pub use query::{
     knn_at, objects_in_window, position_of, snapshot_at, trajectories_in_window, QueryWindow,
 };

@@ -1,212 +1,155 @@
-//! Atomic, checksummed snapshot persistence for the moving-object store.
+//! The checkpoint file: a store's whole state as one sealed WAL segment.
 //!
-//! The stored (possibly compressed) history of each object is written as
-//! one `<object_id>.csv` file in the `t,x,y` format of
-//! [`traj_model::io`] — a deliberately boring layout: greppable,
-//! diffable, loadable by anything. Two durability measures sit on top
-//! (byte-level spec in `crates/store/README.md`):
-//!
-//! * every file is written to `<object_id>.csv.tmp` and published with
-//!   an atomic rename, so a crash leaves either the old or the new file,
-//!   never a truncated half;
-//! * the last line is a CRC-32 trailer comment
-//!   (`# crc32:xxxxxxxx`) over all preceding bytes. The trailer is a
-//!   `#` comment, so the files stay loadable by anything that reads the
-//!   plain `t,x,y` format; [`load_dir`] *verifies* it and rejects files
-//!   whose contents rotted at rest. Files without a trailer (written by
-//!   older versions, or by hand) load without verification.
-//!
-//! Loading reconstructs a store in [`IngestMode::Raw`]: the fixes on
-//! disk are already the kept subset, and compressing them again would
-//! silently stack error budgets.
+//! [`DurableStore::snapshot`](crate::DurableStore::snapshot) persists the
+//! in-memory store with [`write_checkpoint`], and
+//! [`DurableStore::open`](crate::DurableStore::open) reads it back with
+//! [`load_checkpoint`]. The file is the WAL's segment magic, then every
+//! object's stored fixes as WAL append records (one run per object,
+//! ascending id), then a 4-byte seal: the CRC-32 of every byte before it.
+//! The log and the checkpoint therefore share one record encoder and one
+//! decoder, the WAL's [`scan_segment`] (byte-level spec:
+//! `crates/store/README.md`).
 
 use std::path::Path;
 
-use traj_model::{io, Trajectory};
+use crate::durable::{io_err, RecoveryReport};
+use crate::storage::{crc32, crc32_update, Storage};
+use crate::store::{MovingObjectStore, StoreError};
+use crate::wal::{encode_record, scan_segment, ReplaySummary};
+use crate::wal::{FIX_PAYLOAD_BYTES, RECORD_HEADER_BYTES, SEGMENT_MAGIC};
 
-use crate::storage::{crc32, FsStorage, Storage};
-use crate::store::{IngestMode, MovingObjectStore, ObjectId, StoreError};
+/// Bytes a checkpoint writer gathers before each write.
+const CHUNK_BYTES: usize = 64 << 10;
 
-/// Prefix of the checksum trailer line.
-pub const TRAILER_PREFIX: &str = "# crc32:";
-
-fn io_err(path: &Path, source: std::io::Error) -> StoreError {
-    StoreError::Storage { path: path.to_path_buf(), source }
-}
-
-/// Serializes a trajectory to the snapshot format: `t,x,y` CSV plus the
-/// checksum trailer line.
-pub fn snapshot_bytes(traj: &Trajectory) -> Vec<u8> {
-    let mut body = io::to_csv_string(traj).into_bytes();
-    let crc = crc32(&body);
-    body.extend_from_slice(format!("{TRAILER_PREFIX}{crc:08x}\n").as_bytes());
-    body
-}
-
-/// Verifies a snapshot file's trailer, if present.
-///
-/// # Errors
-/// [`StoreError::Corrupt`] when the trailer is malformed or the checksum
-/// does not match the preceding bytes. Trailer-less content passes.
-pub fn verify_snapshot(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    // The trailer is the final line; find the start of the last
-    // non-empty line.
-    let trimmed = match bytes.last() {
-        Some(b'\n') => &bytes[..bytes.len() - 1],
-        _ => bytes,
-    };
-    let line_start = trimmed.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-    let last_line = &trimmed[line_start..];
-    let Some(hex) = last_line.strip_prefix(TRAILER_PREFIX.as_bytes()) else {
-        return Ok(()); // legacy file without a trailer
-    };
-    let corrupt = |detail: String| StoreError::Corrupt { path: path.to_path_buf(), detail };
-    let hex = std::str::from_utf8(hex)
-        .map_err(|_| corrupt("checksum trailer is not UTF-8".into()))?
-        .trim();
-    let expected = u32::from_str_radix(hex, 16)
-        .map_err(|_| corrupt(format!("malformed checksum trailer {hex:?}")))?;
-    let actual = crc32(&bytes[..line_start]);
-    if actual != expected {
-        return Err(corrupt(format!(
-            "checksum mismatch: trailer {expected:08x}, contents {actual:08x}"
-        )));
-    }
-    Ok(())
-}
-
-/// [`save_dir`] over an injectable [`Storage`] backend.
-///
-/// # Errors
-/// Backend failures (with the offending path attached).
-pub fn save_dir_with(
+/// Writes every object's stored fixes to `path` as one WAL segment —
+/// the magic, then each object's records in ascending id order — sealed
+/// with the CRC-32 of all preceding bytes, and fsyncs it. The records go
+/// out in chunks through one buffer, so memory stays flat in the store's
+/// size. Returns the number of objects written.
+pub(crate) fn write_checkpoint(
     storage: &dyn Storage,
     store: &MovingObjectStore,
-    dir: &Path,
+    path: &Path,
 ) -> Result<usize, StoreError> {
-    storage.create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let mut written = 0usize;
+    let err = |e| io_err(path, e);
+    let mut w = storage.create(path).map_err(err)?;
+    let mut buf = Vec::with_capacity(CHUNK_BYTES + RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES);
+    buf.extend_from_slice(SEGMENT_MAGIC);
+    let (mut register, mut bytes, mut objects) = (!0, 0, 0);
     for id in store.object_ids() {
-        let Some(traj) = store.trajectory(id) else { continue };
-        let bytes = snapshot_bytes(&traj);
-        let tmp = dir.join(format!("{id}.csv.tmp"));
-        let path = dir.join(format!("{id}.csv"));
-        {
-            let mut w = storage.create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            w.write_all(&bytes).map_err(|e| io_err(&tmp, e))?;
-            // The data must be durable before the rename publishes it:
-            // otherwise the rename can survive a crash that the bytes
-            // did not.
-            w.sync().map_err(|e| io_err(&tmp, e))?;
-        }
-        storage.rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-        written += 1;
-        traj_obs::counter!("store", "persist_bytes").add(bytes.len() as u64);
-    }
-    storage.sync_dir(dir).map_err(|e| io_err(dir, e))?;
-    traj_obs::counter!("store", "persist_files").add(written as u64);
-    Ok(written)
-}
-
-/// Writes every object's stored trajectory to `dir` as
-/// `<object_id>.csv` (atomic rename, checksum trailer), creating the
-/// directory if needed.
-///
-/// Objects whose stored history is empty are skipped.
-///
-/// # Errors
-/// Propagates filesystem failures, with the offending path attached
-/// ([`StoreError::Storage`]).
-pub fn save_dir(store: &MovingObjectStore, dir: &Path) -> Result<usize, StoreError> {
-    save_dir_with(&FsStorage, store, dir)
-}
-
-/// Collects the `<n>.csv` object files under `dir`, ascending by id.
-fn object_files(
-    storage: &dyn Storage,
-    dir: &Path,
-) -> Result<Vec<(ObjectId, std::path::PathBuf)>, StoreError> {
-    let mut files: Vec<(ObjectId, std::path::PathBuf)> = Vec::new();
-    for path in storage.list(dir).map_err(|e| io_err(dir, e))? {
-        if path.extension().is_none_or(|e| e != "csv") {
+        let Some((committed, tail)) = store.stored_parts(id) else { continue };
+        if committed.is_empty() && tail.is_none() {
             continue;
         }
-        let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else { continue };
-        let Ok(id) = stem.parse::<ObjectId>() else { continue };
-        files.push((id, path));
+        objects += 1;
+        for fix in committed.iter().chain(&tail) {
+            encode_record(&mut buf, id, fix);
+            if buf.len() >= CHUNK_BYTES {
+                register = crc32_update(register, &buf);
+                w.write_all(&buf).map_err(err)?;
+                bytes += buf.len();
+                buf.clear();
+            }
+        }
     }
-    // Deterministic load order regardless of directory iteration order.
-    files.sort_unstable_by_key(|(id, _)| *id);
-    Ok(files)
+    let seal = !crc32_update(register, &buf);
+    buf.extend_from_slice(&seal.to_le_bytes());
+    w.write_all(&buf).map_err(err)?;
+    // The data must be durable before the rename publishes it: otherwise
+    // the rename can survive a crash that the bytes did not.
+    w.sync().map_err(err)?;
+    traj_obs::counter!("store", "persist_bytes").add((bytes + buf.len()) as u64);
+    Ok(objects)
 }
 
-/// [`load_dir`] over an injectable [`Storage`] backend.
-///
-/// # Errors
-/// Like [`load_dir`].
-pub fn load_dir_with(
+/// Loads the checkpoint at `path` into `store`, whole or not at all: the
+/// seal must match, and the WAL's [`scan_segment`] must find no torn or
+/// corrupt record and each object in one run. Unlike a WAL record, a
+/// checkpoint has no younger copy, so damage is an error, never a skip.
+pub(crate) fn load_checkpoint(
     storage: &dyn Storage,
-    dir: &Path,
-) -> Result<MovingObjectStore, StoreError> {
-    let mut store = MovingObjectStore::new(IngestMode::Raw);
-    for (id, path) in object_files(storage, dir)? {
-        let bytes = storage.read(&path).map_err(|e| io_err(&path, e))?;
-        verify_snapshot(&path, &bytes)?;
-        let text = std::str::from_utf8(&bytes).map_err(|_| StoreError::Corrupt {
-            path: path.clone(),
-            detail: "snapshot file is not UTF-8".into(),
-        })?;
-        let traj: Trajectory = io::from_csv_str(text)?;
-        store.restore_trajectory(id, traj.into_fixes())?;
+    path: &Path,
+    store: &mut MovingObjectStore,
+    report: &mut RecoveryReport,
+) -> Result<(), StoreError> {
+    let corrupt = |detail: String| StoreError::Corrupt { path: path.to_path_buf(), detail };
+    let bytes = storage.read(path).map_err(|e| io_err(path, e))?;
+    let Some(body_len) = bytes.len().checked_sub(4).filter(|&n| n >= SEGMENT_MAGIC.len()) else {
+        return Err(corrupt(format!("{} bytes: shorter than its magic and seal", bytes.len())));
+    };
+    let (body, seal) = bytes.split_at(body_len);
+    if crc32(body).to_le_bytes() != seal {
+        return Err(corrupt("seal mismatch: the checkpoint is cut short or damaged".into()));
     }
-    Ok(store)
-}
-
-/// Loads a store from a directory written by [`save_dir`]: every
-/// `<n>.csv` file becomes object `n`. Non-`.csv` entries and files whose
-/// stem is not an integer are ignored (so the directory can carry a
-/// README or manifests); `.tmp` leftovers from an interrupted save are
-/// ignored the same way. Checksum trailers are verified when present.
-///
-/// # Errors
-/// Fails on unreadable or malformed trajectory files
-/// ([`StoreError::Storage`] / [`StoreError::Model`]) and on checksum
-/// mismatches ([`StoreError::Corrupt`]).
-pub fn load_dir(dir: &Path) -> Result<MovingObjectStore, StoreError> {
-    load_dir_with(&FsStorage, dir)
+    let mut records = Vec::with_capacity(body.len() / (RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES));
+    let mut summary = ReplaySummary::default();
+    scan_segment(body, &mut records, &mut summary);
+    drop(bytes);
+    if summary.torn_tail || summary.corrupt_skipped > 0 {
+        return Err(corrupt(format!("torn or corrupt records under a valid seal: {summary:?}")));
+    }
+    let mut fixes = Vec::new();
+    let mut records = records.into_iter().peekable();
+    while let Some(rec) = records.next() {
+        fixes.push(rec.fix);
+        if records.peek().is_some_and(|next| next.id == rec.id) {
+            continue;
+        }
+        if store.latest(rec.id).is_some() {
+            return Err(corrupt(format!("object {} is split across two runs of records", rec.id)));
+        }
+        report.snapshot_objects += 1;
+        report.snapshot_fixes += fixes.len();
+        store.restore_trajectory(rec.id, std::mem::take(&mut fixes))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::MemStorage;
+    use crate::store::IngestMode;
     use traj_model::Fix;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("trajc_persist_tests").join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
+    const PATH: &str = "/snapshot/checkpoint.log";
 
-    fn sample_store() -> Result<MovingObjectStore, StoreError> {
+    fn sample_store() -> MovingObjectStore {
         let mut s = MovingObjectStore::new(IngestMode::Raw);
         for id in [3u64, 11, 7] {
             for i in 0..20 {
-                s.append(
-                    id,
-                    Fix::from_parts(i as f64 * 10.0, i as f64 * 100.0 + id as f64, id as f64),
-                )?;
+                let fix = Fix::from_parts(i as f64 * 10.0, i as f64 * 100.0 + id as f64, id as f64);
+                s.append(id, fix).unwrap();
             }
         }
-        Ok(s)
+        s
+    }
+
+    fn put(disk: &MemStorage, bytes: &[u8]) {
+        disk.create(Path::new(PATH)).unwrap().write_all(bytes).unwrap();
+    }
+
+    /// Loads the checkpoint on `disk` into an empty raw store.
+    fn load(disk: &MemStorage) -> Result<(MovingObjectStore, RecoveryReport), StoreError> {
+        let mut store = MovingObjectStore::new(IngestMode::Raw);
+        let mut report = RecoveryReport::default();
+        load_checkpoint(disk, Path::new(PATH), &mut store, &mut report)?;
+        Ok((store, report))
+    }
+
+    /// Seals `body` with the CRC-32 of its bytes, as the writer does.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let seal = crc32(&body);
+        body.extend_from_slice(&seal.to_le_bytes());
+        body
     }
 
     #[test]
-    fn roundtrip_preserves_everything() -> Result<(), Box<dyn std::error::Error>> {
-        let dir = tmp("roundtrip");
-        let store = sample_store()?;
-        let written = save_dir(&store, &dir)?;
-        assert_eq!(written, 3);
-        let loaded = load_dir(&dir)?;
+    fn roundtrip_preserves_everything() {
+        let disk = MemStorage::new();
+        let store = sample_store();
+        assert_eq!(write_checkpoint(&disk, &store, Path::new(PATH)).unwrap(), 3);
+        let (loaded, report) = load(&disk).unwrap();
         assert_eq!(
             loaded.object_ids().collect::<Vec<_>>(),
             store.object_ids().collect::<Vec<_>>()
@@ -214,134 +157,51 @@ mod tests {
         for id in store.object_ids() {
             assert_eq!(loaded.trajectory(id), store.trajectory(id), "object {id}");
         }
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
+        assert_eq!((report.snapshot_objects, report.snapshot_fixes), (3, 60));
     }
 
     #[test]
-    fn snapshot_bytes_match_the_readme_example() -> Result<(), Box<dyn std::error::Error>> {
-        // Pins the worked example in crates/store/README.md: if this
-        // breaks, the format changed and the spec must change with it.
-        let traj = Trajectory::from_triples([(0.0, 0.0, 0.0), (10.0, 120.5, -3.25)])?;
-        assert_eq!(
-            String::from_utf8(snapshot_bytes(&traj))?,
-            "t,x,y\n0,0,0\n10,120.5,-3.25\n# crc32:c094cc4d\n"
-        );
-        Ok(())
-    }
-
-    #[test]
-    fn files_carry_a_valid_checksum_trailer() -> Result<(), Box<dyn std::error::Error>> {
-        let dir = tmp("trailer");
-        save_dir(&sample_store()?, &dir)?;
-        let text = std::fs::read_to_string(dir.join("3.csv"))?;
-        let trailer = text.lines().last().ok_or("empty snapshot")?;
-        assert!(trailer.starts_with(TRAILER_PREFIX), "trailer line: {trailer:?}");
-        // No temp files are left behind.
-        assert!(!dir.join("3.csv.tmp").exists());
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
-    }
-
-    #[test]
-    fn compressed_store_persists_its_kept_subset() -> Result<(), Box<dyn std::error::Error>> {
-        let dir = tmp("compressed");
-        let mut s = MovingObjectStore::new(IngestMode::Compressed {
-            epsilon: 1000.0,
-            speed_epsilon: None,
-            max_window: 64,
-        });
-        for i in 0..50 {
-            s.append(1, Fix::from_parts(i as f64 * 10.0, i as f64 * 100.0, 0.0))?;
+    fn load_surfaces_corruption() {
+        // The seal passes on each of these files, so the record checks
+        // behind it must refuse them: a torn last record, a record whose
+        // own CRC fails, and a file too short to hold magic and seal.
+        let mut torn = SEGMENT_MAGIC.to_vec();
+        encode_record(&mut torn, 3, &Fix::from_parts(0.0, 0.0, 0.0));
+        torn.extend_from_slice(b"garbage");
+        let mut rotten = SEGMENT_MAGIC.to_vec();
+        encode_record(&mut rotten, 3, &Fix::from_parts(0.0, 0.0, 0.0));
+        rotten[SEGMENT_MAGIC.len() + RECORD_HEADER_BYTES + 9] ^= 0x40;
+        let cases = [
+            (sealed(torn), "torn or corrupt records"),
+            (sealed(rotten), "torn or corrupt records"),
+            (b"TRAJWAL".to_vec(), "shorter than its magic and seal"),
+        ];
+        let disk = MemStorage::new();
+        for (bytes, detail) in cases {
+            put(&disk, &bytes);
+            let err = load(&disk).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains(detail), "{err}");
         }
-        save_dir(&s, &dir)?;
-        let loaded = load_dir(&dir)?;
-        // The loaded store holds exactly the kept fixes (straight line →
-        // endpoints only).
-        assert_eq!(loaded.trajectory(1).ok_or("missing object 1")?, s.trajectory(1).ok_or("missing object 1")?);
-        assert!(loaded.trajectory(1).ok_or("missing object 1")?.len() < 50);
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
     }
 
     #[test]
-    fn load_ignores_foreign_files() -> Result<(), Box<dyn std::error::Error>> {
-        let dir = tmp("foreign");
-        save_dir(&sample_store()?, &dir)?;
-        std::fs::write(dir.join("README.md"), "not a trajectory")?;
-        std::fs::write(dir.join("not_a_number.csv"), "t,x,y\n0,0,0\n")?;
-        std::fs::write(dir.join("5.csv.tmp"), "t,x,y\n0,0,0\n")?;
-        let loaded = load_dir(&dir)?;
-        assert_eq!(loaded.len(), 3);
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
-    }
-
-    #[test]
-    fn load_surfaces_corruption() -> Result<(), Box<dyn std::error::Error>> {
-        let dir = tmp("corrupt");
-        save_dir(&sample_store()?, &dir)?;
-        std::fs::write(dir.join("3.csv"), "t,x,y\n0,0,0\ngarbage\n")?;
-        assert!(load_dir(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
-    }
-
-    #[test]
-    fn load_detects_bit_rot_via_trailer() -> Result<(), Box<dyn std::error::Error>> {
-        let dir = tmp("bitrot");
-        save_dir(&sample_store()?, &dir)?;
-        let path = dir.join("7.csv");
-        let mut bytes = std::fs::read(&path)?;
-        // Flip one digit inside the data body (not the trailer line).
-        let pos = bytes.iter().position(|&b| b == b'1').ok_or("no digit to flip")?;
-        bytes[pos] = b'2';
-        std::fs::write(&path, &bytes)?;
-        let err = load_dir(&dir).unwrap_err();
+    fn load_detects_bit_rot_via_trailer() {
+        // Rot that every record's own CRC misses: object 7's first fix
+        // is rewritten as another well-formed record. Only the seal, the
+        // file's trailer, can tell.
+        let disk = MemStorage::new();
+        write_checkpoint(&disk, &sample_store(), Path::new(PATH)).unwrap();
+        let mut bytes = disk.file(Path::new(PATH)).unwrap();
+        let at = SEGMENT_MAGIC.len() + 20 * (RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES);
+        let mut rot = Vec::new();
+        encode_record(&mut rot, 7, &Fix::from_parts(0.0, 1.0, 7.0));
+        assert_ne!(&bytes[at..at + rot.len()], rot.as_slice(), "the record changes");
+        bytes[at..at + rot.len()].copy_from_slice(&rot);
+        put(&disk, &bytes);
+        let err = load(&disk).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("7.csv"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
-    }
-
-    #[test]
-    fn trailerless_legacy_files_still_load() -> Result<(), Box<dyn std::error::Error>> {
-        let dir = tmp("legacy");
-        std::fs::create_dir_all(&dir)?;
-        std::fs::write(dir.join("4.csv"), "t,x,y\n0,0,0\n10,5,5\n")?;
-        let loaded = load_dir(&dir)?;
-        assert_eq!(loaded.trajectory(4).ok_or("missing object 4")?.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
-    }
-
-    #[test]
-    fn missing_directory_is_an_error_with_path_context() -> Result<(), Box<dyn std::error::Error>> {
-        let err = load_dir(Path::new("/definitely/not/here")).unwrap_err();
-        assert!(matches!(err, StoreError::Storage { .. }), "{err}");
-        assert!(err.to_string().contains("/definitely/not/here"), "{err}");
-        Ok(())
-    }
-
-    #[test]
-    fn empty_directory_loads_empty_store() -> Result<(), Box<dyn std::error::Error>> {
-        let dir = tmp("empty");
-        std::fs::create_dir_all(&dir)?;
-        let loaded = load_dir(&dir)?;
-        assert!(loaded.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
-    }
-
-    #[test]
-    fn verify_snapshot_catches_malformed_trailers() -> Result<(), Box<dyn std::error::Error>> {
-        let p = Path::new("x.csv");
-        assert!(verify_snapshot(p, b"t,x,y\n0,0,0\n").is_ok());
-        assert!(verify_snapshot(p, b"t,x,y\n0,0,0\n# crc32:zzzz\n").is_err());
-        let good = snapshot_bytes(
-            &Trajectory::from_triples([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])?,
-        );
-        assert!(verify_snapshot(p, &good).is_ok());
-        Ok(())
+        assert!(err.to_string().contains("seal mismatch"), "{err}");
+        assert!(err.to_string().contains("checkpoint.log"), "{err}");
     }
 }

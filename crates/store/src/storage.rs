@@ -1,12 +1,12 @@
 //! Injectable storage backend for the durability layer.
 //!
-//! Everything the write-ahead log ([`crate::wal`]) and the snapshot
-//! writer ([`crate::persist`]) do to a disk goes through the [`Storage`]
-//! trait, so the same code runs against the real filesystem
-//! ([`FsStorage`]) and against an in-memory double ([`MemStorage`]) that
-//! can tear writes at an exact byte offset, flip bits, and refuse all
-//! further I/O — the crash model the fault-injection tests sweep over
-//! (`crates/store/tests/durability.rs`).
+//! Everything the write-ahead log ([`crate::wal`]) and the checkpoint
+//! writer ([`crate::DurableStore::snapshot`]) do to a disk goes through
+//! the [`Storage`] trait, so the same code runs against the real
+//! filesystem ([`FsStorage`]) and against an in-memory double
+//! ([`MemStorage`]) that can tear writes at an exact byte offset, flip
+//! bits, and refuse all further I/O — the crash model the
+//! fault-injection tests sweep over (`crates/store/tests/durability.rs`).
 //!
 //! The fault model of [`MemStorage`]:
 //!
@@ -34,15 +34,22 @@ use std::sync::{Arc, Mutex};
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
 ///
-/// This is the checksum used by both the WAL record header and the
-/// snapshot trailer (see `crates/store/README.md` for the byte layout).
+/// This is the checksum of every WAL record and the seal of a
+/// checkpoint file (see `crates/store/README.md` for the byte layout).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// Feeds `bytes` into a running CRC-32 register: starting from `!0` and
+/// inverting the final register gives [`crc32`] of everything fed, so a
+/// writer can checksum a file it streams out in pieces.
+pub(crate) fn crc32_update(register: u32, bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = crc32_table();
-    let mut crc = !0u32;
+    let mut crc = register;
     for &b in bytes {
         crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
 const fn crc32_table() -> [u32; 256] {
@@ -504,6 +511,9 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // The running register over pieces gives the same checksum.
+        let register = crc32_update(crc32_update(!0, b"1234"), b"56789");
+        assert_eq!(!register, 0xCBF4_3926);
     }
 
     #[test]

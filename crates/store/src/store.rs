@@ -41,8 +41,9 @@ pub enum StoreError {
         /// The underlying I/O failure.
         source: std::io::Error,
     },
-    /// On-disk data failed validation (checksum mismatch, malformed
-    /// trailer, undecodable contents).
+    /// On-disk data failed validation: a checkpoint whose seal or
+    /// records do not check out, a snapshot file of an older format, or
+    /// a WAL segment numbered so that no segment can follow it.
     Corrupt {
         /// The corrupt file.
         path: std::path::PathBuf,
@@ -269,10 +270,10 @@ impl MovingObjectStore {
     }
 
     /// Installs `fixes` as the *already-kept* committed history of `id`,
-    /// bypassing compression — the recovery path ([`crate::load_dir`],
-    /// [`crate::DurableStore`]). Re-feeding an already-compressed subset
-    /// through the ingest stream would silently stack error budgets;
-    /// this does not. Any existing state for `id` is replaced; later
+    /// bypassing compression — the checkpoint half of recovery
+    /// ([`crate::DurableStore::open`]). Re-feeding an already-compressed
+    /// subset through the ingest stream would silently stack error
+    /// budgets; this does not. Any existing state for `id` is replaced; later
     /// [`MovingObjectStore::append`]s continue in the configured ingest
     /// mode from the restored history's end.
     ///

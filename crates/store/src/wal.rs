@@ -6,6 +6,8 @@
 //! `wal-<seq>.log`, each a magic header followed by length-prefixed,
 //! CRC-32-checksummed records; the exact byte layout is specified in
 //! `crates/store/README.md` and pinned by tests against these constants.
+//! A checkpoint ([`crate::DurableStore::snapshot`]) is one more file in
+//! this framing, encoded and scanned by the same two functions.
 //!
 //! Recovery ([`replay_dir`]) tolerates exactly the failure modes a
 //! crash can produce: a torn final record (stop, report the tail), a
@@ -79,7 +81,7 @@ pub struct ReplaySummary {
 }
 
 /// Serializes one record (header + payload) into `out`.
-fn encode_record(out: &mut Vec<u8>, id: ObjectId, fix: &Fix) {
+pub(crate) fn encode_record(out: &mut Vec<u8>, id: ObjectId, fix: &Fix) {
     let mut payload = [0u8; FIX_PAYLOAD_BYTES];
     payload[0] = KIND_APPEND_FIX;
     payload[1..9].copy_from_slice(&id.to_le_bytes());
@@ -125,7 +127,7 @@ fn exhausted(path: PathBuf) -> StoreError {
 }
 
 /// Decodes one segment's bytes into records.
-fn scan_segment(bytes: &[u8], out: &mut Vec<WalRecord>, summary: &mut ReplaySummary) {
+pub(crate) fn scan_segment(bytes: &[u8], out: &mut Vec<WalRecord>, summary: &mut ReplaySummary) {
     if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
         // A crash while writing the 8-byte header leaves a short or
         // garbled prefix; the segment holds no acknowledged data.

@@ -1,8 +1,8 @@
 //! Fault-injection suite for the durable ingest path.
 //!
 //! The central test sweeps a *crash at every byte offset* of the entire
-//! on-disk write stream — WAL appends, segment headers, snapshot temp
-//! files, checksum trailers — and asserts the durability contract after
+//! on-disk write stream — WAL appends, segment headers, the checkpoint
+//! temp file and its seal — and asserts the durability contract after
 //! each: recovery restores exactly the acknowledged fixes, in order,
 //! with no loss, no invention and no panic. Companion tests cover
 //! at-rest bit rot and short reads (lost tails).

@@ -1,14 +1,11 @@
 //! Property-based tests for the moving-object store and its indexes.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use traj_geom::{Bbox, Point2};
 use traj_model::{Fix, Timestamp, Trajectory};
-use traj_store::persist::{
-    load_dir_with, save_dir_with, snapshot_bytes, verify_snapshot, TRAILER_PREFIX,
-};
 use traj_store::query::{build_segment_rtree, rtree_objects_in_window};
 use traj_store::storage::{crc32, MemStorage, Storage};
 use traj_store::wal::{
@@ -16,7 +13,7 @@ use traj_store::wal::{
 };
 use traj_store::{
     objects_in_window, position_of, DurableOptions, DurableStore, IngestMode, MovingObjectStore,
-    QueryWindow, StoreError, WalOptions,
+    QueryWindow, RecoveryReport, StoreError, WalOptions,
 };
 
 /// A small fleet of valid random trajectories.
@@ -200,23 +197,6 @@ proptest! {
 }
 
 proptest! {
-    /// Persist → load → persist is a byte-for-byte fixpoint: snapshots
-    /// (CSV body plus checksum trailer) round-trip exactly through the
-    /// loader, so repeated save cycles can never drift.
-    #[test]
-    fn save_load_save_is_a_fixpoint(fleet in fleet()) {
-        let store = load(&fleet, IngestMode::Raw);
-        let disk = MemStorage::new();
-        save_dir_with(&disk, &store, Path::new("/a")).expect("first save");
-        let reloaded = load_dir_with(&disk, Path::new("/a")).expect("load back");
-        save_dir_with(&disk, &reloaded, Path::new("/b")).expect("second save");
-        for id in store.object_ids() {
-            let a = disk.file(Path::new(&format!("/a/{id}.csv"))).expect("first copy");
-            let b = disk.file(Path::new(&format!("/b/{id}.csv"))).expect("second copy");
-            prop_assert_eq!(a, b, "snapshot for object {} drifted across a load cycle", id);
-        }
-    }
-
     /// Tearing the final WAL record at any interior byte loses exactly
     /// that record: recovery reports the torn tail and restores every
     /// earlier acknowledged fix, in order.
@@ -393,167 +373,184 @@ proptest! {
     }
 }
 
-/// The snapshot directory of the decoder tests; it holds object 7.
-const SNAP_DIR: &str = "/snap";
+/// The store directory of the checkpoint tests.
+const DB: &str = "/db";
 
-/// Runs both snapshot decoders over `bytes` as object 7's file. Each
-/// must return, and fail only with a data error: the in-memory backend
-/// never fails an I/O, so a `Storage` error would misreport damage.
-/// The loader accepts only what the verifier accepts. Returns the
-/// verifier's verdict and the loaded store, if any.
-fn decode_snapshot(
-    bytes: &[u8],
-) -> Result<(Result<(), StoreError>, Option<MovingObjectStore>), TestCaseError> {
-    let disk = MemStorage::new();
-    let path = Path::new(SNAP_DIR).join("7.csv");
-    disk.create_dir_all(Path::new(SNAP_DIR)).expect("mkdir");
-    let mut w = disk.create(&path).expect("create snapshot");
-    w.write_all(bytes).expect("write snapshot");
-    w.sync().expect("sync snapshot");
-    let verified = verify_snapshot(&path, bytes);
-    if let Err(e) = &verified {
-        prop_assert!(matches!(e, StoreError::Corrupt { .. }), "verify: {e}");
+fn checkpoint_path() -> PathBuf {
+    Path::new(DB).join(DurableStore::SNAPSHOT_DIR).join(DurableStore::CHECKPOINT_FILE)
+}
+
+fn open_db(
+    disk: &Arc<MemStorage>,
+    mode: IngestMode,
+) -> Result<(DurableStore, RecoveryReport), StoreError> {
+    DurableStore::open_with(disk.clone(), Path::new(DB), mode, DurableOptions::default())
+}
+
+/// Each object's stored fixes, ascending by id.
+fn stored(store: &MovingObjectStore) -> Vec<(u64, Vec<Fix>)> {
+    store.object_ids().map(|id| (id, store.stored_fixes(id).expect("listed object"))).collect()
+}
+
+/// Replaces the checkpoint on `disk` with `bytes`.
+fn put_checkpoint(disk: &MemStorage, bytes: &[u8]) {
+    let mut w = disk.create(&checkpoint_path()).expect("create checkpoint");
+    w.write_all(bytes).expect("write checkpoint");
+    w.sync().expect("sync checkpoint");
+}
+
+/// A raw store, or one compressing with a tight budget.
+fn ingest_mode(compressed: bool) -> IngestMode {
+    if compressed {
+        IngestMode::Compressed { epsilon: 20.0, speed_epsilon: None, max_window: 16 }
+    } else {
+        IngestMode::Raw
     }
-    let loaded = match load_dir_with(&disk, Path::new(SNAP_DIR)) {
-        Ok(store) => {
-            prop_assert!(verified.is_ok(), "load accepted a file verify refused");
-            Some(store)
+}
+
+/// Ingests `fleet` (object `i` is `fleet[i]`) into a fresh store on
+/// `disk` and snapshots it. Returns the stored fixes the checkpoint holds.
+fn snapshot_fleet(
+    disk: &Arc<MemStorage>,
+    mode: IngestMode,
+    fleet: &[Trajectory],
+) -> Result<Vec<(u64, Vec<Fix>)>, TestCaseError> {
+    let (mut db, _) = open_db(disk, mode).expect("fresh open");
+    for (id, traj) in fleet.iter().enumerate() {
+        for fix in traj.fixes() {
+            db.append(id as u64, *fix).expect("valid fix");
         }
-        Err(e) => {
-            prop_assert!(
-                matches!(e, StoreError::Corrupt { .. } | StoreError::Model(_)),
-                "load: {e}"
-            );
-            None
-        }
-    };
-    Ok((verified, loaded))
+    }
+    prop_assert_eq!(db.snapshot().expect("snapshot"), fleet.len());
+    Ok(stored(db.store()))
 }
 
 proptest! {
-    /// Byte soup: files built from arbitrary bytes, slices of a valid
-    /// snapshot, the trailer prefix and newlines, in any order, some
-    /// sealed with a correct trailer. The verifier and the loader
-    /// return a typed data error or a store, never panic, and a sealed
-    /// soup always passes the checksum.
+    /// Snapshot → reopen → snapshot is a byte-for-byte fixpoint, raw or
+    /// compressed: a checkpoint round-trips exactly through the loader
+    /// (no re-compression, no reordering), so repeated snapshot cycles
+    /// can never drift.
+    #[test]
+    fn save_load_save_is_a_fixpoint(fleet in fleet(), compressed in any::<bool>()) {
+        let mode = ingest_mode(compressed);
+        let disk = Arc::new(MemStorage::new());
+        let expected = snapshot_fleet(&disk, mode, &fleet)?;
+        let first = disk.file(&checkpoint_path()).expect("checkpoint written");
+        let (mut db, report) = open_db(&disk, mode).expect("reopen");
+        prop_assert_eq!(report.replayed, 0);
+        prop_assert_eq!(stored(db.store()), expected);
+        prop_assert_eq!(db.snapshot().expect("second snapshot"), fleet.len());
+        let second = disk.file(&checkpoint_path()).expect("checkpoint rewritten");
+        prop_assert!(first == second, "the checkpoint drifted across a load cycle");
+    }
+
+    /// A checkpoint loads whole or not at all. Untouched, it restores
+    /// exactly the stored fixes of a raw or compressed store. Any flipped
+    /// byte, the seal's included, and any cut, at any byte or at a record
+    /// boundary (where every record before it still decodes), is a typed
+    /// data error: never a panic, never a partial store.
+    #[test]
+    fn snapshot_decoder_survives_flips_and_truncations(
+        fleet in fleet(),
+        compressed in any::<bool>(),
+        damage in proptest::collection::vec(
+            (0u8..4, any::<prop::sample::Index>(), 1u8..=255),
+            0..3,
+        ),
+    ) {
+        let mode = ingest_mode(compressed);
+        let disk = Arc::new(MemStorage::new());
+        let expected = snapshot_fleet(&disk, mode, &fleet)?;
+        let pristine = disk.file(&checkpoint_path()).expect("checkpoint written");
+        let record = RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES;
+        let records = (pristine.len() - SEGMENT_MAGIC.len()) / record;
+        let mut bytes = pristine.clone();
+        for &(kind, at, mask) in &damage {
+            let len = bytes.len();
+            if len == 0 {
+                break;
+            }
+            match kind {
+                0 => bytes[at.index(len)] ^= mask,
+                1 => bytes.truncate(at.index(len)),
+                2 => bytes.truncate(len.min(SEGMENT_MAGIC.len() + at.index(records + 1) * record)),
+                // One of the last four bytes: the seal.
+                _ => bytes[len - 1 - at.index(len.min(4))] ^= mask,
+            }
+        }
+        put_checkpoint(&disk, &bytes);
+        match open_db(&disk, mode) {
+            Ok((db, report)) => {
+                prop_assert!(bytes == pristine, "a damaged checkpoint loaded: {report:?}");
+                prop_assert_eq!(report.snapshot_objects, fleet.len());
+                prop_assert_eq!(report.replayed, 0);
+                prop_assert_eq!(stored(db.store()), expected);
+            }
+            Err(e) => {
+                prop_assert!(bytes != pristine, "an untouched checkpoint failed: {e}");
+                prop_assert!(
+                    matches!(e, StoreError::Corrupt { .. } | StoreError::Model(_)),
+                    "damage is data, not an I/O error: {e}"
+                );
+            }
+        }
+    }
+
+    /// Sealed soup: files built from the segment magic, whole and cut
+    /// valid records and runs of arbitrary bytes, in any order, each with
+    /// a correct seal, so the checks behind the seal decide. Opening
+    /// returns a store or a typed data error, never panics, and a store
+    /// holds only fixes that were written, one per record, with every
+    /// byte of the file accounted for by a record it loaded.
     #[test]
     fn snapshot_decoder_survives_byte_soup(
-        fleet in fleet(),
-        chunks in proptest::collection::vec((0u8..5, 0u8..=255, 0usize..41), 0..16),
-        seal in any::<bool>(),
+        magic in any::<bool>(),
+        chunks in proptest::collection::vec((0u8..5, 0u8..=255, 0usize..41), 0..12),
     ) {
-        let valid = snapshot_bytes(&fleet[0]);
+        let source = Arc::new(MemStorage::new());
+        let written = write_wal(&source, 8, 1 << 20);
+        let seg = source.file_paths().pop().expect("one segment written");
+        let valid = source.file(&seg).expect("segment bytes");
+        let record = RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES;
         let mut bytes = Vec::new();
+        if magic {
+            bytes.extend_from_slice(SEGMENT_MAGIC);
+        }
         for &(kind, byte, len) in &chunks {
+            let at = SEGMENT_MAGIC.len() + usize::from(byte) % written.len() * record;
             match kind {
-                // `len` bytes of the valid snapshot from a point chosen by `byte`.
-                0 => {
-                    let at = usize::from(byte) * valid.len() / 256;
-                    bytes.extend_from_slice(&valid[at..(at + len).min(valid.len())]);
-                }
-                1 => bytes.extend_from_slice(TRAILER_PREFIX.as_bytes()),
-                2 => bytes.push(b'\n'),
-                // A run of one byte value, and a run of counting bytes.
+                0 => bytes.extend_from_slice(&valid[at..at + record]),
+                1 => bytes.extend_from_slice(&valid[at..at + len.min(record)]),
+                2 => bytes.extend_from_slice(SEGMENT_MAGIC),
                 3 => bytes.resize(bytes.len() + len, byte),
                 _ => bytes.extend((0..len).map(|i| byte.wrapping_add((i * 37) as u8))),
             }
         }
-        let sealed = seal && bytes.last().is_none_or(|&b| b == b'\n');
-        if sealed {
-            let crc = crc32(&bytes);
-            bytes.extend_from_slice(format!("{TRAILER_PREFIX}{crc:08x}\n").as_bytes());
-        }
-        let (verified, _) = decode_snapshot(&bytes)?;
-        if sealed {
-            prop_assert!(verified.is_ok(), "a correct trailer failed: {:?}", verified);
-        }
-    }
-
-    /// Valid snapshots with random byte flips and truncations: the
-    /// decoders never panic, an untouched snapshot loads to exactly the
-    /// trajectory written, and one flipped byte in the body fails the
-    /// checksum (CRC-32 catches every burst of up to 32 bits).
-    #[test]
-    fn snapshot_decoder_survives_flips_and_truncations(
-        fleet in fleet(),
-        damage in proptest::collection::vec(
-            (any::<bool>(), any::<prop::sample::Index>(), 1u8..=255),
-            0..4,
-        ),
-    ) {
-        let traj = &fleet[0];
-        let mut bytes = snapshot_bytes(traj);
-        let body = traj_model::io::to_csv_string(traj).len();
-        for (truncate, at, mask) in &damage {
-            if bytes.is_empty() {
-                break;
+        let seal = crc32(&bytes);
+        bytes.extend_from_slice(&seal.to_le_bytes());
+        let disk = Arc::new(MemStorage::new());
+        disk.create_dir_all(&Path::new(DB).join(DurableStore::SNAPSHOT_DIR)).expect("mkdir");
+        put_checkpoint(&disk, &bytes);
+        match open_db(&disk, IngestMode::Raw) {
+            Ok((db, report)) => {
+                let objects = stored(db.store());
+                let loaded: usize = objects.iter().map(|(_, fixes)| fixes.len()).sum();
+                prop_assert_eq!(report.snapshot_objects, objects.len());
+                prop_assert_eq!(report.snapshot_fixes, loaded);
+                prop_assert_eq!(bytes.len(), SEGMENT_MAGIC.len() + loaded * record + 4);
+                for (id, fixes) in objects {
+                    for fix in fixes {
+                        prop_assert!(
+                            written.contains(&WalRecord { id, fix }),
+                            "loaded a fix never written: {id} {fix:?}"
+                        );
+                    }
+                }
             }
-            let i = at.index(bytes.len());
-            if *truncate {
-                bytes.truncate(i);
-            } else {
-                bytes[i] ^= mask;
-            }
-        }
-        let (verified, loaded) = decode_snapshot(&bytes)?;
-        match damage.as_slice() {
-            [] => {
-                let store = loaded.expect("an untouched snapshot loads");
-                let got = store.trajectory(7).expect("object 7 loaded");
-                prop_assert_eq!(got.fixes(), traj.fixes());
-            }
-            // A flip before the newline that ends the body.
-            [(false, at, _)] if at.index(snapshot_bytes(traj).len()) + 1 < body => {
-                let err = verified.expect_err("a flipped body byte must fail the checksum");
-                prop_assert!(err.to_string().contains("checksum mismatch"), "{err}");
-            }
-            _ => {}
-        }
-    }
-
-    /// Trailers carrying garbage: an empty checksum, arbitrary text,
-    /// non-UTF-8 bytes, a wrong checksum, or the right one with a sign,
-    /// padding or upper case. The verifier accepts exactly the trailers
-    /// whose trimmed text parses as the body's CRC-32 in hex, and an
-    /// accepted file loads to the trajectory written.
-    #[test]
-    fn snapshot_decoder_survives_garbage_trailers(
-        fleet in fleet(),
-        kind in 0u8..5,
-        text in "[-+ 0-9a-fA-FxXg-z]{0,12}",
-        high in proptest::collection::vec(0x80u8..=0xFF, 1..4),
-        at in any::<prop::sample::Index>(),
-        mask in 1u32..=u32::MAX,
-    ) {
-        let traj = &fleet[0];
-        let mut bytes = traj_model::io::to_csv_string(traj).into_bytes();
-        let crc = crc32(&bytes);
-        let hex = format!("{crc:08x}");
-        let payload: Vec<u8> = match kind {
-            0 => Vec::new(),
-            1 => text.into_bytes(),
-            2 => {
-                let mut p = hex.into_bytes();
-                let i = at.index(p.len() + 1);
-                p.splice(i..i, high);
-                p
-            }
-            3 => format!("{:08x}", crc ^ mask).into_bytes(),
-            _ => format!(" +{} ", hex.to_uppercase()).into_bytes(),
-        };
-        let accept = std::str::from_utf8(&payload)
-            .ok()
-            .and_then(|p| u32::from_str_radix(p.trim(), 16).ok())
-            == Some(crc);
-        bytes.extend_from_slice(TRAILER_PREFIX.as_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.push(b'\n');
-        let (verified, loaded) = decode_snapshot(&bytes)?;
-        prop_assert_eq!(verified.is_ok(), accept, "payload {:?}: {:?}", payload, verified);
-        if accept {
-            let store = loaded.expect("an accepted snapshot loads");
-            let got = store.trajectory(7).expect("object 7 loaded");
-            prop_assert_eq!(got.fixes(), traj.fixes());
+            Err(e) => prop_assert!(
+                matches!(e, StoreError::Corrupt { .. } | StoreError::Model(_)),
+                "soup is data, not an I/O error: {e}"
+            ),
         }
     }
 }

@@ -5,8 +5,8 @@
 //! animal track (transit vs foraging, the standard movement-ecology
 //! model). Collars are battery-bound, so the online OPW-SP stream is the
 //! realistic deployment: the collar transmits only the kept fixes. We
-//! compare thresholds, then archive the compressed track to disk via the
-//! store.
+//! compare thresholds, then ingest the track through a compressing store
+//! and archive what it kept as a `t,x,y` file.
 //!
 //! ```text
 //! cargo run --release --example animal_tracking
@@ -16,8 +16,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trajc::compress::{evaluate_with, Compressor, EvalWorkspace, OpeningWindow, TdTr};
 use trajc::gen::{animal_track, AnimalParams};
+use trajc::model::io::write_csv;
 use trajc::model::stats::TrajectoryStats;
-use trajc::store::{save_dir, IngestMode, MovingObjectStore};
+use trajc::store::{IngestMode, MovingObjectStore};
 
 fn main() {
     // A day of 30 s fixes from a collared animal.
@@ -44,7 +45,8 @@ fn main() {
         );
     }
 
-    // Archive: ingest through the store with a 10 m budget and persist.
+    // Archive: ingest through the store with a 10 m budget, then write
+    // the kept fixes out.
     let mut store = MovingObjectStore::new(IngestMode::Compressed {
         epsilon: 10.0,
         speed_epsilon: Some(1.0),
@@ -58,7 +60,8 @@ fn main() {
         stats.ingested_points,
         stats.compression_pct()
     );
-    let dir = std::env::temp_dir().join("trajc_animal_archive");
-    let written = save_dir(&store, &dir).expect("writable temp dir");
-    println!("persisted {written} object file(s) under {}", dir.display());
+    let path = std::env::temp_dir().join("trajc_animal_archive.csv");
+    let kept = store.trajectory(1).expect("the track was ingested");
+    write_csv(&kept, &path).expect("writable temp dir");
+    println!("wrote the {} kept fixes to {}", kept.len(), path.display());
 }

@@ -121,9 +121,10 @@ fn main() {
         if report.clean() { "log intact" } else { "torn tail tolerated" },
         durable.store().latest(0).expect("vehicle 0 recovered").t.as_secs()
     );
-    // A snapshot compacts the recovered state and truncates the log.
-    let files = durable.snapshot().expect("snapshot");
-    println!("snapshotted {files} file(s); write-ahead log truncated");
+    // A snapshot writes the recovered state as one sealed checkpoint
+    // file and truncates the log.
+    let objects = durable.snapshot().expect("snapshot");
+    println!("snapshotted {objects} object(s) into one checkpoint; write-ahead log truncated");
     std::fs::remove_dir_all(&db).ok();
 
     // Everything above was instrumented as it ran: ingest volume,

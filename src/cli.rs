@@ -84,12 +84,12 @@ pub enum Command {
         out: Option<PathBuf>,
     },
     /// `store recover <dir> [--snapshot]` — replay a durable store's
-    /// write-ahead log over its latest snapshot and report what was
+    /// write-ahead log over its checkpoint and report what was
     /// found (torn tails, corrupt records, replayed fixes).
     StoreRecover {
         /// The durable store directory (holds `snapshot/` and `wal/`).
         dir: PathBuf,
-        /// After recovery, write a fresh snapshot and truncate the log.
+        /// After recovery, write a fresh checkpoint and truncate the log.
         snapshot: bool,
     },
     /// `serve <dir> [...]` — run the sharded ingest service over the
@@ -676,8 +676,8 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             );
             let _ = writeln!(report, "recovered state:  {} objects, {} fixes", s.objects, s.stored_points);
             if *snapshot {
-                let files = store.snapshot().map_err(|e| e.to_string())?;
-                let _ = writeln!(report, "snapshotted:      {files} files, log truncated");
+                let objects = store.snapshot().map_err(|e| e.to_string())?;
+                let _ = writeln!(report, "snapshotted:      {objects} objects, log truncated");
             }
         }
         Command::Serve(args) => return serve(args, &mut std::io::stdin().lock()),
@@ -1288,7 +1288,7 @@ mod tests {
         assert!(report.contains("replayed:         5 records"), "{report}");
         assert!(report.contains("recovered state:  1 objects, 5 fixes"), "{report}");
         assert!(report.contains("health:           clean"), "{report}");
-        assert!(report.contains("log truncated"), "{report}");
+        assert!(report.contains("snapshotted:      1 objects, log truncated"), "{report}");
         // The --snapshot pass moved the fixes into the snapshot: a second
         // recovery replays nothing.
         let report = run(&Command::StoreRecover { dir: dir.clone(), snapshot: false }).unwrap();
