@@ -25,12 +25,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use traj_model::Fix;
+use traj_model::{Fix, Timestamp};
 
-use crate::persist::{load_checkpoint, write_checkpoint};
+use crate::persist::write_checkpoint;
+use crate::recover::{recover, RecoverySink};
 use crate::storage::{FsStorage, Storage};
 use crate::store::{check_next, IngestMode, MovingObjectStore, ObjectId, StoreError};
-use crate::wal::{replay_dir, Wal, WalOptions};
+use crate::wal::{Wal, WalOptions};
 
 /// Configuration of a [`DurableStore`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -154,73 +155,14 @@ impl DurableStore {
         mode: IngestMode,
         opts: DurableOptions,
     ) -> Result<(Self, RecoveryReport), StoreError> {
-        let _span = traj_obs::trace_span!("store.recover");
-        let snap_dir = dir.join(Self::SNAPSHOT_DIR);
-        let wal_dir = dir.join(Self::WAL_DIR);
-        storage.create_dir_all(&snap_dir).map_err(|e| io_err(&snap_dir, e))?;
-
-        let mut report = RecoveryReport::default();
-
-        // 1. Sweep temp files an interrupted snapshot left behind (their
-        //    contents were never published), and refuse snapshot files
-        //    of the older format: the log they covered was truncated, so
-        //    skipping them would lose their fixes.
-        let mut checkpoint = None;
-        for path in storage.list(&snap_dir).map_err(|e| io_err(&snap_dir, e))? {
-            if path.extension().is_some_and(|e| e == "tmp") {
-                storage.remove_file(&path).map_err(|e| io_err(&path, e))?;
-            } else if path.extension().is_some_and(|e| e == "csv") {
-                let detail = format!(
-                    "a snapshot file of the older one-CSV-per-object format, the only copy \
-                     of its fixes; this version reads only {}",
-                    Self::CHECKPOINT_FILE
-                );
-                return Err(StoreError::Corrupt { path, detail });
-            } else if path.file_name().is_some_and(|n| n == Self::CHECKPOINT_FILE) {
-                checkpoint = Some(path);
-            }
-        }
-
-        // 2. Load the checkpoint, whole or not at all, installed without
-        //    re-compression in the configured mode.
         let mut store = MovingObjectStore::new(mode);
-        if let Some(path) = checkpoint {
-            load_checkpoint(storage.as_ref(), &path, &mut store, &mut report)?;
-        }
-
-        // 3. Replay the WAL tail. Records at or before an object's
-        //    restored end are already covered by the checkpoint.
-        let (records, summary) = replay_dir(storage.as_ref(), &wal_dir)?;
-        report.wal_segments = summary.segments;
-        report.skipped_corrupt = summary.corrupt_skipped;
-        report.torn_tail = summary.torn_tail;
-        for rec in records {
-            let covered = store.latest(rec.id).is_some_and(|l| l.t >= rec.fix.t);
-            if covered {
-                report.skipped_covered += 1;
-            } else {
-                store.append(rec.id, rec.fix)?;
-                report.replayed += 1;
-            }
-        }
-        traj_obs::counter!("store", "recovery_replayed").add(report.replayed as u64);
-        traj_obs::counter!("store", "recovery_skipped")
-            .add((report.skipped_covered + report.skipped_corrupt) as u64);
-
-        // 4. Open the log for appending (always a fresh segment, so a
-        //    torn tail can never sit in front of new records).
-        let wal = Wal::open(storage.clone(), &wal_dir, opts.wal)?;
+        let (wal, report) = recover(storage.clone(), dir, opts.wal, &mut store)?;
         Ok((DurableStore { store, wal, storage, dir: dir.to_path_buf() }, report))
     }
 
     /// Read access to the in-memory store (queries, stats, indexes).
     pub fn store(&self) -> &MovingObjectStore {
         &self.store
-    }
-
-    /// The open log, for a group store that takes over after recovery.
-    pub(crate) fn into_wal(self) -> Wal {
-        self.wal
     }
 
     /// Appends a reported fix durably: validated, logged, fsynced, then
@@ -263,6 +205,27 @@ impl DurableStore {
         self.storage.sync_dir(&snap_dir).map_err(|e| io_err(&snap_dir, e))?;
         self.wal.truncate()?;
         Ok(objects)
+    }
+}
+
+/// A durable store recovers the whole history: checkpoint runs are
+/// installed without re-compression, and replayed records are appended
+/// in the configured ingest mode.
+impl RecoverySink for MovingObjectStore {
+    fn latest_time(&self, id: ObjectId) -> Option<Timestamp> {
+        self.latest(id).map(|l| l.t)
+    }
+
+    fn restore_run(&mut self, id: ObjectId, run: Vec<Fix>) -> Result<(), StoreError> {
+        self.restore_trajectory(id, run)
+    }
+
+    fn replay(&mut self, id: ObjectId, fix: Fix) -> Result<bool, StoreError> {
+        if self.latest_time(id).is_some_and(|l| l >= fix.t) {
+            return Ok(false);
+        }
+        self.append(id, fix)?;
+        Ok(true)
     }
 }
 

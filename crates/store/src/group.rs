@@ -1,14 +1,15 @@
 //! Cross-session group commit: many appends, one fsync, then acks.
 //!
-//! The per-append `fsync` of [`DurableStore::append`] is the dominant
+//! The per-append `fsync` of
+//! [`DurableStore::append`](crate::DurableStore::append) is the dominant
 //! cost of durable ingest: it caps a shard at the disk's sync rate
-//! (`EXPERIMENTS.md`, "Ingest throughput"). Group commit amortizes it without giving
-//! up the durability class: appends from any number of sessions are
-//! *buffered* — written to the WAL, but **not yet acknowledged** — and a
-//! single [`GroupCommitStore::commit`] fsyncs the lot. Only fixes at or
-//! below the sequence number a commit returned may be acknowledged to
-//! their reporters; a crash can then never take back an acknowledged
-//! fix, exactly as with per-append fsync (pinned by
+//! (`EXPERIMENTS.md`, "Ingest throughput"). Group commit amortizes it
+//! without giving up the durability class: appends from any number of
+//! sessions are *buffered* — written to the WAL, but **not yet
+//! acknowledged** — and a single [`GroupCommitStore::commit`] fsyncs the
+//! lot. Only fixes at or below the sequence number a commit returned may
+//! be acknowledged to their reporters; a crash can then never take back
+//! an acknowledged fix, exactly as with per-append fsync (pinned by
 //! `crates/store/tests/durability.rs`).
 //!
 //! The protocol, from a caller's (shard worker's) perspective:
@@ -22,21 +23,33 @@
 //! 3. Release every ack whose sequence is covered.
 //!
 //! The commit point is the WAL fsync — the same commit point
-//! [`DurableStore`] uses, just batched: [`GroupCommitStore::buffer`]
-//! logs without an fsync and [`GroupCommitStore::commit`] is the only
-//! fsync on this path. The log is the history: in memory a group store
-//! holds only the open WAL segment and one time per object, and a shard
-//! directory is read with [`DurableStore::open`].
+//! [`DurableStore`](crate::DurableStore) uses, just batched:
+//! [`GroupCommitStore::buffer`] logs without an fsync and
+//! [`GroupCommitStore::commit`] is the only fsync on this path. The log
+//! is the history: in memory a group store holds only the open WAL
+//! segment and one time per object, and a shard directory is read with
+//! [`DurableStore::open`](crate::DurableStore::open).
+//!
+//! Opening a group store runs the crate's one recovery routine — the
+//! one [`DurableStore::open`](crate::DurableStore::open) runs, step by
+//! step — into that map of latest times instead of a history. The
+//! records of each segment stream into the map as they decode, one
+//! lookup each, so a restart holds one segment file's bytes (each file
+//! is still read whole through `Storage::read`) plus one entry per
+//! object: O(objects + one segment file), flat in the length of the
+//! history.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use traj_model::{Fix, Timestamp};
 
-use crate::durable::{DurableOptions, DurableStore, RecoveryReport};
+use crate::durable::{DurableOptions, RecoveryReport};
+use crate::recover::{recover, RecoverySink};
 use crate::storage::Storage;
-use crate::store::{advance, IngestMode, ObjectId, StoreError};
+use crate::store::{advance, check_next, check_run, IngestMode, ObjectId, StoreError};
 use crate::wal::Wal;
 
 /// The batching bound for [`GroupCommitStore`] callers.
@@ -61,8 +74,10 @@ impl Default for GroupCommitOptions {
 
 /// A WAL writer plus each object's latest logged time, whose commit
 /// point is an explicit, shared, batched fsync — see the [module
-/// docs](self) for the protocol. It writes a [`DurableStore`]
-/// directory, which [`DurableStore::open`] and `trajc store recover` read.
+/// docs](self) for the protocol. It writes a
+/// [`DurableStore`](crate::DurableStore) directory, which
+/// [`DurableStore::open`](crate::DurableStore::open) and `trajc store
+/// recover` read.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -90,7 +105,9 @@ impl Default for GroupCommitOptions {
 pub struct GroupCommitStore {
     wal: Wal,
     /// Each object's latest logged time, recovered or buffered since.
-    latest: BTreeMap<ObjectId, Timestamp>,
+    /// Hashed with the default (randomly keyed) hasher: the ids come
+    /// from outside the program.
+    latest: HashMap<ObjectId, Timestamp>,
     /// The shard directory, named in the poisoned-handle error.
     dir: PathBuf,
     opts: GroupCommitOptions,
@@ -116,13 +133,15 @@ impl std::fmt::Debug for GroupCommitStore {
 }
 
 impl GroupCommitStore {
-    /// Opens a group-commit store at `dir` over `storage`: recovers it
-    /// with [`DurableStore::open_with`] in [`IngestMode::Raw`], whatever
-    /// `_mode` says (an object's latest time is the same in every mode),
-    /// keeps the log and each object's latest time, and drops the rest.
+    /// Opens a group-commit store at `dir` over `storage`: runs the
+    /// recovery [`DurableStore::open_with`](crate::DurableStore::open_with)
+    /// runs, into a map of each object's latest time instead of a
+    /// history, whatever `_mode` says (an object's latest time is the
+    /// same in every mode). No fix is kept in memory: recovery holds one
+    /// segment file's bytes at a time plus the map.
     ///
     /// # Errors
-    /// Like [`DurableStore::open`].
+    /// Like [`DurableStore::open`](crate::DurableStore::open).
     pub fn open_with(
         storage: Arc<dyn Storage>,
         dir: &Path,
@@ -130,12 +149,10 @@ impl GroupCommitStore {
         opts: DurableOptions,
         group: GroupCommitOptions,
     ) -> Result<(Self, RecoveryReport), StoreError> {
-        let (recovered, report) = DurableStore::open_with(storage, dir, IngestMode::Raw, opts)?;
-        let history = recovered.store();
-        let latest =
-            history.object_ids().filter_map(|id| Some((id, history.latest(id)?.t))).collect();
+        let mut latest = HashMap::new();
+        let (wal, report) = recover(storage, dir, opts.wal, &mut latest)?;
         let store = GroupCommitStore {
-            wal: recovered.into_wal(),
+            wal,
             latest,
             dir: dir.to_path_buf(),
             opts: group,
@@ -223,10 +240,41 @@ impl GroupCommitStore {
     }
 }
 
+/// A group store recovers each object's latest time and nothing else:
+/// one map lookup per replayed record.
+impl RecoverySink for HashMap<ObjectId, Timestamp> {
+    fn latest_time(&self, id: ObjectId) -> Option<Timestamp> {
+        self.get(&id).copied()
+    }
+
+    fn restore_run(&mut self, id: ObjectId, run: Vec<Fix>) -> Result<(), StoreError> {
+        if let Some(t) = check_run(&run)? {
+            self.extend([(id, t)]);
+        }
+        Ok(())
+    }
+
+    fn replay(&mut self, id: ObjectId, fix: Fix) -> Result<bool, StoreError> {
+        match self.entry(id) {
+            Entry::Occupied(latest) if *latest.get() >= fix.t => return Ok(false),
+            Entry::Occupied(mut latest) => {
+                check_next(None, &fix, 0)?;
+                latest.insert(fix.t);
+            }
+            Entry::Vacant(slot) => {
+                check_next(None, &fix, 0)?;
+                slot.insert(fix.t);
+            }
+        }
+        Ok(true)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
+    use crate::DurableStore;
 
     fn fix(t: f64) -> Fix {
         Fix::from_parts(t, t * 3.0, -t)

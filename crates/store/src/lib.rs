@@ -19,8 +19,10 @@
 //! * [`GroupCommitStore`] — the write side of a `trajc serve` shard: a
 //!   WAL writer whose appends from many sessions buffer behind one
 //!   shared fsync and are acknowledged only once it returns ([`group`]).
-//!   In memory it holds the open segment and one time per object; a
-//!   shard directory is read with [`DurableStore::open`];
+//!   In memory it holds the open segment and one time per object, and a
+//!   restart recovers only those times, with the same routine
+//!   [`DurableStore::open`] runs; a shard directory is read with
+//!   [`DurableStore::open`];
 //! * [`storage`] — the injectable filesystem boundary behind the
 //!   durability layer, including the fault-injecting
 //!   [`storage::MemStorage`] the crash tests sweep with;
@@ -38,6 +40,7 @@
 pub mod durable;
 pub mod group;
 mod persist;
+mod recover;
 pub mod query;
 pub mod rtree;
 pub mod storage;

@@ -1,8 +1,8 @@
 //! The checkpoint file: a store's whole state as one sealed WAL segment.
 //!
 //! [`DurableStore::snapshot`](crate::DurableStore::snapshot) persists the
-//! in-memory store with [`write_checkpoint`], and
-//! [`DurableStore::open`](crate::DurableStore::open) reads it back with
+//! in-memory store with [`write_checkpoint`], and recovery
+//! ([`crate::recover`]) reads it back into either store's state with
 //! [`load_checkpoint`]. The file is the WAL's segment magic, then every
 //! object's stored fixes as WAL append records (one run per object,
 //! ascending id), then a 4-byte seal: the CRC-32 of every byte before it.
@@ -12,9 +12,12 @@
 
 use std::path::Path;
 
+use traj_model::Fix;
+
 use crate::durable::{io_err, RecoveryReport};
+use crate::recover::RecoverySink;
 use crate::storage::{crc32, crc32_update, Storage};
-use crate::store::{MovingObjectStore, StoreError};
+use crate::store::{MovingObjectStore, ObjectId, StoreError};
 use crate::wal::{encode_record, scan_segment, ReplaySummary};
 use crate::wal::{FIX_PAYLOAD_BYTES, RECORD_HEADER_BYTES, SEGMENT_MAGIC};
 
@@ -62,14 +65,16 @@ pub(crate) fn write_checkpoint(
     Ok(objects)
 }
 
-/// Loads the checkpoint at `path` into `store`, whole or not at all: the
+/// Loads the checkpoint at `path` into `sink`, whole or not at all: the
 /// seal must match, and the WAL's [`scan_segment`] must find no torn or
 /// corrupt record and each object in one run. Unlike a WAL record, a
 /// checkpoint has no younger copy, so damage is an error, never a skip.
+/// Each run goes to the sink as soon as the next object's first record
+/// ends it, so the loader holds the file's bytes and one run.
 pub(crate) fn load_checkpoint(
     storage: &dyn Storage,
     path: &Path,
-    store: &mut MovingObjectStore,
+    sink: &mut impl RecoverySink,
     report: &mut RecoveryReport,
 ) -> Result<(), StoreError> {
     let corrupt = |detail: String| StoreError::Corrupt { path: path.to_path_buf(), detail };
@@ -81,28 +86,31 @@ pub(crate) fn load_checkpoint(
     if crc32(body).to_le_bytes() != seal {
         return Err(corrupt("seal mismatch: the checkpoint is cut short or damaged".into()));
     }
-    let mut records = Vec::with_capacity(body.len() / (RECORD_HEADER_BYTES + FIX_PAYLOAD_BYTES));
+    let mut restore = |id: ObjectId, run: Vec<Fix>| {
+        if sink.latest_time(id).is_some() {
+            return Err(corrupt(format!("object {id} is split across two runs of records")));
+        }
+        report.snapshot_objects += 1;
+        report.snapshot_fixes += run.len();
+        sink.restore_run(id, run)
+    };
+    let (mut current, mut run) = (None, Vec::new());
     let mut summary = ReplaySummary::default();
-    scan_segment(body, &mut records, &mut summary);
-    drop(bytes);
+    scan_segment(body, &mut summary, |rec| {
+        if let Some(id) = current.filter(|&id| id != rec.id) {
+            restore(id, std::mem::take(&mut run))?;
+        }
+        current = Some(rec.id);
+        run.push(rec.fix);
+        Ok(())
+    })?;
     if summary.torn_tail || summary.corrupt_skipped > 0 {
         return Err(corrupt(format!("torn or corrupt records under a valid seal: {summary:?}")));
     }
-    let mut fixes = Vec::new();
-    let mut records = records.into_iter().peekable();
-    while let Some(rec) = records.next() {
-        fixes.push(rec.fix);
-        if records.peek().is_some_and(|next| next.id == rec.id) {
-            continue;
-        }
-        if store.latest(rec.id).is_some() {
-            return Err(corrupt(format!("object {} is split across two runs of records", rec.id)));
-        }
-        report.snapshot_objects += 1;
-        report.snapshot_fixes += fixes.len();
-        store.restore_trajectory(rec.id, std::mem::take(&mut fixes))?;
+    match current {
+        Some(id) => restore(id, run),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -110,7 +118,6 @@ mod tests {
     use super::*;
     use crate::storage::MemStorage;
     use crate::store::IngestMode;
-    use traj_model::Fix;
 
     const PATH: &str = "/snapshot/checkpoint.log";
 

@@ -1,7 +1,7 @@
 //! The moving-object store.
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use traj_compress::streaming::{OwStream, StreamingCompressor};
 use traj_compress::{BreakStrategy, Criterion};
@@ -123,18 +123,38 @@ pub(crate) fn check_next(
     Ok(())
 }
 
+/// [`check_next`] over a whole history, each fix against the one before
+/// it, with its position as the error's index; returns the last time.
+pub(crate) fn check_run(fixes: &[Fix]) -> Result<Option<Timestamp>, StoreError> {
+    let mut latest = None;
+    for (i, f) in fixes.iter().enumerate() {
+        check_next(latest, f, i)?;
+        latest = Some(f.t);
+    }
+    Ok(latest)
+}
+
 /// [`check_next`] against `id`'s time in `latest`, then records `fix.t`
 /// there: a group store keeps each object's time where this store keeps
 /// its fixes.
 pub(crate) fn advance(
-    latest: &mut BTreeMap<ObjectId, Timestamp>,
+    latest: &mut HashMap<ObjectId, Timestamp>,
     id: ObjectId,
     fix: &Fix,
 ) -> Result<(), StoreError> {
-    check_next(latest.get(&id).copied(), fix, 0)?;
-    // `extend`, not `insert`: `cargo xtask reach` matches methods by
-    // bare name and takes `insert` for `Vec::insert`, which may panic.
-    latest.extend([(id, fix.t)]);
+    match latest.get_mut(&id) {
+        Some(t) => {
+            check_next(Some(*t), fix, 0)?;
+            *t = fix.t;
+        }
+        None => {
+            check_next(None, fix, 0)?;
+            // `extend`, not `insert`: `cargo xtask reach` matches methods
+            // by bare name and takes `insert` for `Vec::insert`, which
+            // may panic.
+            latest.extend([(id, fix.t)]);
+        }
+    }
     Ok(())
 }
 
@@ -285,11 +305,7 @@ impl MovingObjectStore {
         id: ObjectId,
         fixes: Vec<Fix>,
     ) -> Result<(), StoreError> {
-        let mut latest = None;
-        for (i, f) in fixes.iter().enumerate() {
-            check_next(latest, f, i)?;
-            latest = Some(f.t);
-        }
+        check_run(&fixes)?;
         let ingested = fixes.len();
         let stream = self.new_stream();
         self.objects.insert(id, ObjectState { committed: fixes, stream, ingested });

@@ -9,11 +9,20 @@
 //! A checkpoint ([`crate::DurableStore::snapshot`]) is one more file in
 //! this framing, encoded and scanned by the same two functions.
 //!
-//! Recovery ([`replay_dir`]) tolerates exactly the failure modes a
-//! crash can produce: a torn final record (stop, report the tail), a
-//! torn segment header (treat the segment as empty), and at-rest bit
-//! rot (skip the record whose CRC fails, keep scanning while the length
-//! framing stays plausible).
+//! The segment scanner tolerates exactly the failure modes a crash can
+//! produce: a torn final record (stop, report the tail), a torn segment
+//! header (treat the segment as empty), and at-rest bit rot (skip the
+//! record whose CRC fails, keep scanning while the length framing stays
+//! plausible).
+//!
+//! The scanner hands each decoded record to a visitor. Recovery, the
+//! crate's one routine with two sinks (a `DurableStore`'s history and a
+//! `GroupCommitStore`'s map of latest times), folds the records straight
+//! into its sink segment by segment, so it holds one segment file's
+//! bytes plus the sink's state: O(objects + one segment file) for the
+//! group store, flat in the length of the log. A segment is still read
+//! whole through [`Storage::read`]. [`replay_dir`] is the same scan
+//! collecting every record into a `Vec`, for tools and tests.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -126,20 +135,26 @@ fn exhausted(path: PathBuf) -> StoreError {
     StoreError::Corrupt { path, detail }
 }
 
-/// Decodes one segment's bytes into records.
-pub(crate) fn scan_segment(bytes: &[u8], out: &mut Vec<WalRecord>, summary: &mut ReplaySummary) {
+/// Decodes one segment's bytes, handing each good record to `visit` in
+/// file order and counting skips and tears in `summary`; stops at the
+/// first error `visit` returns.
+pub(crate) fn scan_segment(
+    bytes: &[u8],
+    summary: &mut ReplaySummary,
+    mut visit: impl FnMut(WalRecord) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
     if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
         // A crash while writing the 8-byte header leaves a short or
         // garbled prefix; the segment holds no acknowledged data.
         summary.torn_tail = true;
-        return;
+        return Ok(());
     }
     let mut off = SEGMENT_MAGIC.len();
     while off < bytes.len() {
         let rest = &bytes[off..];
         if rest.len() < RECORD_HEADER_BYTES {
             summary.torn_tail = true; // torn mid-header
-            return;
+            return Ok(());
         }
         let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
         if len > MAX_PAYLOAD_BYTES {
@@ -147,20 +162,20 @@ pub(crate) fn scan_segment(bytes: &[u8], out: &mut Vec<WalRecord>, summary: &mut
             // flipped length byte. Resynchronizing past it is unsafe, so
             // stop here.
             summary.torn_tail = true;
-            return;
+            return Ok(());
         }
         let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
         let end = RECORD_HEADER_BYTES + len as usize;
         if rest.len() < end {
             summary.torn_tail = true; // torn mid-payload
-            return;
+            return Ok(());
         }
         let payload = &rest[RECORD_HEADER_BYTES..end];
         if crc32(payload) == crc {
             match decode_payload(payload) {
                 Some(rec) => {
-                    out.push(rec);
                     summary.records += 1;
+                    visit(rec)?;
                 }
                 // Checksum fine but unknown kind/shape: a future format
                 // we do not understand — skip, count it.
@@ -173,11 +188,43 @@ pub(crate) fn scan_segment(bytes: &[u8], out: &mut Vec<WalRecord>, summary: &mut
         }
         off += end;
     }
+    Ok(())
+}
+
+/// Scans every `wal-*.log` under `dir` in ascending sequence, reading
+/// one segment at a time and handing each good record to `visit`, and
+/// returns a summary of skips and tears. A missing directory is an
+/// empty log.
+///
+/// # Errors
+/// Backend I/O errors (with the offending path attached), and the first
+/// error `visit` returns; never corrupt contents, which the summary
+/// reports.
+pub(crate) fn scan_dir(
+    storage: &dyn Storage,
+    dir: &Path,
+    mut visit: impl FnMut(WalRecord) -> Result<(), StoreError>,
+) -> Result<ReplaySummary, StoreError> {
+    let _span = traj_obs::trace_span!("wal.replay");
+    let mut summary = ReplaySummary::default();
+    let mut segments: Vec<(u64, PathBuf)> = match storage.list(dir) {
+        Ok(paths) => paths.into_iter().filter_map(|p| segment_seq(&p).map(|s| (s, p))).collect(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(summary),
+        Err(e) => return Err(io_err(dir, e)),
+    };
+    segments.sort_unstable_by_key(|(seq, _)| *seq);
+    for (_, path) in segments {
+        let bytes = storage.read(&path).map_err(|e| io_err(&path, e))?;
+        summary.segments += 1;
+        scan_segment(&bytes, &mut summary, &mut visit)?;
+    }
+    Ok(summary)
 }
 
 /// Scans every `wal-*.log` under `dir` (ascending sequence) and returns
-/// the decoded records plus a summary of skips and tears. A missing
-/// directory is an empty log.
+/// the decoded records plus a summary of skips and tears. Recovery
+/// streams the same scan into its sink instead of collecting it. A
+/// missing directory is an empty log.
 ///
 /// # Errors
 /// Fails only on backend I/O errors (with the offending path attached),
@@ -186,20 +233,11 @@ pub fn replay_dir(
     storage: &dyn Storage,
     dir: &Path,
 ) -> Result<(Vec<WalRecord>, ReplaySummary), StoreError> {
-    let _span = traj_obs::trace_span!("wal.replay");
     let mut records = Vec::new();
-    let mut summary = ReplaySummary::default();
-    let mut segments: Vec<(u64, PathBuf)> = match storage.list(dir) {
-        Ok(paths) => paths.into_iter().filter_map(|p| segment_seq(&p).map(|s| (s, p))).collect(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((records, summary)),
-        Err(e) => return Err(io_err(dir, e)),
-    };
-    segments.sort_unstable_by_key(|(seq, _)| *seq);
-    for (_, path) in segments {
-        let bytes = storage.read(&path).map_err(|e| io_err(&path, e))?;
-        summary.segments += 1;
-        scan_segment(&bytes, &mut records, &mut summary);
-    }
+    let summary = scan_dir(storage, dir, |rec| {
+        records.push(rec);
+        Ok(())
+    })?;
     Ok((records, summary))
 }
 
