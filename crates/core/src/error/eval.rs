@@ -41,46 +41,13 @@
 //! [`super::evaluate`]'s, bit for bit (pinned by the proptests in
 //! `tests/eval_engine.rs`).
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use crate::error::synchronized::mean_linear_displacement;
 use crate::error::Evaluation;
+use crate::pair_map::PairMap;
 use crate::result::CompressionResult;
 use traj_geom::numeric::approx_zero;
 use traj_geom::Vec2;
 use traj_model::{Fix, TrajColumns, Trajectory};
-
-/// Multiply-rotate hasher for the segment cache (the FxHash recipe).
-/// `(lo, hi)` keys are a pair of small indices; SipHash's DoS hardening
-/// buys nothing here and its per-lookup cost is visible in threshold
-/// sweeps, where every anchor segment of every result is looked up.
-#[derive(Debug, Default)]
-struct SegHasher(u64);
-
-impl Hasher for SegHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_usize(b as usize);
-        }
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.0 = (self.0.rotate_left(5) ^ v as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.write_usize(v as usize);
-    }
-}
 
 /// Cache entry for one anchor segment: where its per-interval terms
 /// live, plus the segment-level maxima.
@@ -143,7 +110,7 @@ struct SegTerm {
 #[derive(Debug, Default)]
 pub struct EvalWorkspace {
     /// Anchor segment `(lo, hi)` → term offset and cached maxima.
-    seg_at: HashMap<(usize, usize), SegEntry, BuildHasherDefault<SegHasher>>,
+    seg_at: PairMap<SegEntry>,
     /// Arena of cached per-interval terms, in discovery order.
     terms: Vec<SegTerm>,
     /// SED sample scratch for the quantile queries.
@@ -252,6 +219,12 @@ impl<'a> ErrorEval<'a> {
     /// Evaluates one compression result under every error notion — the
     /// one-pass equivalent of [`super::evaluate`].
     ///
+    /// With the `obs` feature and an active [`traj_obs::trace`] session,
+    /// each evaluated result emits `eval.cache_hits` / `eval.cache_misses`
+    /// instant events (anchor segments served without computing terms vs.
+    /// added to the workspace cache), so the memoization is visible on the
+    /// timeline.
+    ///
     /// # Panics
     /// Panics if `result` does not belong to the bound trajectory
     /// (length mismatch).
@@ -262,9 +235,10 @@ impl<'a> ErrorEval<'a> {
             "result/trajectory mismatch"
         );
         #[cfg(feature = "obs")]
-        {
+        let hits_before = {
             self.cells += 1;
-        }
+            self.cache_hits
+        };
         let n = self.fixes.len();
         // Flat accumulators, updated in original-fix order across anchor
         // segments — the exact summation order of the reference path.
@@ -294,6 +268,13 @@ impl<'a> ErrorEval<'a> {
             // reference path's flat per-term max exactly.
             d_max = d_max.max(e.d_max);
             perp_max = perp_max.max(e.perp_max);
+        }
+        #[cfg(feature = "obs")]
+        {
+            let hits = self.cache_hits - hits_before;
+            let segments = (kept.len() as u64).saturating_sub(1);
+            traj_obs::trace_instant!("eval.cache_hits", hits);
+            traj_obs::trace_instant!("eval.cache_misses", segments - hits);
         }
         let removed = n - result.kept_len();
         Evaluation {
@@ -475,12 +456,6 @@ impl Drop for ErrorEval<'_> {
 /// threshold. Each returned [`Evaluation`] is exactly equal — bit for
 /// bit — to [`super::evaluate`] on the same cell.
 ///
-/// With the `obs` feature and an active [`traj_obs::trace`] session,
-/// each evaluated result emits `eval.cache_hits` / `eval.cache_misses`
-/// instant events (anchor segments served without computing terms vs.
-/// added to the workspace cache), so the memoization is visible on the
-/// timeline.
-///
 /// # Panics
 /// Panics if `original` has fewer than two fixes or any result does not
 /// belong to it.
@@ -490,22 +465,7 @@ pub fn evaluate_sweep(
     ws: &mut EvalWorkspace,
 ) -> Vec<Evaluation> {
     let mut ev = ErrorEval::new(original, ws);
-    results
-        .iter()
-        .map(|r| {
-            #[cfg(feature = "obs")]
-            let hits_before = ev.cache_hits;
-            let e = ev.evaluate(r);
-            #[cfg(feature = "obs")]
-            {
-                let hits = ev.cache_hits - hits_before;
-                let segments = (r.kept().len() as u64).saturating_sub(1);
-                traj_obs::trace_instant!("eval.cache_hits", hits);
-                traj_obs::trace_instant!("eval.cache_misses", segments - hits);
-            }
-            e
-        })
-        .collect()
+    results.iter().map(|r| ev.evaluate(r)).collect()
 }
 
 /// One-pass, workspace-borrowing form of [`super::evaluate`]: same

@@ -90,6 +90,7 @@ pub mod douglas_peucker;
 pub mod error;
 pub mod one_pass;
 pub mod opening_window;
+pub(crate) mod pair_map;
 pub mod result;
 pub mod segmentation;
 pub mod simple;

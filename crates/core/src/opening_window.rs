@@ -23,8 +23,16 @@
 //! OW algorithms are *online*: they never look past the current float.
 //! The batch form here is `O(N·w)` for maximum window size `w` (`O(N²)`
 //! worst case), matching the paper. One engine grows the windows for
-//! [`OpeningWindow`]'s `compress_into`, for the threshold sweep
-//! ([`OpeningWindow::sweep`]) and for [`crate::SlidingWindow`].
+//! [`OpeningWindow`]'s `compress_into`, for the threshold sweeps
+//! ([`OpeningWindow::sweep`], [`OpeningWindow::sweep_rows`]) and for
+//! [`crate::SlidingWindow`]. It scans *lanes*: a lane is a distance
+//! threshold plus a speed class, and every lane anchored at one point is
+//! served by one growing window. Within a class the lanes are sorted by
+//! threshold, so a new window maximum cuts a prefix of each class and a
+//! class's speed stop cuts the rest of it. A single compression is one
+//! lane; a sweep runs every threshold of a figure's window rows that
+//! share a distance kernel and a break strategy, and lanes that must cut
+//! alike run once (see [`OpeningWindow::sweep_rows`]).
 //! [`crate::streaming::OwStream`] makes the same decisions fix by fix
 //! through the scalar [`Criterion::first_violation`]; it is a
 //! separate implementation, and the engine is pinned against it.
@@ -37,6 +45,7 @@ use crate::criterion::{speed_difference_view, window_dists_into};
 use crate::obs::AlgoRun;
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::Workspace;
+use traj_geom::TrajView;
 use traj_model::Trajectory;
 
 /// What becomes the break point when the window can no longer be opened.
@@ -136,10 +145,7 @@ impl Compressor for OpeningWindow {
         let _span = traj_obs::trace_span!("ow.compress", n);
         let mut run = AlgoRun::new();
         out.reset(n);
-        let mut kept = [std::mem::take(&mut out.kept)];
-        let eps = [self.criterion.epsilon()];
-        run.sed_evals(open_windows(&self.criterion, self.strategy, &eps, n, traj, ws, &mut kept));
-        [out.kept] = kept;
+        run.sed_evals(open_window(&self.criterion, self.strategy, n, traj, ws, &mut out.kept));
         // Each kept segment was one window: opened at its anchor, closed
         // at its cut.
         for _ in 1..out.kept.len() {
@@ -150,90 +156,175 @@ impl Compressor for OpeningWindow {
     }
 }
 
-/// The opening-window engine: the one window scan behind
-/// [`OpeningWindow::compress_into`] (one threshold),
-/// [`OpeningWindow::sweep_with`] (a grid of them) and
-/// [`crate::SlidingWindow`] (BOPW with the float at most `reach` points
-/// past the anchor).
-///
-/// Appends to `kept[k]` the break points of `criterion` at distance
-/// threshold `thresholds[k]`, from the anchor `0` to the last point, and
-/// returns how many distances it computed. `traj` has at least three
-/// fixes and `ws` has been begun for it.
-///
-/// For anchor `a` and float `f` the window test is one comparison: does
-/// the largest interior distance `M(a, f)` exceed the threshold? A
-/// threshold's first violating float is where the running maximum of
-/// `M(a, ·)` first rises above it, so one growing window answers every
-/// threshold anchored at `a`. The speed term closes every window anchored
-/// at `a` at float `s(a) + 1`, where `s(a)` is the first later point
-/// whose speed difference exceeds `speed_epsilon`, whatever the distance
-/// threshold. Thresholds advance in lockstep over anchors, so each
-/// `(anchor, float)` window is scanned once however many reach it.
-pub(crate) fn open_windows(
+/// One lane of the opening-window engine: a distance threshold under one
+/// speed class. The engine appends the lane's break points to the lane's
+/// own kept list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    /// Distance threshold, metres.
+    eps: f64,
+    /// Index of the lane's [`SpeedClass`] in the engine's class slice.
+    class: usize,
+    /// The next lane in the same anchor queue, or in the same class list
+    /// once the lane's anchor is served.
+    next: Option<usize>,
+}
+
+impl Lane {
+    /// A lane at distance threshold `eps` in speed class `class`.
+    pub(crate) fn new(eps: f64, class: usize) -> Self {
+        Lane { eps, class, next: None }
+    }
+}
+
+/// The speed stop shared by every lane of one class: lanes whose speed
+/// thresholds no speed difference of the trajectory lies between cut
+/// alike, so they share one class (and one scan for `s(a)`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpeedClass {
+    /// Speed-difference threshold, `None` for no speed stop.
+    veps: Option<f64>,
+    /// `s(a)` as of the latest anchor it was found for: the first later
+    /// point whose speed difference exceeds `veps` (`n` when none).
+    speed: usize,
+    /// The stop at the anchor being served: every window whose float is
+    /// at or past it violates.
+    stop: usize,
+    /// The class's first lane not yet cut at the anchor being served;
+    /// the lanes follow through [`Lane::next`], sorted by threshold.
+    front: Option<usize>,
+}
+
+impl SpeedClass {
+    /// A class stopping windows at the speed threshold `veps`, if any.
+    pub(crate) fn new(veps: Option<f64>) -> Self {
+        SpeedClass { veps, speed: 0, stop: 0, front: None }
+    }
+}
+
+/// The lanes one engine call scans: `kept[k]` receives the break points
+/// of `lanes[k]`, whose class is an index into `classes`.
+pub(crate) struct Lanes<'a> {
+    pub(crate) lanes: &'a mut [Lane],
+    pub(crate) classes: &'a mut [SpeedClass],
+    pub(crate) kept: &'a mut [Vec<usize>],
+}
+
+/// The opening-window engine for one lane: [`OpeningWindow::compress_into`]
+/// (`reach` = `n`) and [`crate::SlidingWindow`] (BOPW with the float at
+/// most `reach` points past the anchor). Appends to `kept` the break
+/// points of `criterion` at its own thresholds.
+pub(crate) fn open_window(
     criterion: &Criterion,
     strategy: BreakStrategy,
-    thresholds: &[f64],
     reach: usize,
     traj: &Trajectory,
     ws: &mut Workspace,
-    kept: &mut [Vec<usize>],
+    kept: &mut Vec<usize>,
+) -> u64 {
+    let mut lane = [Lane::new(criterion.epsilon(), 0)];
+    let mut class = [SpeedClass::new(criterion.speed_epsilon())];
+    let mut one = [std::mem::take(kept)];
+    let lanes = Lanes { lanes: &mut lane, classes: &mut class, kept: &mut one };
+    let evals = open_windows(criterion, strategy, reach, traj, ws, lanes);
+    [*kept] = one;
+    evals
+}
+
+/// The opening-window engine: the one window scan behind
+/// [`OpeningWindow::compress_into`] (one lane), [`OpeningWindow::sweep_rows`]
+/// (every lane of a figure's window rows that share a distance kernel and
+/// a break strategy) and [`crate::SlidingWindow`] (one lane, BOPW with the
+/// float at most `reach` points past the anchor).
+///
+/// A lane is a distance threshold plus a speed class; `criterion` only
+/// picks the distance kernel (perpendicular, or SED for both time-ratio
+/// criteria). Appends to each lane's kept list its break points from the
+/// anchor `0` to the last point, and returns how many distances it
+/// computed. `traj` has at least three fixes and `ws` has been begun for
+/// it.
+///
+/// For anchor `a` and float `f` the window test is one comparison: does
+/// the largest interior distance `M(a, f)` exceed the threshold? A lane's
+/// first violating float is where the running maximum of `M(a, ·)` first
+/// rises above its threshold, so one growing window answers every lane
+/// anchored at `a`. The speed term closes every window of a class
+/// anchored at `a` at float `s(a) + 1`, where `s(a)` is the first later
+/// point whose speed difference exceeds the class's threshold, whatever
+/// the distance threshold. Lanes advance in lockstep over anchors, so each
+/// `(anchor, float)` window is scanned once however many lanes reach it.
+///
+/// The lanes anchored at `a` wait in the anchor's queue; serving `a`
+/// files them into their classes, each sorted by threshold. A window
+/// maximum `m` above the lowest open threshold then cuts the prefix of
+/// each class below `m`, a class's stop cuts the rest of that class, and a
+/// cut lane joins the queue of its cut point.
+pub(crate) fn open_windows(
+    criterion: &Criterion,
+    strategy: BreakStrategy,
+    reach: usize,
+    traj: &Trajectory,
+    ws: &mut Workspace,
+    lanes: Lanes<'_>,
 ) -> u64 {
     ws.bind_columns(traj);
     // Field-disjoint borrows: the view reads `ws.cols` while the scan
-    // fills `ws.ow_dists`.
+    // fills `ws.ow_dists` and the anchor queues `ws.ow_queues`.
     let ws = &mut *ws;
     let v = ws.cols.view();
     let n = v.len();
-    let last = n - 1;
-    // `s(a)` of the current anchor, `n` when no later point violates.
-    // Anchors only grow, so one forward pass finds every `s(a)`.
-    let mut speed = 0;
-    let mut evals = 0;
-    for k in kept.iter_mut() {
-        k.push(0);
+    let Lanes { lanes, classes, kept } = lanes;
+    ws.ow_queues.clear();
+    ws.ow_queues.resize(n, None);
+    let mut scan = Scan { strategy, last: n - 1, lanes, queues: &mut ws.ow_queues, kept };
+    for k in 0..scan.lanes.len() {
+        scan.keep(k, 0);
     }
-    // Serve together every threshold anchored at the smallest open anchor
-    // `a`. Anchors only grow, so no threshold comes back to `a`. A
-    // threshold is finished once it has kept `last`.
-    while let Some(a) = kept.iter().filter_map(|k| k.last().copied()).filter(|&a| a != last).min()
-    {
-        // A plain loop, not `.count()`: `cargo xtask reach` resolves
-        // method calls by bare name and would link unrelated `count`s.
+    let mut evals = 0;
+    for a in 0..scan.last {
+        // File the lanes anchored at `a` into their classes; a class's
+        // first lane here fixes the class's stop for this anchor. From
+        // float `stop` on, every window of the class violates through the
+        // speed term or reaches past the cap.
         let mut open = 0;
-        for k in kept.iter() {
-            if k.last() == Some(&a) {
-                open += 1;
+        let mut queued = scan.queues.get_mut(a).and_then(Option::take);
+        while let Some(k) = queued {
+            let Some(lane) = scan.lanes.get(k).copied() else { break };
+            queued = lane.next;
+            let Some(class) = classes.get_mut(lane.class) else { continue };
+            if class.front.is_none() {
+                if class.speed <= a {
+                    class.speed = speed_stop(v, a, class.veps);
+                }
+                class.stop = n.min(class.speed + 1).min((a + 1).saturating_add(reach));
             }
+            scan.admit(class, k, lane.eps);
+            open += 1;
         }
-        if speed <= a {
-            speed = criterion.speed_epsilon().map_or(n, |veps| {
-                (a + 1..n)
-                    .find(|&i| speed_difference_view(v, i).is_some_and(|dv| dv > veps))
-                    .unwrap_or(n)
-            });
-        }
-        // From float `stop` on, every window anchored at `a` violates
-        // through the speed term or reaches past the cap.
-        let stop = n.min(speed + 1).min((a + 1).saturating_add(reach));
-        // Where the running maximum of the window maxima rises from
-        // `best` to `m`, the window first violates for every open
-        // threshold below `m` (open ones are all at least `best`).
-        let mut best = f64::NEG_INFINITY;
+        // A lane's window first violates where the window maximum `m`
+        // exceeds its threshold, and the open lanes below `m` are a
+        // prefix of each class. So a float cuts nothing unless `m` passes
+        // the lowest open threshold (`floor`) or the float is the
+        // earliest open class's stop. `m` is never NaN.
+        let (mut floor, mut stop) = scan.next_cut(classes, n);
         let mut f = a + 2;
         while open > 0 {
             if f == n {
-                // No float is left: every open threshold ends at `last`.
-                cut_windows(strategy, kept, thresholds, a, n, f64::INFINITY, &[]);
+                // No float is left: every open lane ends at the last point.
+                for class in classes.iter_mut() {
+                    scan.cut(class, f64::INFINITY, a, f, &[]);
+                }
                 break;
             }
             ws.ow_dists.resize(f - a - 1, 0.0);
             let m = window_dists_into(criterion, v, a, f, &mut ws.ow_dists);
             evals += (f - a - 1) as u64;
-            let bound = if f == stop { f64::INFINITY } else { m };
-            if bound > best {
-                best = bound;
-                open -= cut_windows(strategy, kept, thresholds, a, f, bound, &ws.ow_dists);
+            if m > floor || f == stop {
+                for class in classes.iter_mut().filter(|c| c.front.is_some()) {
+                    let bound = if f == class.stop { f64::INFINITY } else { m };
+                    open -= scan.cut(class, bound, a, f, &ws.ow_dists);
+                }
+                (floor, stop) = scan.next_cut(classes, n);
             }
             f += 1;
         }
@@ -241,35 +332,116 @@ pub(crate) fn open_windows(
     evals
 }
 
-/// Cuts the violated window `(a, float)` for every threshold still
-/// anchored at `a` and below `bound`: NOPW at the first interior point
-/// whose distance in `dists` exceeds the threshold (else at `float - 1`:
-/// the speed violation, the cap or the last point), BOPW just before the
-/// float. Returns how many thresholds it served.
-fn cut_windows(
+/// `s(a)` of a speed class: the first point after `a` whose speed
+/// difference exceeds `veps`, `n` when none does or the class has no
+/// speed threshold.
+fn speed_stop(v: TrajView<'_>, a: usize, veps: Option<f64>) -> usize {
+    let n = v.len();
+    veps.map_or(n, |veps| {
+        (a + 1..n)
+            .find(|&i| speed_difference_view(v, i).is_some_and(|dv| dv > veps))
+            .unwrap_or(n)
+    })
+}
+
+/// The engine's lane bookkeeping: anchor queues, class lists and the
+/// kept lists.
+struct Scan<'s> {
     strategy: BreakStrategy,
-    kept: &mut [Vec<usize>],
-    thresholds: &[f64],
-    a: usize,
-    float: usize,
-    bound: f64,
-    dists: &[f64],
-) -> usize {
-    let mut served = 0;
-    for (k, &eps) in kept.iter_mut().zip(thresholds) {
-        if k.last() != Some(&a) || eps >= bound {
-            continue;
-        }
-        let cut = match strategy {
-            BreakStrategy::Normal => {
-                dists.iter().position(|&d| d > eps).map_or(float - 1, |p| a + 1 + p)
-            }
-            BreakStrategy::BeforeFloat => float - 1,
-        };
-        k.push(cut);
-        served += 1;
+    last: usize,
+    lanes: &'s mut [Lane],
+    /// Per anchor, the first lane queued there (linked through
+    /// [`Lane::next`]).
+    queues: &'s mut [Option<usize>],
+    kept: &'s mut [Vec<usize>],
+}
+
+impl Scan<'_> {
+    /// The lowest open threshold and the earliest stop over the classes
+    /// with an open lane (`+∞` and `n` when none has one).
+    fn next_cut(&self, classes: &[SpeedClass], n: usize) -> (f64, usize) {
+        let open = classes.iter().filter_map(|c| Some((self.lanes.get(c.front?)?.eps, c.stop)));
+        open.fold((f64::INFINITY, n), |(eps, stop), (e, s)| (eps.min(e), stop.min(s)))
     }
-    served
+
+    /// Appends break point `i` to lane `k`'s kept list and, unless `i`
+    /// is the last point, queues the lane at its new anchor `i`.
+    fn keep(&mut self, k: usize, i: usize) {
+        if let Some(kept) = self.kept.get_mut(k) {
+            kept.push(i);
+        }
+        if i != self.last {
+            if let (Some(queue), Some(lane)) = (self.queues.get_mut(i), self.lanes.get_mut(k)) {
+                lane.next = queue.replace(k);
+            }
+        }
+    }
+
+    /// Files lane `k` (threshold `eps`) into `class`'s list, after every
+    /// lane of a smaller threshold. A queue hands its lanes out last in,
+    /// first out, so lanes cut together in threshold order arrive largest
+    /// first and each goes to the front.
+    fn admit(&mut self, class: &mut SpeedClass, k: usize, eps: f64) {
+        let mut prev = None;
+        let mut at = class.front;
+        while let Some(lane) = at.and_then(|j| self.lanes.get(j)).filter(|l| l.eps < eps) {
+            prev = at;
+            at = lane.next;
+        }
+        if let Some(lane) = self.lanes.get_mut(k) {
+            lane.next = at;
+        }
+        match prev.and_then(|p| self.lanes.get_mut(p)) {
+            Some(p) => p.next = Some(k),
+            None => class.front = Some(k),
+        }
+    }
+
+    /// Cuts the violated window `(a, float)` for every lane of `class`
+    /// below `bound`, in threshold order: NOPW at the first interior point
+    /// whose distance in `dists` exceeds the threshold (else at
+    /// `float - 1`: the speed violation, the cap or the last point), BOPW
+    /// just before the float. Returns how many lanes it cut.
+    ///
+    /// A larger threshold's first exceeding distance is never earlier, so
+    /// one forward pass over `dists` serves the whole prefix.
+    fn cut(
+        &mut self,
+        class: &mut SpeedClass,
+        bound: f64,
+        a: usize,
+        float: usize,
+        dists: &[f64],
+    ) -> usize {
+        let mut served = 0;
+        // Every distance before `p` is at most the last cut threshold.
+        let mut p = 0;
+        while let Some(k) = class.front {
+            let Some(&Lane { eps, next, .. }) = self.lanes.get(k) else { break };
+            if eps >= bound {
+                break;
+            }
+            class.front = next;
+            let cut = match self.strategy {
+                BreakStrategy::Normal => {
+                    match dists.get(p..).and_then(|rest| rest.iter().position(|&d| d > eps)) {
+                        Some(q) => {
+                            p += q;
+                            a + 1 + p
+                        }
+                        None => {
+                            p = dists.len();
+                            float - 1
+                        }
+                    }
+                }
+                BreakStrategy::BeforeFloat => float - 1,
+            };
+            self.keep(k, cut);
+            served += 1;
+        }
+        served
+    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! compression.
 
 use crate::criterion::Criterion;
-use crate::opening_window::{open_windows, BreakStrategy};
+use crate::opening_window::{open_window, BreakStrategy};
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::Workspace;
 use traj_model::Trajectory;
@@ -86,12 +86,9 @@ impl Compressor for SlidingWindow {
             return;
         }
         out.reset(n);
-        let mut kept = [std::mem::take(&mut out.kept)];
-        let eps = [self.criterion.epsilon()];
         // BOPW with the float at most `window` points past the anchor.
         let bopw = BreakStrategy::BeforeFloat;
-        open_windows(&self.criterion, bopw, &eps, self.window, traj, ws, &mut kept);
-        [out.kept] = kept;
+        open_window(&self.criterion, bopw, self.window, traj, ws, &mut out.kept);
     }
 }
 

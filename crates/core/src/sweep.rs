@@ -31,16 +31,22 @@
 //! largest interior distance with `ε`, so one growing window answers
 //! every threshold anchored there, and each `(anchor, float)` window is
 //! scanned once per sweep however many thresholds reach it.
+//! [`OpeningWindow::sweep_rows`] widens that to a figure's window rows:
+//! the rows that share a distance kernel and a break strategy become
+//! lanes of one engine call, one lane per speed class and distinct
+//! threshold. A row's speed class is how many of the trajectory's speed
+//! differences its threshold stops at, so rows whose speed thresholds no
+//! speed difference lies between share their lanes, and a speed
+//! threshold above every speed difference shares OPW-TR's.
 //!
 //! **Contract:** for every supported criterion the sweep output is
 //! byte-identical to calling `compress` separately per threshold —
 //! pinned by tests here and in `traj-eval`.
 
-use std::collections::HashMap;
-
 use crate::criterion::{speed_difference_view, Criterion};
 use crate::douglas_peucker::TopDown;
-use crate::opening_window::{open_windows, OpeningWindow};
+use crate::opening_window::{open_windows, Lane, Lanes, OpeningWindow, SpeedClass};
+use crate::pair_map::PairMap;
 use crate::result::{CompressionResult, CompressionResultBuf, Compressor};
 use crate::workspace::{SpStats, Workspace};
 use traj_geom::soa::sed_dists_into;
@@ -208,7 +214,7 @@ fn interval_stats(
     v: TrajView<'_>,
     lo: usize,
     hi: usize,
-    cache: &mut HashMap<(usize, usize), SpStats>,
+    cache: &mut PairMap<SpStats>,
 ) -> SpStats {
     if let Some(st) = cache.get(&(lo, hi)) {
         return *st;
@@ -304,27 +310,190 @@ impl OpeningWindow {
     }
 
     /// [`OpeningWindow::sweep`] borrowing scratch space from `ws`, for
-    /// callers sweeping many trajectories in a loop. A warm workspace
-    /// serves the whole sweep; only the results are allocated.
+    /// callers sweeping many trajectories in a loop: the one-row case of
+    /// [`OpeningWindow::sweep_rows`]. A warm workspace serves the whole
+    /// sweep; only the results are allocated.
     pub fn sweep_with(
         &self,
         traj: &Trajectory,
         thresholds: &[f64],
         ws: &mut Workspace,
     ) -> Vec<CompressionResult> {
-        let crit = self.criterion();
-        for &eps in thresholds {
-            crit.with_epsilon(eps).validate();
+        let mut rows = OpeningWindow::sweep_rows(std::slice::from_ref(self), traj, thresholds, ws);
+        rows.pop().unwrap_or_default()
+    }
+
+    /// Compresses `traj` once per row of `rows` and threshold of
+    /// `thresholds`, returning per row its results in threshold order.
+    /// For each row and `eps` the result is byte-identical to
+    /// `OpeningWindow::new(row.criterion().with_epsilon(eps), row.strategy()).compress(traj)`.
+    ///
+    /// Rows that share a distance kernel (perpendicular, or SED for both
+    /// time-ratio criteria) and a break strategy become lanes of one
+    /// engine scan, so a window anchored where several rows' lanes sit is
+    /// scanned once for all of them. Lanes that must cut alike run once:
+    /// two speed thresholds with no speed difference of `traj` between
+    /// them stop every window at the same float, and a speed threshold at
+    /// or above every speed difference stops none, like no speed
+    /// threshold at all.
+    ///
+    /// ```
+    /// use traj_compress::{Compressor, OpeningWindow, Workspace};
+    /// use traj_model::Trajectory;
+    ///
+    /// let t = Trajectory::from_triples(
+    ///     (0..60).map(|i| (i as f64 * 10.0, i as f64 * 80.0, ((i % 7) * (i % 5)) as f64 * 9.0)),
+    /// )
+    /// .unwrap();
+    /// let rows = [OpeningWindow::opw_tr(0.0), OpeningWindow::opw_sp(0.0, 5.0)];
+    /// let grid = [10.0, 30.0];
+    /// let swept = OpeningWindow::sweep_rows(&rows, &t, &grid, &mut Workspace::new());
+    /// for (row, results) in rows.iter().zip(&swept) {
+    ///     for (r, &eps) in results.iter().zip(&grid) {
+    ///         let single = OpeningWindow::new(row.criterion().with_epsilon(eps), row.strategy());
+    ///         assert_eq!(r, &single.compress(&t));
+    ///     }
+    /// }
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if any threshold is NaN, infinite or negative.
+    pub fn sweep_rows(
+        rows: &[OpeningWindow],
+        traj: &Trajectory,
+        thresholds: &[f64],
+        ws: &mut Workspace,
+    ) -> Vec<Vec<CompressionResult>> {
+        for row in rows {
+            for &eps in thresholds {
+                row.criterion().with_epsilon(eps).validate();
+            }
+        }
+        if rows.is_empty() {
+            return Vec::new();
         }
         let n = traj.len();
         ws.begin(n);
         if n <= 2 {
-            return thresholds.iter().map(|_| CompressionResult::identity(n)).collect();
+            let identities = || thresholds.iter().map(|_| CompressionResult::identity(n)).collect();
+            return rows.iter().map(|_| identities()).collect();
+        }
+        let mut out: Vec<Vec<CompressionResult>> = rows.iter().map(|_| Vec::new()).collect();
+        if thresholds.is_empty() {
+            return out;
         }
         let _span = traj_obs::trace_span!("ow.compress", n);
-        let mut kept: Vec<Vec<usize>> = thresholds.iter().map(|_| Vec::new()).collect();
-        open_windows(&crit, self.strategy(), thresholds, n, traj, ws, &mut kept);
-        kept.into_iter().map(|k| CompressionResult::new(k, n)).collect()
+        ws.bind_columns(traj);
+        // The grid's distinct thresholds, ascending, and where each
+        // threshold sits among them.
+        let mut grid = thresholds.to_vec();
+        grid.sort_unstable_by(f64::total_cmp);
+        grid.dedup();
+        let slots: Vec<usize> =
+            thresholds.iter().map(|&eps| grid.partition_point(|&g| g < eps)).collect();
+        // One engine call per distance kernel and break strategy.
+        let mut swept = vec![false; rows.len()];
+        for (first, row) in rows.iter().enumerate() {
+            if swept[first] {
+                continue;
+            }
+            let group: Vec<usize> = (first..rows.len())
+                .filter(|&r| !swept[r] && same_scan(row, &rows[r]))
+                .collect();
+            for &r in &group {
+                swept[r] = true;
+            }
+            sweep_group(rows, &group, &grid, &slots, traj, ws, &mut out);
+        }
+        out
+    }
+}
+
+/// Whether two window rows scan the same windows: one distance kernel
+/// (perpendicular, or SED for both time-ratio criteria) and one break
+/// strategy.
+fn same_scan(a: &OpeningWindow, b: &OpeningWindow) -> bool {
+    let perp = |ow: &OpeningWindow| matches!(ow.criterion(), Criterion::Perpendicular { .. });
+    perp(a) == perp(b) && a.strategy() == b.strategy()
+}
+
+/// Runs the lanes of `group` (indices into `rows`, all scanning the same
+/// windows) in one engine call and writes each row's results to `out`.
+/// `grid` holds the distinct thresholds, ascending, and `slots[j]` is
+/// where threshold `j` sits in it. Lane `c * grid.len() + u` is speed
+/// class `c` at threshold `grid[u]`.
+fn sweep_group(
+    rows: &[OpeningWindow],
+    group: &[usize],
+    grid: &[f64],
+    slots: &[usize],
+    traj: &Trajectory,
+    ws: &mut Workspace,
+    out: &mut [Vec<CompressionResult>],
+) {
+    let n = traj.len();
+    // A row's speed class is the number of the trajectory's speed
+    // differences its threshold stops at: the sets stopped at are nested,
+    // so rows with equal counts stop every window alike, and a count of
+    // 0 stops none.
+    let speeds: Vec<Option<f64>> =
+        group.iter().map(|&r| rows[r].criterion().speed_epsilon()).collect();
+    let mut stopped = vec![0usize; speeds.len()];
+    if speeds.iter().any(Option::is_some) {
+        let v = ws.cols.view();
+        for i in 1..n - 1 {
+            let Some(dv) = speed_difference_view(v, i) else { continue };
+            for (count, veps) in stopped.iter_mut().zip(&speeds) {
+                if veps.is_some_and(|veps| dv > veps) {
+                    *count += 1;
+                }
+            }
+        }
+    }
+    let mut classes = std::mem::take(&mut ws.ow_classes);
+    classes.clear();
+    let mut counts: Vec<usize> = Vec::new();
+    let class_of: Vec<usize> = stopped
+        .iter()
+        .zip(&speeds)
+        .map(|(&count, &veps)| {
+            counts.iter().position(|&c| c == count).unwrap_or_else(|| {
+                counts.push(count);
+                classes.push(SpeedClass::new(veps.filter(|_| count > 0)));
+                counts.len() - 1
+            })
+        })
+        .collect();
+    let mut lanes = std::mem::take(&mut ws.ow_lanes);
+    lanes.clear();
+    for c in 0..classes.len() {
+        lanes.extend(grid.iter().map(|&eps| Lane::new(eps, c)));
+    }
+    let mut kept: Vec<Vec<usize>> = lanes.iter().map(|_| Vec::new()).collect();
+    let first = rows[group[0]];
+    let set = Lanes { lanes: &mut lanes, classes: &mut classes, kept: &mut kept };
+    open_windows(&first.criterion(), first.strategy(), n, traj, ws, set);
+    (ws.ow_lanes, ws.ow_classes) = (lanes, classes);
+    // Each lane's indices move into the last result that uses them and
+    // are copied into the others.
+    let lane = |c: usize, u: usize| c * grid.len() + u;
+    let mut uses = vec![0usize; kept.len()];
+    for &c in &class_of {
+        for &u in slots {
+            uses[lane(c, u)] += 1;
+        }
+    }
+    for (&r, &c) in group.iter().zip(&class_of) {
+        out[r] = slots
+            .iter()
+            .map(|&u| {
+                let k = lane(c, u);
+                uses[k] -= 1;
+                let indices =
+                    if uses[k] == 0 { std::mem::take(&mut kept[k]) } else { kept[k].clone() };
+                CompressionResult::new(indices, n)
+            })
+            .collect();
     }
 }
 

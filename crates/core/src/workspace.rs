@@ -14,8 +14,10 @@
 //! call did not have to allocate because capacity was already present.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
+use crate::opening_window::{Lane, SpeedClass};
+use crate::pair_map::PairMap;
 use traj_model::{TrajColumns, Trajectory};
 
 /// Min-heap candidate for bottom-up merging: removing `idx` (currently
@@ -115,10 +117,16 @@ pub struct Workspace {
     /// Lazy merge-candidate heap (bottom-up).
     pub(crate) merge_heap: BinaryHeap<MergeCand>,
     /// Memoized per-interval statistics for the TD-SP sweep.
-    pub(crate) sp_stats: HashMap<(usize, usize), SpStats>,
-    /// Opening-window engine (every window family, one threshold or a
-    /// sweep): interior distances of the window being scanned.
+    pub(crate) sp_stats: PairMap<SpStats>,
+    /// Opening-window engine (every window family, one lane or a sweep):
+    /// interior distances of the window being scanned.
     pub(crate) ow_dists: Vec<f64>,
+    /// Opening-window engine: per anchor, the first lane queued there.
+    pub(crate) ow_queues: Vec<Option<usize>>,
+    /// Opening-window sweep: the lanes of one engine call.
+    pub(crate) ow_lanes: Vec<Lane>,
+    /// Opening-window sweep: the speed classes of one engine call.
+    pub(crate) ow_classes: Vec<SpeedClass>,
     /// Fixed polygon edge normals for the one-pass cone region.
     pub(crate) cone_dirs: Vec<(f64, f64)>,
     /// Per-direction tightest offsets for the one-pass cone region.
@@ -159,6 +167,9 @@ impl Workspace {
         self.merge_heap.clear();
         self.sp_stats.clear();
         self.ow_dists.clear();
+        self.ow_queues.clear();
+        self.ow_lanes.clear();
+        self.ow_classes.clear();
         self.cone_dirs.clear();
         self.cone_off.clear();
         // `cols` is deliberately *not* cleared: it is an identity-keyed
@@ -211,6 +222,9 @@ impl Workspace {
             + warm::<MergeCand>(self.merge_heap.capacity(), n)
             + warm::<((usize, usize), SpStats)>(self.sp_stats.capacity(), n)
             + warm::<f64>(self.ow_dists.capacity(), n)
+            + warm::<Option<usize>>(self.ow_queues.capacity(), n)
+            + warm::<Lane>(self.ow_lanes.capacity(), n)
+            + warm::<SpeedClass>(self.ow_classes.capacity(), n)
             + warm::<(f64, f64)>(self.cone_dirs.capacity(), n)
             + warm::<f64>(self.cone_off.capacity(), n)
     }
@@ -235,6 +249,9 @@ mod tests {
             SpStats { i_s: 1, s: 2.0, i_pos: Some(1), i_v: 1, v: 0.5 },
         );
         ws.ow_dists.push(1.5);
+        ws.ow_queues.push(Some(0));
+        ws.ow_lanes.push(Lane::new(30.0, 0));
+        ws.ow_classes.push(SpeedClass::new(Some(5.0)));
         ws.cone_dirs.push((1.0, 0.0));
         ws.cone_off.push(3.5);
         ws.begin(8);
@@ -247,6 +264,9 @@ mod tests {
         assert!(ws.merge_heap.is_empty());
         assert!(ws.sp_stats.is_empty());
         assert!(ws.ow_dists.is_empty());
+        assert!(ws.ow_queues.is_empty());
+        assert!(ws.ow_lanes.is_empty());
+        assert!(ws.ow_classes.is_empty());
         assert!(ws.cone_dirs.is_empty());
         assert!(ws.cone_off.is_empty());
         assert!(ws.keep.capacity() >= 8, "begin retains capacity");

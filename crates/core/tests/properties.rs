@@ -2,13 +2,14 @@
 //! calculus.
 
 use proptest::prelude::*;
+use proptest::sample::Index;
 use traj_compress::error::{
     average_synchronous_error, average_synchronous_error_numeric, max_synchronous_error,
     sed_at_samples,
 };
 use traj_compress::streaming::{OnePassStream, OwStream, StreamingCompressor};
 use traj_compress::{
-    sed, spt, BottomUp, BreakStrategy, CompressionResultBuf, Compressor, Criterion,
+    sed, speed_difference, spt, BottomUp, BreakStrategy, CompressionResultBuf, Compressor, Criterion,
     DouglasPeucker, OnePassCone, OnePassFit, OpeningWindow, SlidingWindow, TdSp, TdTr, TopDown,
     UniformSample, Workspace,
 };
@@ -538,6 +539,78 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// A figure's window rows swept together — lanes of one engine scan
+    /// per distance kernel and break strategy — equal, row by row and
+    /// threshold by threshold, each row's own `compress`: mixes of NOPW,
+    /// BOPW, OPW-TR, OPW-SP and the time-ratio BOPW forms with a repeated
+    /// row, speed thresholds below, at, between and above the
+    /// trajectory's speed differences, unsorted grids with repeats, `0`
+    /// and `1e9`, and trajectories with stationary runs or of 1–2 fixes
+    /// (an empty one cannot be built). A second sweep through the warm
+    /// workspace must give the same results.
+    #[test]
+    fn window_rows_sweep_equals_per_row_compress(
+        t in dwelling_trajectory(),
+        cut in 0usize..8,
+        picks in proptest::collection::vec((0u8..6, 0u8..6, any::<Index>()), 1..7),
+        grid in unsorted_grid_with_repeats(),
+        far in proptest::bool::ANY,
+    ) {
+        prop_assert!(Trajectory::from_triples(std::iter::empty()).is_err());
+        let t = match t.fixes().get(..=cut).filter(|_| cut < 2) {
+            Some(head) => Trajectory::new(head.to_vec()).unwrap(),
+            None => t,
+        };
+        let mut grid = grid;
+        if far {
+            grid.push(1e9);
+        }
+        let mut dvs: Vec<f64> = (0..t.len()).filter_map(|i| speed_difference(&t, i)).collect();
+        dvs.sort_by(f64::total_cmp);
+        let dv = |i: usize| dvs.get(i).copied().unwrap_or(0.0);
+        let speed = |pick: u8, at: &Index| {
+            let i = at.index(dvs.len().max(1));
+            match pick {
+                0 => 0.0,
+                1 => dv(0) / 2.0,
+                2 => dv(i),
+                3 => (dv(i) + dv((i + 1).min(dvs.len().saturating_sub(1)))) / 2.0,
+                4 => dv(dvs.len().saturating_sub(1)) + 1.0,
+                _ => f64::INFINITY,
+            }
+        };
+        let bopw = BreakStrategy::BeforeFloat;
+        let mut rows: Vec<OpeningWindow> = picks
+            .iter()
+            .map(|(kind, pick, at)| {
+                let speed_epsilon = speed(*pick, at);
+                match kind {
+                    0 => OpeningWindow::nopw(0.0),
+                    1 => OpeningWindow::bopw(0.0),
+                    2 => OpeningWindow::opw_tr(0.0),
+                    3 => OpeningWindow::new(Criterion::TimeRatio { epsilon: 0.0 }, bopw),
+                    4 => OpeningWindow::opw_sp(0.0, speed_epsilon),
+                    _ => OpeningWindow::new(
+                        Criterion::TimeRatioSpeed { epsilon: 0.0, speed_epsilon },
+                        bopw,
+                    ),
+                }
+            })
+            .collect();
+        rows.push(rows[0]);
+        let mut ws = Workspace::new();
+        let swept = OpeningWindow::sweep_rows(&rows, &t, &grid, &mut ws);
+        prop_assert_eq!(swept.len(), rows.len());
+        for (ow, results) in rows.iter().zip(&swept) {
+            prop_assert_eq!(results.len(), grid.len());
+            for (r, &eps) in results.iter().zip(&grid) {
+                let single = window_at(ow, eps).compress(&t);
+                prop_assert_eq!(r, &single, "{} n={} eps={}", ow.name(), t.len(), eps);
+            }
+        }
+        prop_assert_eq!(OpeningWindow::sweep_rows(&rows, &t, &grid, &mut ws), swept);
     }
 
     /// Degenerate trajectories (1 and 2 fixes) sweep to identities for

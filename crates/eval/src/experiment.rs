@@ -1,7 +1,17 @@
 //! The experiment runner: threshold sweeps averaged over the dataset.
+//!
+//! [`sweep_algos`] is the one runner behind every figure. Per trajectory
+//! it compresses all of a figure's rows first — the opening-window rows
+//! as lanes of one window scan ([`Algo::run_rows`]) — then hands the
+//! compression workspace's trajectory columns to the evaluation
+//! workspace and evaluates the rows in order against one segment memo. A
+//! result equal to an earlier row's at the same threshold reuses that
+//! row's evaluation: on the paper's data the OPW-SP(15 m/s) and
+//! OPW-SP(25 m/s) rows of Figs. 10 and 11 equal OPW-TR's, and share most
+//! of its lanes too.
 
 use crate::registry::Algo;
-use traj_compress::{evaluate_sweep, EvalWorkspace, Evaluation, Workspace};
+use traj_compress::{CompressionResult, ErrorEval, EvalWorkspace, Evaluation, Workspace};
 use traj_model::Trajectory;
 
 /// The paper's fifteen spatial thresholds: 30–100 m in 5 m steps (§4.3).
@@ -96,11 +106,14 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 /// different trajectories") — and returns one [`AlgoSweep`] per entry of
 /// `algos`, in order.
 ///
-/// Trajectory by trajectory, every algorithm's [`Algo::run`] (one pass
-/// for the whole threshold grid) and [`evaluate_sweep`] go through one
-/// [`Workspace`] and one [`EvalWorkspace`], so an anchor segment kept by
-/// several thresholds or algorithms is evaluated once. Each algorithm's
-/// rows are then aggregated in dataset order.
+/// Trajectory by trajectory, [`Algo::run_rows`] compresses every
+/// algorithm over the whole threshold grid through one [`Workspace`], the
+/// opening-window rows as lanes of one window scan. The workspace then
+/// hands its trajectory columns to one [`EvalWorkspace`], which evaluates
+/// the results in algorithm order, so an anchor segment kept by several
+/// thresholds or algorithms is evaluated once, and a result equal to an
+/// earlier algorithm's at the same threshold reuses that evaluation. Each
+/// algorithm's rows are then aggregated in dataset order.
 ///
 /// `threads` fans the dataset over scoped workers (`0` = auto: all
 /// cores, but inline on one core or below 16,384 points × thresholds ×
@@ -129,8 +142,10 @@ pub fn sweep_algos(
         let (mut ws, mut ews) = (Workspace::new(), EvalWorkspace::new());
         let mut rows = Vec::new();
         for t in dataset.iter().skip(first).step_by(step) {
-            let eval = |a: &Algo| evaluate_sweep(t, &a.run(t, thresholds, &mut ws), &mut ews);
-            rows.push(algos.iter().map(eval).collect());
+            let results = Algo::run_rows(algos, t, thresholds, &mut ws);
+            // The compression columns serve the evaluation too.
+            ews.seed_columns(ws.take_columns());
+            rows.push(evaluate_rows(t, &results, &mut ews));
         }
         rows
     };
@@ -166,6 +181,38 @@ pub fn sweep_algos(
 
 /// One trajectory's evaluations: per algorithm, one per threshold.
 type Rows = Vec<Vec<Evaluation>>;
+
+/// Evaluates one trajectory's results, per algorithm and threshold, in
+/// algorithm order. A result equal to an earlier algorithm's at the same
+/// threshold takes that algorithm's [`Evaluation`]: an evaluation depends
+/// only on the trajectory and the kept indices, so the copy is exact.
+fn evaluate_rows(
+    traj: &Trajectory,
+    results: &[Vec<CompressionResult>],
+    ews: &mut EvalWorkspace,
+) -> Rows {
+    let mut rows: Rows = Vec::with_capacity(results.len());
+    if results.is_empty() {
+        return rows;
+    }
+    let mut ev = ErrorEval::new(traj, ews);
+    for (a, row) in results.iter().enumerate() {
+        let evals = row
+            .iter()
+            .enumerate()
+            .map(|(j, r)| {
+                let earlier =
+                    results[..a].iter().zip(&rows).find(|(prev, _)| prev.get(j) == Some(r));
+                match earlier.and_then(|(_, evals)| evals.get(j)) {
+                    Some(&e) => e,
+                    None => ev.evaluate(r),
+                }
+            })
+            .collect();
+        rows.push(evals);
+    }
+    rows
+}
 
 /// [`sweep_algos`] for one algorithm, inline. Panics on an empty dataset.
 pub fn sweep_algo(algo: &Algo, dataset: &[Trajectory], thresholds: &[f64]) -> AlgoSweep {

@@ -7,10 +7,11 @@
 //! [`traj_compress::TopDown::sweep`] (the whole top-down family) or the
 //! memoized window scans of [`traj_compress::OpeningWindow::sweep`]
 //! (NOPW, BOPW, OPW-TR, OPW-SP) — or must be rebuilt per threshold (the
-//! remaining online families). Either way the per-threshold results are
-//! byte-identical to constructing and running the compressor separately
-//! at each threshold — the registry only removes redundant work, never
-//! changes outputs.
+//! remaining online families). [`Algo::run_rows`] runs a whole figure's
+//! rows on one trajectory, its opening-window rows as lanes of one window
+//! scan. Either way the per-threshold results are byte-identical to
+//! constructing and running the compressor separately at each threshold —
+//! the registry only removes redundant work, never changes outputs.
 
 use traj_compress::{
     CompressionResult, CompressionResultBuf, Compressor, OpeningWindow, TopDown, Workspace,
@@ -293,28 +294,56 @@ impl Algo {
     }
 
     /// Compresses `traj` at every threshold, in threshold order,
-    /// borrowing scratch space from `ws`. Results are byte-identical to
-    /// running the algorithm separately per threshold.
+    /// borrowing scratch space from `ws`: the one-row case of
+    /// [`Algo::run_rows`]. Results are byte-identical to running the
+    /// algorithm separately per threshold.
     pub fn run(
         &self,
         traj: &Trajectory,
         thresholds: &[f64],
         ws: &mut Workspace,
     ) -> Vec<CompressionResult> {
-        match &self.kind {
-            AlgoKind::TopDown(td) => td.sweep_with(traj, thresholds, ws),
-            AlgoKind::OpeningWindow(ow) => ow.sweep_with(traj, thresholds, ws),
-            AlgoKind::Factory(make) => {
-                let mut out = CompressionResultBuf::new();
-                thresholds
-                    .iter()
-                    .map(|&eps| {
-                        make(eps).compress_into(traj, ws, &mut out);
-                        out.take()
-                    })
-                    .collect()
-            }
-        }
+        let mut rows = Algo::run_rows(std::slice::from_ref(self), traj, thresholds, ws);
+        rows.pop().unwrap_or_default()
+    }
+
+    /// Compresses `traj` with every algorithm of `algos` at every
+    /// threshold, returning per algorithm its results in threshold order.
+    /// The opening-window rows go through one
+    /// [`OpeningWindow::sweep_rows`] call, so their lanes share one
+    /// window scan; every other row sweeps on its own. Results are
+    /// byte-identical to running each algorithm separately per threshold.
+    pub fn run_rows(
+        algos: &[Algo],
+        traj: &Trajectory,
+        thresholds: &[f64],
+        ws: &mut Workspace,
+    ) -> Vec<Vec<CompressionResult>> {
+        let windows: Vec<OpeningWindow> = algos
+            .iter()
+            .filter_map(|a| match a.kind {
+                AlgoKind::OpeningWindow(ow) => Some(ow),
+                _ => None,
+            })
+            .collect();
+        let mut swept = OpeningWindow::sweep_rows(&windows, traj, thresholds, ws).into_iter();
+        algos
+            .iter()
+            .map(|a| match &a.kind {
+                AlgoKind::TopDown(td) => td.sweep_with(traj, thresholds, ws),
+                AlgoKind::OpeningWindow(_) => swept.next().unwrap_or_default(),
+                AlgoKind::Factory(make) => {
+                    let mut out = CompressionResultBuf::new();
+                    thresholds
+                        .iter()
+                        .map(|&eps| {
+                            make(eps).compress_into(traj, ws, &mut out);
+                            out.take()
+                        })
+                        .collect()
+                }
+            })
+            .collect()
     }
 }
 

@@ -232,6 +232,12 @@ impl GroupCommitStore {
         self.opts
     }
 
+    /// How many objects have a fix on this shard, recovered or buffered
+    /// since.
+    pub fn objects(&self) -> usize {
+        self.latest.len()
+    }
+
     /// The time of `id`'s latest fix, recovered or buffered since, which
     /// the next [`GroupCommitStore::buffer`] of `id` must follow; `None`
     /// if this shard has none. A poisoned handle may count a failed one.

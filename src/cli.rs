@@ -20,13 +20,15 @@
 use std::fmt::Write as _;
 use std::io::{BufRead, Read as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use traj_compress::{evaluate_with, CompressionResultBuf, Compressor, EvalWorkspace, Workspace};
 use traj_model::stats::TrajectoryStats;
 use traj_model::{io, Trajectory};
 use traj_serve::{CodecSpec, ServeConfig, Service, SubmitError};
-use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, IngestMode};
+use traj_store::storage::FsStorage;
+use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, GroupCommitStore, IngestMode};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -654,10 +656,23 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                     dir.display()
                 ));
             }
-            let (mut store, r) =
-                DurableStore::open(dir, IngestMode::Raw, DurableOptions::default())
-                    .map_err(|e| e.to_string())?;
-            let s = store.store().stats();
+            // Counting needs no history: the group store recovers each
+            // object's latest time only, and every fix it recovers is a
+            // checkpoint fix or a replayed record. A snapshot needs the
+            // history, so `--snapshot` opens the durable store.
+            let opts = DurableOptions::default();
+            let (durable, r, objects, fixes) = if *snapshot {
+                let (store, r) =
+                    DurableStore::open(dir, IngestMode::Raw, opts).map_err(|e| e.to_string())?;
+                let s = store.store().stats();
+                (Some(store), r, s.objects, s.stored_points)
+            } else {
+                let (disk, group) = (Arc::new(FsStorage), GroupCommitOptions::default());
+                let (store, r) =
+                    GroupCommitStore::open_with(disk, dir, IngestMode::Raw, opts, group)
+                        .map_err(|e| e.to_string())?;
+                (None, r, store.objects(), r.snapshot_fixes + r.replayed)
+            };
             let _ = writeln!(report, "store:            {}", dir.display());
             let _ = writeln!(
                 report,
@@ -674,8 +689,8 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 "health:           {}",
                 if r.clean() { "clean" } else { "recovered from crash/corruption" }
             );
-            let _ = writeln!(report, "recovered state:  {} objects, {} fixes", s.objects, s.stored_points);
-            if *snapshot {
+            let _ = writeln!(report, "recovered state:  {objects} objects, {fixes} fixes");
+            if let Some(mut store) = durable {
                 let objects = store.snapshot().map_err(|e| e.to_string())?;
                 let _ = writeln!(report, "snapshotted:      {objects} objects, log truncated");
             }

@@ -129,12 +129,15 @@ pub struct Analysis {
 }
 
 /// Directories whose code is not linkable from library roots: separate
-/// compilation units (integration tests, benches, examples) would only
-/// add name-resolution noise.
+/// compilation units (integration tests, benches, examples) and
+/// `perfbench/`, the benchmark's own cargo workspace, would only add
+/// name-resolution noise (a bare `.fold(…)` in library code would reach
+/// the benchmark's `SpanTotals::fold`).
 fn is_harness_path(path: &str) -> bool {
-    ["tests/", "benches/", "examples/"]
-        .iter()
-        .any(|d| path.starts_with(d) || path.contains(&format!("/{d}")))
+    path.starts_with("perfbench/")
+        || ["tests/", "benches/", "examples/"]
+            .iter()
+            .any(|d| path.starts_with(d) || path.contains(&format!("/{d}")))
 }
 
 /// Walks the workspace and assembles the call graph.
