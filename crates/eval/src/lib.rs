@@ -29,10 +29,10 @@
 //! time-synchronous error notion of §4.2, and per-threshold averages
 //! over the ten trajectories.
 //!
-//! The `repro` binary prints each table/figure as aligned text and can
-//! emit CSV series; [`report::check_expectations`] verifies the paper's
-//! qualitative claims hold on the reproduction (who wins, roughly by how
-//! much, where the curves coincide).
+//! `trajc repro` (also the `repro` binary) prints each table/figure as
+//! aligned text and can emit CSV series; [`report::check_expectations`]
+//! verifies the paper's qualitative claims hold on the reproduction (who
+//! wins, roughly by how much, where the curves coincide).
 
 pub mod experiment;
 pub mod extensions;

@@ -49,7 +49,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// bytewise through the first table.
 pub(crate) fn crc32_update(register: u32, bytes: &[u8]) -> u32 {
     let mut crc = register;
-    for chunk in bytes.chunks_exact(8) {
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in chunks.by_ref() {
         // Copied through `zip`, not `try_into`: `cargo xtask reach`
         // counts a std call it does not know as may-panic. The copy
         // compiles to one 8-byte load.
@@ -61,7 +62,7 @@ pub(crate) fn crc32_update(register: u32, bytes: &[u8]) -> u32 {
         crc = slot(7, v) ^ slot(6, v >> 8) ^ slot(5, v >> 16) ^ slot(4, v >> 24);
         crc ^= slot(3, v >> 32) ^ slot(2, v >> 40) ^ slot(1, v >> 48) ^ slot(0, v >> 56);
     }
-    for &b in bytes.iter().skip(bytes.len() - bytes.len() % 8) {
+    for &b in chunks.remainder() {
         crc = (crc >> 8) ^ slot(0, u64::from(crc ^ u32::from(b)));
     }
     crc

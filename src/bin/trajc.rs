@@ -1,17 +1,5 @@
 //! `trajc` CLI entry point; all logic lives in [`trajc::cli`].
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match trajc::cli::parse(&args).and_then(|cmd| trajc::cli::run(&cmd)) {
-        Ok(report) => {
-            print!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    trajc::cli::main(&std::env::args().skip(1).collect::<Vec<_>>())
 }

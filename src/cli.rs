@@ -4,22 +4,29 @@
 //! ```text
 //! trajc info <file.csv>
 //! trajc compress <file.csv> --algo td-tr --eps 30 [--speed-eps 5] [-o out.csv]
-//!       [--stats] [--metrics-out m.json]
+//!       [--stats] [--metrics-out m.json] [--trace-out t.json]
 //! trajc evaluate <original.csv> <approx.csv>
 //! trajc generate [--seed 42] [--trip 0..9] -o <file.csv>
+//! trajc obs merge <sidecar>... [-o merged.csv]
 //! trajc store recover <dir> [--snapshot]
 //! trajc serve <dir> [--shards N] [--algo A] [--eps E] ... < fleet.csv
+//! trajc repro [all|table2|fig7..fig11|onepass|check|ext] [--seed 42]
+//!       [--csv DIR] [--metrics-out FILE] [--trace-out FILE] [--threads N] [--fast]
 //! ```
 //!
 //! Files are the `t,x,y` format of [`traj_model::io`]; `serve` reads
 //! `id,t,x,y` records from stdin. A `--metrics-out` sidecar is CSV for
 //! a `.csv` path and JSON lines otherwise
-//! ([`traj_obs::sink::to_sidecar`]). The command logic lives here
-//! (unit-testable); `src/bin/trajc.rs` is the thin entry point.
+//! ([`traj_obs::sink::to_sidecar`]). One table, [`SUBCOMMANDS`], holds
+//! every subcommand's words, positional arguments and flags: [`parse`]
+//! reads argv against it and the usage text is printed from it. The
+//! command logic lives here (unit-testable); `src/bin/trajc.rs` is the
+//! thin entry point, and `src/bin/repro.rs` runs `trajc repro`.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, Read as _};
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,6 +36,8 @@ use traj_model::{io, Trajectory};
 use traj_serve::{CodecSpec, ServeConfig, Service, SubmitError};
 use traj_store::storage::FsStorage;
 use traj_store::{DurableOptions, DurableStore, GroupCommitOptions, GroupCommitStore, IngestMode};
+
+mod repro;
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,6 +106,9 @@ pub enum Command {
     /// `serve <dir> [...]` — run the sharded ingest service over the
     /// `id,t,x,y` records read from stdin (see [`ServeArgs`]).
     Serve(ServeArgs),
+    /// `repro [experiment] [...]` — regenerate the paper's tables and
+    /// figures (see [`ReproArgs`]).
+    Repro(ReproArgs),
 }
 
 /// The `trajc serve` flag surface (wide enough to deserve its own
@@ -125,226 +137,388 @@ pub struct ServeArgs {
     pub trace_out: Option<PathBuf>,
 }
 
-/// The usage text; its `algorithms:` line lists the catalog's names.
-fn usage() -> String {
-    let catalog = traj_eval::algorithm_catalog();
-    let names: Vec<&str> = catalog.iter().map(|m| m.cli_name).collect();
-    format!(
-        "usage: trajc <info|compress|evaluate|generate|obs|store|serve> ...\n\
-        \n  trajc info <file.csv>\
-        \n  trajc compress <file.csv> --algo <name> --eps <m> [--speed-eps <m/s>] [-o out.csv]\
-        \n                 [--stats] [--metrics-out FILE]\
-        \n                 [--trace-out FILE]  (.folded = flamegraph stacks, else Chrome trace JSON)\
-        \n  trajc evaluate <original.csv> <approx.csv>\
-        \n  trajc generate [--seed N] [--trip 0..9] -o <file.csv>\
-        \n  trajc obs merge <sidecar>... [-o merged.csv]\
-        \n  trajc store recover <dir> [--snapshot]\
-        \n  trajc serve <dir> [--shards N] [--algo raw|op-cone|op-fit|opw-tr|opw-sp] [--eps <m>]\
-        \n              [--speed-eps <m/s>] [--max-batch N] [--queue-cap N]\
-        \n              [--metrics-out FILE] [--trace-out FILE]\
-        \n              < records.csv  (one id,t,x,y record per line)\
-        \n\nalgorithms: {}\
-        \n(see ALGORITHMS.md for criteria, error bounds and complexity)\
-        \n\n--stats prints the instrumentation table (points in/out, SED evaluations,\
-        \nrecursion depth, per-phase wall time); --metrics-out writes the same snapshot\
-        \nto FILE as CSV for a .csv path, JSON lines otherwise; obs merge reads those\
-        \nsidecars back into one side-by-side table.",
-        names.join(" ")
-    )
+/// `repro [experiment] [...]`: the experiment, dataset and outputs of
+/// one run of the paper's evaluation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReproArgs {
+    /// One of [`EXPERIMENTS`]; `all` when none is named.
+    pub experiment: String,
+    /// Dataset seed (`--seed`, default 42).
+    pub seed: u64,
+    /// Write one CSV per figure into this directory (`--csv`).
+    pub csv: Option<PathBuf>,
+    /// Write a metrics sidecar of the whole run: to `--metrics-out`, else
+    /// to `metrics.csv` in the `--csv` directory.
+    pub metrics_out: Option<PathBuf>,
+    /// Write a trace of the whole run, one track per worker thread
+    /// (`--trace-out`).
+    pub trace_out: Option<PathBuf>,
+    /// Sweep worker threads (`--threads`, default 1; 0 = auto).
+    pub threads: usize,
+    /// The reduced smoke protocol (`--fast`); `check` and `all` refuse it.
+    pub fast: bool,
 }
 
-/// Parses command-line arguments (without the program name).
+/// The experiments `repro` runs, one per invocation.
+pub const EXPERIMENTS: [&str; 10] =
+    ["all", "table2", "fig7", "fig8", "fig9", "fig10", "fig11", "onepass", "check", "ext"];
+
+/// What [`parse`] read for one subcommand: its positional arguments in
+/// order and its flags' values. A row's `build` may take as given the
+/// positionals its arity requires and the flags the table marks
+/// required: [`parse`] checked them.
+#[derive(Default)]
+struct Opts {
+    args: Vec<PathBuf>,
+    algo: Option<String>,
+    eps: Option<f64>,
+    speed_eps: Option<f64>,
+    out: Option<PathBuf>,
+    metrics_out: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
+    csv: Option<PathBuf>,
+    seed: Option<u64>,
+    trip: Option<usize>,
+    shards: Option<usize>,
+    max_batch: Option<usize>,
+    queue_cap: Option<usize>,
+    threads: Option<usize>,
+    stats: Option<bool>,
+    snapshot: Option<bool>,
+    fast: Option<bool>,
+}
+
+/// One flag of a subcommand.
+#[derive(Clone, Copy)]
+pub struct Flag {
+    /// Its spellings; the usage text and errors show the first.
+    pub names: &'static [&'static str],
+    /// Its value's placeholder in the usage text; `None` for a switch,
+    /// which takes no value.
+    pub value: Option<&'static str>,
+    /// Whether the subcommand refuses to run without it.
+    pub required: bool,
+    /// Stores the value, `true` for a switch, or says why it is bad.
+    set: fn(&mut Opts, &str) -> Result<(), String>,
+}
+
+impl Flag {
+    const fn required(self) -> Flag {
+        Flag { required: true, ..self }
+    }
+}
+
+const fn flag(
+    names: &'static [&'static str],
+    value: Option<&'static str>,
+    set: fn(&mut Opts, &str) -> Result<(), String>,
+) -> Flag {
+    Flag { names, value, required: false, set }
+}
+
+/// Parses a flag's value into its slot.
+fn put<T: std::str::FromStr>(slot: &mut Option<T>, v: &str) -> Result<(), String>
+where
+    T::Err: std::fmt::Display,
+{
+    *slot = Some(v.parse().map_err(|e| format!("{e}"))?);
+    Ok(())
+}
+
+/// Parses a distance or speed threshold: finite and non-negative.
+fn threshold(slot: &mut Option<f64>, v: &str) -> Result<(), String> {
+    put(slot, v)?;
+    match *slot {
+        Some(x) if x.is_finite() && x >= 0.0 => Ok(()),
+        _ => Err("must be finite and >= 0".into()),
+    }
+}
+
+const ALGO: Flag = flag(&["--algo"], Some("<name>"), |o, v| put(&mut o.algo, v));
+const CODEC: Flag =
+    flag(&["--algo"], Some("raw|op-cone|op-fit|opw-tr|opw-sp"), |o, v| put(&mut o.algo, v));
+const EPS: Flag = flag(&["--eps"], Some("<m>"), |o, v| threshold(&mut o.eps, v));
+const SPEED_EPS: Flag =
+    flag(&["--speed-eps"], Some("<m/s>"), |o, v| threshold(&mut o.speed_eps, v));
+const OUT: Flag = flag(&["-o", "--out"], Some("FILE"), |o, v| put(&mut o.out, v));
+const METRICS_OUT: Flag = flag(&["--metrics-out"], Some("FILE"), |o, v| put(&mut o.metrics_out, v));
+const TRACE_OUT: Flag = flag(&["--trace-out"], Some("FILE"), |o, v| put(&mut o.trace_out, v));
+const CSV: Flag = flag(&["--csv"], Some("DIR"), |o, v| put(&mut o.csv, v));
+const SEED: Flag = flag(&["--seed"], Some("N"), |o, v| put(&mut o.seed, v));
+const TRIP: Flag = flag(&["--trip"], Some("0..9"), |o, v| put(&mut o.trip, v));
+const SHARDS: Flag = flag(&["--shards"], Some("N"), |o, v| put(&mut o.shards, v));
+const MAX_BATCH: Flag = flag(&["--max-batch"], Some("N"), |o, v| put(&mut o.max_batch, v));
+const QUEUE_CAP: Flag = flag(&["--queue-cap"], Some("N"), |o, v| put(&mut o.queue_cap, v));
+const THREADS: Flag = flag(&["--threads"], Some("N"), |o, v| put(&mut o.threads, v));
+const STATS: Flag = flag(&["--stats"], None, |o, v| put(&mut o.stats, v));
+const SNAPSHOT: Flag = flag(&["--snapshot"], None, |o, v| put(&mut o.snapshot, v));
+const FAST: Flag = flag(&["--fast"], None, |o, v| put(&mut o.fast, v));
+
+/// One subcommand: its words, positional arguments and flags, and how
+/// it builds its [`Command`] from what [`parse`] read.
+pub struct Subcommand {
+    /// The words that name it, e.g. `store recover`.
+    pub words: &'static str,
+    /// Its positional arguments' names, in order.
+    pub args: &'static [&'static str],
+    /// How many positional arguments it needs, and takes at most; a
+    /// maximum past `args.len()` repeats the last one.
+    pub arity: (usize, usize),
+    /// Its flags.
+    pub flags: &'static [Flag],
+    build: fn(Opts) -> Result<Command, String>,
+}
+
+/// The command line. [`parse`], the usage text and the argv fuzz all
+/// read this one table; the `repro` binary is its `repro` row.
+pub const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        words: "info",
+        args: &["file"],
+        arity: (1, 1),
+        flags: &[],
+        build: |o| Ok(Command::Info { file: o.args[0].clone() }),
+    },
+    Subcommand {
+        words: "compress",
+        args: &["file"],
+        arity: (1, 1),
+        flags: &[ALGO.required(), EPS.required(), SPEED_EPS, OUT, STATS, METRICS_OUT, TRACE_OUT],
+        build: |o| {
+            Ok(Command::Compress {
+                file: o.args[0].clone(),
+                algo: o.algo.unwrap_or_default(),
+                eps: o.eps.unwrap_or_default(),
+                speed_eps: o.speed_eps,
+                out: o.out,
+                stats: o.stats.is_some(),
+                metrics_out: o.metrics_out,
+                trace_out: o.trace_out,
+            })
+        },
+    },
+    Subcommand {
+        words: "evaluate",
+        args: &["original", "approx"],
+        arity: (2, 2),
+        flags: &[],
+        build: |o| Ok(Command::Evaluate { original: o.args[0].clone(), approx: o.args[1].clone() }),
+    },
+    Subcommand {
+        words: "generate",
+        args: &[],
+        arity: (0, 0),
+        flags: &[SEED, TRIP, OUT.required()],
+        build: |o| match o.trip.unwrap_or(0) {
+            trip @ 0..=9 => {
+                let out = o.out.unwrap_or_default();
+                Ok(Command::Generate { seed: o.seed.unwrap_or(42), trip, out })
+            }
+            _ => Err("generate: --trip must be 0..=9".into()),
+        },
+    },
+    Subcommand {
+        words: "obs merge",
+        args: &["sidecar"],
+        arity: (1, usize::MAX),
+        flags: &[OUT],
+        build: |o| Ok(Command::ObsMerge { files: o.args, out: o.out }),
+    },
+    Subcommand {
+        words: "store recover",
+        args: &["dir"],
+        arity: (1, 1),
+        flags: &[SNAPSHOT],
+        build: |o| {
+            Ok(Command::StoreRecover { dir: o.args[0].clone(), snapshot: o.snapshot.is_some() })
+        },
+    },
+    Subcommand {
+        words: "serve",
+        args: &["dir"],
+        arity: (1, 1),
+        flags: &[SHARDS, CODEC, EPS, SPEED_EPS, MAX_BATCH, QUEUE_CAP, METRICS_OUT, TRACE_OUT],
+        build: |o| {
+            let shards = o.shards.unwrap_or(2);
+            traj_serve::check_shards(shards).map_err(|e| format!("serve: --shards: {e}"))?;
+            let algo = o.algo.as_deref().unwrap_or("op-cone");
+            Ok(Command::Serve(ServeArgs {
+                dir: o.args[0].clone(),
+                shards,
+                codec: CodecSpec::parse(algo, o.eps.unwrap_or(30.0), o.speed_eps)?,
+                max_batch: o.max_batch.unwrap_or(256),
+                queue_cap: o.queue_cap.unwrap_or(4096),
+                metrics_out: o.metrics_out,
+                trace_out: o.trace_out,
+            }))
+        },
+    },
+    Subcommand {
+        words: "repro",
+        args: &["experiment"],
+        arity: (0, 1),
+        flags: &[SEED, CSV, METRICS_OUT, TRACE_OUT, THREADS, FAST],
+        build: |o| {
+            let experiment = o.args.first().and_then(|p| p.to_str()).unwrap_or("all");
+            if !EXPERIMENTS.contains(&experiment) {
+                let expected = EXPERIMENTS.join(", ");
+                let why = format!("unknown experiment {experiment:?} (expected one of {expected})");
+                return Err(format!("repro: {why}"));
+            }
+            if o.fast.is_some() && matches!(experiment, "check" | "all") {
+                return Err("repro: --fast changes the protocol; the paper-shape check would be \
+                            meaningless"
+                    .into());
+            }
+            Ok(Command::Repro(ReproArgs {
+                experiment: experiment.to_string(),
+                seed: o.seed.unwrap_or(42),
+                metrics_out: o.metrics_out.or_else(|| Some(o.csv.as_ref()?.join("metrics.csv"))),
+                csv: o.csv,
+                trace_out: o.trace_out,
+                threads: o.threads.unwrap_or(1),
+                fast: o.fast.is_some(),
+            }))
+        },
+    },
+];
+
+/// The usage text, read off [`SUBCOMMANDS`]; its `algorithms:` line
+/// lists the catalog's names.
+fn usage() -> String {
+    let mut out = String::from("usage: trajc <subcommand> ...\n");
+    for sub in SUBCOMMANDS {
+        let (min, max) = sub.arity;
+        let more = if max > sub.args.len() { "..." } else { "" };
+        let args = sub.args.iter().enumerate().map(|(i, a)| match i < min {
+            true => format!("<{a}>{more}"),
+            false => format!("[{a}]{more}"),
+        });
+        let flags = sub.flags.iter().map(|f| {
+            let spec = match f.value {
+                Some(value) => format!("{} {value}", f.names[0]),
+                None => f.names[0].to_string(),
+            };
+            if f.required { spec } else { format!("[{spec}]") }
+        });
+        // Continuation lines start under the first argument.
+        let mut line = format!("\n  trajc {}", sub.words);
+        let indent = line.len() - 1;
+        for word in args.chain(flags) {
+            if line.len() + word.len() > 80 {
+                out.push_str(&line);
+                line = format!("\n{:indent$}", "");
+            }
+            line.push(' ');
+            line.push_str(&word);
+        }
+        out.push_str(&line);
+    }
+    let names: Vec<&str> = traj_eval::algorithm_catalog().iter().map(|m| m.cli_name).collect();
+    let _ = write!(
+        out,
+        "\n\nalgorithms: {}\
+        \n(see ALGORITHMS.md for criteria, error bounds and complexity)\
+        \nexperiments: {} (default all)\
+        \n\nFiles are t,x,y CSV; serve reads one id,t,x,y record per line from stdin.\
+        \n--stats prints the instrumentation table (points in/out, SED evaluations,\
+        \nrecursion depth, per-phase wall time); --metrics-out writes the same snapshot\
+        \nto FILE as CSV for a .csv path, JSON lines otherwise; obs merge reads those\
+        \nsidecars back into one side-by-side table. --trace-out writes flamegraph\
+        \nfolded stacks for a .folded path, else Chrome trace JSON. repro --csv DIR\
+        \nwrites one CSV per figure and DIR/metrics.csv; --threads 0 uses every core;\
+        \n--fast is the reduced smoke protocol, which check and all refuse.",
+        names.join(" "),
+        EXPERIMENTS.join(" ")
+    );
+    out
+}
+
+/// Parses command-line arguments (without the program name) against
+/// [`SUBCOMMANDS`]. Flags and positional arguments come in any order: a
+/// word starting with `-` is a flag, a flag that takes a value reads the
+/// next word whatever it is, and a later flag overrides an earlier one.
+/// `-h` or `--help` in a flag's place asks for the usage text.
 ///
 /// # Errors
-/// Returns a usage/diagnostic string on malformed input.
+/// The usage text, or a diagnostic naming the subcommand and the word
+/// at fault.
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let sub = it.next().ok_or_else(usage)?;
-    match sub.as_str() {
-        "info" => {
-            let file = it.next().ok_or("info: missing <file>")?;
-            Ok(Command::Info { file: PathBuf::from(file) })
+    let first = match args.first().map(String::as_str) {
+        None | Some("-h" | "--help") => return Err(usage()),
+        Some(first) => first,
+    };
+    let named = |s: &&Subcommand| {
+        let n = s.words.split(' ').count();
+        s.words.split(' ').eq(args.iter().take(n).map(String::as_str))
+    };
+    let Some(sub) = SUBCOMMANDS.iter().find(named) else {
+        let actions: Vec<&str> = SUBCOMMANDS
+            .iter()
+            .filter_map(|s| s.words.strip_prefix(first)?.strip_prefix(' '))
+            .collect();
+        let expected = actions.join(" or ");
+        return Err(match args.get(1) {
+            _ if actions.is_empty() => format!("unknown subcommand {first:?}\n{}", usage()),
+            Some(action) => format!("{first}: unknown action {action:?} (expected {expected})"),
+            None => format!("{first}: missing action (expected {expected})"),
+        });
+    };
+    let name = sub.words;
+    let mut opts = Opts::default();
+    let mut seen = Vec::new();
+    let mut words = args.iter().skip(name.split(' ').count());
+    while let Some(word) = words.next() {
+        if !word.starts_with('-') {
+            if opts.args.len() == sub.arity.1 {
+                let each: Vec<String> = sub.args.iter().map(|a| format!("one {a}")).collect();
+                return Err(match each.join(" and ") {
+                    each if each.is_empty() => format!("{name}: unexpected argument {word:?}"),
+                    each => format!("{name}: unexpected argument {word:?}: {each} per run"),
+                });
+            }
+            opts.args.push(word.into());
+            continue;
         }
-        "compress" => {
-            let file = PathBuf::from(it.next().ok_or("compress: missing <file>")?);
-            let mut algo = None;
-            let mut eps = None;
-            let mut speed_eps = None;
-            let mut out = None;
-            let mut stats = false;
-            let mut metrics_out = None;
-            let mut trace_out = None;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or(format!("compress: {name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--algo" => algo = Some(value("--algo")?.clone()),
-                    "--eps" => {
-                        eps = Some(parse_f64(value("--eps")?, "--eps")?);
-                    }
-                    "--speed-eps" => {
-                        speed_eps = Some(parse_f64(value("--speed-eps")?, "--speed-eps")?);
-                    }
-                    "-o" | "--out" => out = Some(PathBuf::from(value("-o")?)),
-                    "--stats" => stats = true,
-                    "--metrics-out" => {
-                        metrics_out = Some(PathBuf::from(value("--metrics-out")?));
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(PathBuf::from(value("--trace-out")?));
-                    }
-                    other => return Err(format!("compress: unknown flag {other:?}")),
-                }
-            }
-            Ok(Command::Compress {
-                file,
-                algo: algo.ok_or("compress: --algo is required")?,
-                eps: eps.ok_or("compress: --eps is required")?,
-                speed_eps,
-                out,
-                stats,
-                metrics_out,
-                trace_out,
-            })
+        if word == "-h" || word == "--help" {
+            return Err(usage());
         }
-        "evaluate" => {
-            let original = PathBuf::from(it.next().ok_or("evaluate: missing <original>")?);
-            let approx = PathBuf::from(it.next().ok_or("evaluate: missing <approx>")?);
-            Ok(Command::Evaluate { original, approx })
+        let Some(flag) = sub.flags.iter().find(|f| f.names.contains(&word.as_str())) else {
+            return Err(format!("{name}: unknown flag {word:?}"));
+        };
+        let value = match flag.value {
+            Some(_) => words.next().ok_or_else(|| format!("{name}: {word} needs a value"))?,
+            None => "true",
+        };
+        (flag.set)(&mut opts, value).map_err(|e| format!("{name}: bad {word} {value:?}: {e}"))?;
+        seen.push(flag.names);
+    }
+    if opts.args.len() < sub.arity.0 {
+        let missing = sub.args.get(opts.args.len()).unwrap_or(&"argument");
+        return Err(format!("{name}: missing <{missing}>"));
+    }
+    if let Some(flag) = sub.flags.iter().find(|f| f.required && !seen.contains(&f.names)) {
+        return Err(format!("{name}: {} is required", flag.names[0]));
+    }
+    (sub.build)(opts)
+}
+
+/// The `trajc` and `repro` entry point: parses `args` (without the
+/// program name), runs the command, prints its report to stdout or its
+/// error to stderr, and returns the exit status.
+pub fn main(args: &[String]) -> ExitCode {
+    match parse(args).and_then(|cmd| run(&cmd)) {
+        Ok(report) => {
+            print!("{report}");
+            ExitCode::SUCCESS
         }
-        "generate" => {
-            let mut seed = 42u64;
-            let mut trip = 0usize;
-            let mut out = None;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or(format!("generate: {name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("generate: bad --seed: {e}"))?;
-                    }
-                    "--trip" => {
-                        trip = value("--trip")?
-                            .parse()
-                            .map_err(|e| format!("generate: bad --trip: {e}"))?;
-                    }
-                    "-o" | "--out" => out = Some(PathBuf::from(value("-o")?)),
-                    other => return Err(format!("generate: unknown flag {other:?}")),
-                }
+        Err(msg) => {
+            // An empty error was reported on stdout already.
+            if !msg.is_empty() {
+                eprintln!("{msg}");
             }
-            if trip > 9 {
-                return Err("generate: --trip must be 0..=9".into());
-            }
-            Ok(Command::Generate { seed, trip, out: out.ok_or("generate: -o is required")? })
+            ExitCode::FAILURE
         }
-        "obs" => {
-            match it.next().map(String::as_str) {
-                Some("merge") => {}
-                Some(other) => {
-                    return Err(format!("obs: unknown action {other:?} (expected merge)"))
-                }
-                None => return Err("obs: missing action (expected merge)".into()),
-            }
-            let mut files = Vec::new();
-            let mut out = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "-o" | "--out" => {
-                        out = Some(PathBuf::from(
-                            it.next().ok_or("obs merge: -o needs a value")?,
-                        ));
-                    }
-                    other if other.starts_with('-') => {
-                        return Err(format!("obs merge: unknown flag {other:?}"));
-                    }
-                    file => files.push(PathBuf::from(file)),
-                }
-            }
-            if files.is_empty() {
-                return Err("obs merge: needs at least one sidecar file".into());
-            }
-            Ok(Command::ObsMerge { files, out })
-        }
-        "store" => {
-            match it.next().map(String::as_str) {
-                Some("recover") => {}
-                Some(other) => {
-                    return Err(format!("store: unknown action {other:?} (expected recover)"))
-                }
-                None => return Err("store: missing action (expected recover)".into()),
-            }
-            let dir = PathBuf::from(it.next().ok_or("store recover: missing <dir>")?);
-            let mut snapshot = false;
-            for flag in it {
-                match flag.as_str() {
-                    "--snapshot" => snapshot = true,
-                    other => return Err(format!("store recover: unknown flag {other:?}")),
-                }
-            }
-            Ok(Command::StoreRecover { dir, snapshot })
-        }
-        "serve" => {
-            let dir = PathBuf::from(it.next().ok_or("serve: missing <dir>")?);
-            let mut shards = 2usize;
-            let mut algo = "op-cone".to_string();
-            let mut eps = 30.0f64;
-            let mut speed_eps = None;
-            let mut max_batch = 256usize;
-            let mut queue_cap = 4096usize;
-            let mut metrics_out = None;
-            let mut trace_out = None;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or(format!("serve: {name} needs a value"))
-                };
-                let parse_int = |v: &String, name: &str| -> Result<u64, String> {
-                    v.parse().map_err(|e| format!("serve: bad {name} {v:?}: {e}"))
-                };
-                match flag.as_str() {
-                    "--shards" => {
-                        shards = usize::try_from(parse_int(value("--shards")?, "--shards")?)
-                            .map_err(|e| format!("serve: bad --shards: {e}"))?;
-                    }
-                    "--algo" => algo = value("--algo")?.clone(),
-                    "--eps" => eps = parse_f64(value("--eps")?, "--eps")?,
-                    "--speed-eps" => {
-                        speed_eps = Some(parse_f64(value("--speed-eps")?, "--speed-eps")?);
-                    }
-                    "--max-batch" => {
-                        max_batch =
-                            usize::try_from(parse_int(value("--max-batch")?, "--max-batch")?)
-                                .map_err(|e| format!("serve: bad --max-batch: {e}"))?;
-                    }
-                    "--queue-cap" => {
-                        queue_cap =
-                            usize::try_from(parse_int(value("--queue-cap")?, "--queue-cap")?)
-                                .map_err(|e| format!("serve: bad --queue-cap: {e}"))?;
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(PathBuf::from(value("--metrics-out")?));
-                    }
-                    "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
-                    other => return Err(format!("serve: unknown flag {other:?}")),
-                }
-            }
-            traj_serve::check_shards(shards).map_err(|e| format!("serve: --shards: {e}"))?;
-            let codec = CodecSpec::parse(&algo, eps, speed_eps)?;
-            Ok(Command::Serve(ServeArgs {
-                dir,
-                shards,
-                codec,
-                max_batch,
-                queue_cap,
-                metrics_out,
-                trace_out,
-            }))
-        }
-        "--help" | "-h" => Err(usage()),
-        other => Err(format!("unknown subcommand {other:?}\n{}", usage())),
     }
 }
 
@@ -434,20 +608,24 @@ struct TraceSessionGuard {
     armed: bool,
 }
 
+impl TraceSessionGuard {
+    /// Starts a trace session, this thread's track labelled `label`, if
+    /// `armed`.
+    fn start(armed: bool, label: &str) -> Self {
+        if armed {
+            traj_obs::trace::start();
+            traj_obs::trace::set_track_label(label);
+        }
+        TraceSessionGuard { armed }
+    }
+}
+
 impl Drop for TraceSessionGuard {
     fn drop(&mut self) {
         if self.armed {
             let _ = traj_obs::trace::stop();
         }
     }
-}
-
-fn parse_f64(s: &str, flag: &str) -> Result<f64, String> {
-    let v: f64 = s.parse().map_err(|e| format!("bad {flag} value {s:?}: {e}"))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(format!("{flag} must be finite and >= 0, got {s}"));
-    }
-    Ok(v)
 }
 
 /// Builds a compressor by its `--algo` name, looked up in the one name
@@ -469,9 +647,12 @@ pub fn make_compressor(
 }
 
 /// Executes a parsed command, returning its human-readable report.
+/// `repro` prints its tables to stdout as it goes and returns an empty
+/// report.
 ///
 /// # Errors
-/// Propagates I/O, parse and validation failures as strings.
+/// Propagates I/O, parse and validation failures as strings; a failed
+/// paper-shape check is an empty error, its violations being on stdout.
 pub fn run(cmd: &Command) -> Result<String, String> {
     let load = |path: &PathBuf| -> Result<Trajectory, String> {
         io::read_csv(path).map_err(|e| format!("{}: {e}", path.display()))
@@ -502,11 +683,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
         } => {
             // Stop the recorder even on early error returns, so a failed
             // run never leaks an active session into the next command.
-            let mut trace_session = TraceSessionGuard { armed: trace_out.is_some() };
-            if trace_session.armed {
-                traj_obs::trace::start();
-                traj_obs::trace::set_track_label("main");
-            }
+            let mut trace_session = TraceSessionGuard::start(trace_out.is_some(), "main");
             let total = Instant::now();
             let t = {
                 let _phase = traj_obs::trace_span!("cli.read_input");
@@ -696,12 +873,13 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             }
         }
         Command::Serve(args) => return serve(args, &mut std::io::stdin().lock()),
+        Command::Repro(args) => return repro::run(args),
     }
     Ok(report)
 }
 
 /// The longest `serve` input line, newline excluded.
-const MAX_LINE: usize = 4096;
+pub const MAX_LINE: usize = 4096;
 
 /// Submits every `id,t,x,y` record of `input` to `service`, waiting out
 /// backpressure so no record is shed, and returns how many went in.
@@ -750,15 +928,15 @@ fn feed(service: &Service, input: &mut dyn BufRead) -> Result<u64, String> {
     Ok(records)
 }
 
-/// `trajc serve`: runs the service over the records of `input`, then
-/// shuts it down cleanly — also after a bad input line, so every record
-/// before it stays durable — and reports.
-fn serve(args: &ServeArgs, input: &mut dyn BufRead) -> Result<String, String> {
-    let mut trace_session = TraceSessionGuard { armed: args.trace_out.is_some() };
-    if trace_session.armed {
-        traj_obs::trace::start();
-        traj_obs::trace::set_track_label("serve-main");
-    }
+/// `trajc serve`: runs the service over the records of `input` (stdin,
+/// when [`run`] calls it), then shuts it down cleanly — also after a bad
+/// input line, so every record before it stays durable — and reports.
+///
+/// # Errors
+/// A bad input line (see [`MAX_LINE`]), naming it and the records
+/// before it; a service that cannot start; a storage failure.
+pub fn serve(args: &ServeArgs, input: &mut dyn BufRead) -> Result<String, String> {
+    let mut trace_session = TraceSessionGuard::start(args.trace_out.is_some(), "serve-main");
     let cfg = ServeConfig {
         shards: args.shards,
         queue_cap: args.queue_cap,
@@ -934,16 +1112,20 @@ mod tests {
 
     #[test]
     fn parse_compress_requires_algo_and_eps() {
-        assert!(parse(&args("compress a.csv --eps 30")).is_err());
-        assert!(parse(&args("compress a.csv --algo td-tr")).is_err());
+        let err = parse(&args("compress a.csv --eps 30")).unwrap_err();
+        assert_eq!(err, "compress: --algo is required");
+        let err = parse(&args("compress a.csv --algo td-tr")).unwrap_err();
+        assert_eq!(err, "compress: --eps is required");
         assert!(parse(&args("compress a.csv --algo td-tr --eps nope")).is_err());
         assert!(parse(&args("compress a.csv --algo td-tr --eps -5")).is_err());
     }
 
     #[test]
     fn parse_generate_bounds_trip() {
-        assert!(parse(&args("generate --trip 10 -o x.csv")).is_err());
-        assert!(parse(&args("generate --trip 3")).is_err(), "-o required");
+        let err = parse(&args("generate --trip 10 -o x.csv")).unwrap_err();
+        assert_eq!(err, "generate: --trip must be 0..=9");
+        let err = parse(&args("generate --trip 3")).unwrap_err();
+        assert_eq!(err, "generate: -o is required");
         let g = parse(&args("generate --seed 7 --trip 3 -o x.csv")).unwrap();
         assert_eq!(g, Command::Generate { seed: 7, trip: 3, out: PathBuf::from("x.csv") });
     }
@@ -953,6 +1135,78 @@ mod tests {
         assert!(parse(&args("frobnicate")).is_err());
         assert!(parse(&[]).is_err());
         assert!(parse(&args("compress a.csv --algo td-tr --eps 5 --wat 3")).is_err());
+    }
+
+    #[test]
+    fn parse_refuses_extra_positionals() {
+        // Every subcommand takes its positional arguments from the table
+        // and refuses one more, naming it.
+        for (line, extra) in [
+            ("info a.csv /nonexistent.csv", "/nonexistent.csv"),
+            ("compress a.csv b.csv --algo td-tr --eps 30", "b.csv"),
+            ("evaluate a.csv a.csv /nonexistent.csv", "/nonexistent.csv"),
+            ("generate extra -o x.csv", "extra"),
+            ("store recover db other", "other"),
+            ("serve db other", "other"),
+            ("repro fig7 fig8", "fig8"),
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            assert!(err.contains(&format!("unexpected argument {extra:?}")), "{line}: {err}");
+        }
+        // A repeated positional takes any number.
+        assert!(parse(&args("obs merge a.json b.json c.json")).is_ok());
+    }
+
+    #[test]
+    fn parse_repro() {
+        assert_eq!(
+            parse(&args("repro")).unwrap(),
+            Command::Repro(ReproArgs {
+                experiment: "all".into(),
+                seed: 42,
+                csv: None,
+                metrics_out: None,
+                trace_out: None,
+                threads: 1,
+                fast: false,
+            })
+        );
+        let line = "repro --fast fig10 --threads 0 --seed 7 --csv out --metrics-out m.json \
+                    --trace-out t.folded";
+        assert_eq!(
+            parse(&args(line)).unwrap(),
+            Command::Repro(ReproArgs {
+                experiment: "fig10".into(),
+                seed: 7,
+                csv: Some(PathBuf::from("out")),
+                metrics_out: Some(PathBuf::from("m.json")),
+                trace_out: Some(PathBuf::from("t.folded")),
+                threads: 0,
+                fast: true,
+            })
+        );
+        // The sidecar goes next to the figure CSVs unless named.
+        let Command::Repro(r) = parse(&args("repro fig7 --csv out")).unwrap() else {
+            panic!("expected repro") // lint: allow(panic) test assertion
+        };
+        assert_eq!(r.metrics_out, Some(PathBuf::from("out/metrics.csv")));
+        for (line, needle) in [
+            ("repro fig99", "unknown experiment \"fig99\""),
+            ("repro fig7 fig99", "one experiment per run"),
+            ("repro check --fast", "--fast changes the protocol"),
+            ("repro --fast", "--fast changes the protocol"),
+            ("repro fig7 --threads", "--threads needs a value"),
+            ("repro fig7 --seed x", "bad --seed"),
+            ("repro fig7 --wat", "unknown flag"),
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            assert!(err.contains(needle), "{line}: {err}");
+        }
+        // Help anywhere a flag may stand is the one usage text.
+        for line in ["--help", "repro --help", "serve db -h"] {
+            let err = parse(&args(line)).unwrap_err();
+            assert!(err.starts_with("usage: trajc") && err.contains("trajc repro"), "{err}");
+        }
     }
 
     #[test]

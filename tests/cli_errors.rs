@@ -189,3 +189,33 @@ fn serve_names_a_malformed_stdin_line_and_exits_1() {
     assert!(stderr.contains("1 records before it"), "stderr: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn an_extra_positional_argument_is_refused_not_ignored() {
+    let path = tmp_file("extra.csv", "t,x,y\n0,0,0\n10,5,5\n20,9,9\n");
+    let file = path.to_str().expect("utf-8 temp path");
+    for args in [
+        vec!["info", file, "/nonexistent.csv"],
+        vec!["evaluate", file, file, "/nonexistent.csv"],
+    ] {
+        let out = trajc(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("unexpected argument \"/nonexistent.csv\""), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+    }
+}
+
+#[test]
+fn repro_names_a_csv_directory_it_cannot_create_and_exits_1() {
+    // A regular file where the figure CSV directory should be.
+    let blocker = tmp_file("csv_blocker", "not a directory");
+    let dir = blocker.join("figures");
+    let shown = dir.to_str().expect("utf-8 temp path");
+    let out = trajc(&["repro", "fig7", "--fast", "--csv", shown]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("cannot create csv dir {shown}")), "{stderr}");
+    // The figure was computed and printed before the write failed.
+    assert!(String::from_utf8_lossy(&out.stdout).contains("fig7 — NDP vs TD-TR"));
+}

@@ -298,7 +298,7 @@ const BUILTIN: &[(&str, u8)] = &[
     // -- iterator adapters and slice scans: clean ---------------------
     ("filter_map", 0), ("flat_map", 0), ("rev", 0), ("zip", 0),
     ("enumerate", 0), ("skip", 0), ("step_by", 0), ("chain", 0),
-    ("windows", 0), ("chunks", 0), ("chunks_exact", 0),
+    ("windows", 0), ("chunks", 0), ("chunks_exact", 0), ("remainder", 0),
     ("fold", 0), ("try_fold", 0), ("sum", 0), ("product", 0),
     ("count", 0), ("all", 0), ("any", 0), ("find", 0), ("find_map", 0),
     ("position", 0), ("rposition", 0), ("take_while", 0),

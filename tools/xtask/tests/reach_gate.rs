@@ -35,7 +35,7 @@ impl MiniRepo {
         fs::create_dir_all(root.join("crates/graph/src")).expect("mkdir src");
         fs::create_dir_all(root.join("crates/graph/tests")).expect("mkdir tests");
         fs::create_dir_all(root.join("tools/xtask")).expect("mkdir xtask");
-        for name in ["cycle.rs", "mutual.rs", "shadow.rs", "ambiguity.rs"] {
+        for name in ["cycle.rs", "mutual.rs", "shadow.rs", "ambiguity.rs", "tail.rs"] {
             fs::write(root.join("crates/graph/src").join(name), fixture(name))
                 .expect("write fixture");
         }
@@ -100,7 +100,7 @@ fn root_effects(a: &Analysis, spec: &str) -> u8 {
 #[test]
 fn fixture_verdicts_are_pinned() {
     let toml = toml_with(
-        r#""ping", "pong", "spiral", "even", "qualified_safe", "unknown_receiver", "free_call", "method_call""#,
+        r#""ping", "pong", "spiral", "even", "qualified_safe", "unknown_receiver", "free_call", "method_call", "tail_sum""#,
         "budget_panic = 3\nbudget_alloc = 2\n",
     );
     let repo = MiniRepo::new("verdicts", &toml);
@@ -119,6 +119,8 @@ fn fixture_verdicts_are_pinned() {
     // Bare call resolves to the free fn, not the panicking method.
     assert_eq!(root_effects(&a, "free_call"), 0);
     assert_eq!(root_effects(&a, "method_call"), PANIC);
+    // A word walk's tail through `ChunksExact::remainder` is clean.
+    assert_eq!(root_effects(&a, "tail_sum"), 0);
 }
 
 #[test]
